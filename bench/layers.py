@@ -1,9 +1,10 @@
 """Per-layer counters and metrics derived from traced spans.
 
 The layers are the package's modules. Counters are taken by hooks at the
-same wrapped call boundaries that record the spans; the metrics below are
-the benchmark's ``per_layer`` set (see README.md for which end-to-end
-metric each one should move).
+same wrapped call boundaries that record the spans. ``per_layer_metrics``
+derives most of the benchmark's ``per_layer`` set (listed in
+``BENCHMARK.json``; see README.md for which end-to-end metric each one
+should move).
 """
 
 from __future__ import annotations
@@ -63,45 +64,6 @@ HOOKS = {
     "steady.solve_steady_state": _solve_steady_state,
     "transmission.transmission_pair": _transmission_pair,
     "verify.run_verification": _run_verification,
-}
-
-# per_layer metric -> unit, in BENCHMARK.json order
-PER_LAYER_UNITS = {
-    "sweep.sweep_s": "s",
-    "sweep.points_per_s_1thread": "1/s",
-    "transmission.transmission_grid_s": "s",
-    "sweep.singular_points": "count",
-    "sweep.write_csv_s": "s",
-    "sweep.rows": "count",
-    "sweep.csv_bytes": "bytes",
-    "sweep.reproduce_figure_self_s": "s",
-    "sweep.table_to_json_s": "s",
-    "cli.cli_main_self_s": "s",
-    "cli.startup_s": "s",
-    "cli.python_floor_s": "s",
-    "cli.numpy_import_s": "s",
-    "cli.nonrecip_import_s": "s",
-    "transmission.transmission_pair_us": "us",
-    "transmission.transmission_pair_calls": "count",
-    "transmission.isolation_metrics_us": "us",
-    "response.build_system_matrix_us": "us",
-    "response.solve_response_us": "us",
-    "response.closed_form_coefficients_us": "us",
-    "design.design_isolator_us": "us",
-    "design.candidates": "count",
-    "design.valid_ratio": "ratio",
-    "design.no_valid_design": "count",
-    "steady.solve_steady_state_us": "us",
-    "steady.iterations_per_solve": "count",
-    "steady.nonconvergence": "count",
-    "steady.linearized_params_us": "us",
-    "verify.run_verification_s": "s",
-    "verify.checks_failed": "count",
-    **{f"{layer}.self_s": "s" for layer in LAYERS},
-    "bench.self_s": "s",
-    "trace.traced_round_s": "s",
-    "trace.untraced_round_s": "s",
-    "trace.overhead_ratio": "ratio",
 }
 
 # counters that must repeat exactly between runs with one seed

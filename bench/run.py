@@ -30,8 +30,6 @@ import sys
 import tempfile
 import time
 
-from layers import PER_LAYER_UNITS
-
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
@@ -39,8 +37,6 @@ WORKDIR = os.path.join(ROOT, ".bench_work")
 WORKER = os.path.join(HERE, "worker.py")
 
 WORKLOADS = ("figures", "dense_sweep", "point_queries", "cli")
-END_TO_END_UNITS = {"setup_s": "s", "round_min_s": "s", "request_p50_min_ms": "ms",
-                    "request_p99_min_ms": "ms", "peak_rss_mb": "MB"}
 SETUP_PROBES = 11
 FLOOR_PROBES = 5
 # a run must end within this many seconds, children included
@@ -49,6 +45,15 @@ DEADLINE_S = 170.0
 
 class BenchError(RuntimeError):
     """A child process failed or overran; the run has no result."""
+
+
+def metric_units(trace: int) -> dict[str, str]:
+    """Name -> unit of the end-to-end (untraced) or per-layer (traced)
+    metrics, in ``BENCHMARK.json`` order."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    return {m["name"]: m["unit"]
+            for m in spec["per_layer" if trace else "end_to_end"]}
 
 
 def child_env() -> dict:
@@ -154,12 +159,15 @@ def measure(workload: str, seed: int, seconds: int, trace: int) -> dict:
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     result["metrics"].update(extra)
-    units = PER_LAYER_UNITS if trace else END_TO_END_UNITS
+    units = metric_units(trace)
+    unknown = set(result["metrics"]) - set(units)
     missing = set(units) - set(result["metrics"])
-    if missing:
-        raise BenchError(f"worker reported no {sorted(missing)}")
-    result["metrics"] = {name: {"value": float(result["metrics"][name]), "unit": unit}
-                         for name, unit in units.items()}
+    if unknown or (missing and not trace):
+        raise BenchError(f"worker reported unknown metrics {sorted(unknown)} "
+                         f"and no {sorted(missing)}")
+    # a layer that the workload does not reach reports 0
+    result["metrics"] = {name: {"value": float(result["metrics"].get(name, 0.0)),
+                                "unit": unit} for name, unit in units.items()}
     detail = {name: {"value": v, "unit": u} for name, (v, u) in result["detail"].items()}
     if not trace:
         for name in ("setup_s", "peak_rss_mb"):

@@ -117,10 +117,10 @@ class _Span:
         return False
 
 
-def _package_modules(package: str):
+def _package_modules():
     for modname, mod in list(sys.modules.items()):
-        if mod is not None and (modname == package
-                                or modname.startswith(package + ".")):
+        if mod is not None and (modname == "nonrecip"
+                                or modname.startswith("nonrecip.")):
             yield modname, mod
 
 
@@ -129,8 +129,7 @@ def layer_of(name: str) -> str:
     return name.split(".", 1)[0]
 
 
-def install(tracer: Tracer, hooks: dict | None = None, also=(),
-            package: str = "nonrecip") -> Counter:
+def install(tracer: Tracer, hooks: dict, also=()) -> Counter:
     """Wrap every public function in every namespace that binds it.
 
     Modules are reached through ``sys.modules`` because the package
@@ -142,9 +141,8 @@ def install(tracer: Tracer, hooks: dict | None = None, also=(),
     those functions are replaced too. Returns how many bindings were
     replaced per qualified name.
     """
-    hooks = hooks or {}
     wrappers: dict[int, tuple[str, object, object]] = {}
-    for modname, mod in _package_modules(package):
+    for modname, mod in _package_modules():
         layer = modname.rsplit(".", 1)[-1]
         for attr in getattr(mod, "__all__", ()):
             fn = getattr(mod, attr, None)
@@ -155,7 +153,7 @@ def install(tracer: Tracer, hooks: dict | None = None, also=(),
             wrappers[id(fn)] = (qual, fn, _make_wrapper(
                 tracer, fn, tracer.name_id(qual), hooks.get(qual)))
     bound: Counter = Counter()
-    for mod in [m for _, m in _package_modules(package)] + list(also):
+    for mod in [m for _, m in _package_modules()] + list(also):
         for attr, obj in list(vars(mod).items()):
             entry = wrappers.get(id(obj))
             if entry is not None and entry[1] is obj:

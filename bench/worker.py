@@ -6,8 +6,9 @@
 
 ``run.py`` starts this with ``src`` on ``PYTHONPATH``; run that instead.
 Untraced, rounds repeat until ``--seconds`` have passed (at least
-``MIN_ROUNDS``). Traced, untraced and traced rounds of the same inputs
-alternate, so the ratio of their mean times is the tracing overhead.
+``MIN_ROUNDS``). Traced, after one unrecorded warm-up round, pairs of an
+untraced and a traced round of the same inputs repeat, each side first
+in turn, so the ratio of their mean times is the tracing overhead.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 import time
 from contextlib import contextmanager
 
-from layers import HOOKS, PER_LAYER_UNITS, merge_summary, per_layer_metrics
+from layers import HOOKS, merge_summary, per_layer_metrics
 from tracer import Tracer, install, summarize
 
 MIN_ROUNDS = 3
@@ -111,15 +112,23 @@ def run_traced(workload, runner, seconds: float, trace_path: str) -> dict:
 
     tracer = runner.tracer
     install(tracer, HOOKS, also=(workloads,))
+    # an unrecorded round first, so that neither side carries the cold one
+    runner.round(workload, 0)
     start = time.perf_counter()
     untraced, traced, per_round, counts = [], [], [], None
     while (len(traced) < workload.count_rounds
            or (time.perf_counter() - start < seconds
                and len(tracer.spans) < SPAN_BUDGET)):
-        untraced.append(runner.round(workload, len(untraced))["time"])
+        index = len(traced)
+        # which side of a pair runs first alternates, so that a trend in
+        # the machine's speed favours neither
+        if index % 2 == 0:
+            untraced.append(runner.round(workload, index)["time"])
         before = dict(tracer.counts)
-        traced.append(runner.round(workload, len(traced), traced=True)["time"])
+        traced.append(runner.round(workload, index, traced=True)["time"])
         per_round.append({k: v - before.get(k, 0) for k, v in tracer.counts.items()})
+        if index % 2 == 1:
+            untraced.append(runner.round(workload, index)["time"])
         if len(traced) == workload.count_rounds:
             counts = dict(tracer.counts)
     if workload.identical_rounds and any(c != per_round[0] for c in per_round):
@@ -127,9 +136,7 @@ def run_traced(workload, runner, seconds: float, trace_path: str) -> dict:
     self_s, durations, calls = summarize(tracer)
     summary = {"self_s": self_s, "durations": durations, "calls": dict(calls)}
     merge_summary(summary, runner.external)
-    metrics = dict.fromkeys(PER_LAYER_UNITS, 0.0)
-    metrics.update(per_layer_metrics(summary, len(traced), counts,
-                                     workload.count_rounds))
+    metrics = per_layer_metrics(summary, len(traced), counts, workload.count_rounds)
     metrics.update(workload.layer_extras())
     metrics["trace.traced_round_s"] = statistics.mean(traced)
     metrics["trace.untraced_round_s"] = statistics.mean(untraced)

@@ -157,6 +157,8 @@ class Workload:
     identical_rounds = True
     # request kinds left out of the request-latency percentiles
     untimed_kinds: tuple[str, ...] = ()
+    # rows of each emitted table checked against the LU reference
+    SAMPLES = 4
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
@@ -214,11 +216,12 @@ class Workload:
         return {}
 
     def layer_extras(self) -> dict[str, float]:
-        """Per-layer metrics measured by the workload itself."""
+        """Per-layer metrics measured by the workload itself, after the
+        traced rounds."""
         return {}
 
     def check_csv(self, fid: str, path: str, spec: SweepSpec,
-                  landmarks: dict | None = None, samples: int = 4) -> None:
+                  landmarks: dict | None = None) -> None:
         """Row count, sampled rows against LU, and extremum locations."""
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -230,7 +233,7 @@ class Workload:
         if landmarks is not None and spec.axis2 is None:
             self.check_extrema(fid, header, lines, landmarks)
         axes = [a.name for a in (spec.axis1, spec.axis2) if a is not None]
-        for i in self.rng.integers(1, len(lines), size=samples):
+        for i in self.rng.integers(1, len(lines), size=self.SAMPLES):
             row = dict(zip(header, lines[i].split(",")))
             p, y = row_params(spec, {a: float(row[a]) for a in axes})
             where = f"{fid} row {i}"
@@ -311,6 +314,7 @@ class DenseSweep(Workload):
     MAP_POINTS = 1001
     GRID_POINTS = 1_000_000
     SAMPLES = 32
+    ONE_THREAD_PASSES = 3
 
     def __init__(self, seed: int, workdir: str) -> None:
         super().__init__(seed)
@@ -324,7 +328,6 @@ class DenseSweep(Workload):
                                  y=rng.uniform(-0.25, 0.25) * self.p.gamma)
         self.ys = np.linspace(-half, half, self.GRID_POINTS)
         self.rng = np.random.default_rng([seed, 1])
-        self.one_thread: list[float] = []
 
     def run_round(self, index: int, runner) -> None:
         # results are checked and dropped one at a time, so peak memory is
@@ -335,8 +338,6 @@ class DenseSweep(Workload):
                      lambda t: self.check_table("map", t, self.map))
         self.attempt(runner, "grid", lambda: transmission_grid(self.p, self.ys),
                      self.check_grid)
-        if runner.traced:
-            self.one_thread.append(self.single_thread_pass())
 
     def single_thread_pass(self) -> float:
         """Seconds for the same two sweeps with one worker thread."""
@@ -388,10 +389,11 @@ class DenseSweep(Workload):
                 for kind, n in points.items()}
 
     def layer_extras(self):
-        if not self.one_thread:
-            return {}
+        # after the traced rounds, so that these passes sit in no round
+        # and between no pair of rounds whose times are compared
+        one_thread = [self.single_thread_pass() for _ in range(self.ONE_THREAD_PASSES)]
         points = self.SPECTRUM_POINTS + self.MAP_POINTS ** 2
-        return {"sweep.points_per_s_1thread": points / statistics.median(self.one_thread)}
+        return {"sweep.points_per_s_1thread": points / statistics.median(one_thread)}
 
 
 class PointQueries(Workload):
@@ -569,20 +571,17 @@ class Cli(Workload):
         }
         self.reference = load_reference()["fig3c"]
         self.rng = np.random.default_rng([seed, 1])
-        src = os.path.join(os.path.dirname(HERE), "src")
-        self.env = dict(os.environ)
-        self.env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in (os.environ.get("PYTHONPATH"),) if p])
         self.startup: list[float] = []
 
     def run_round(self, index: int, runner) -> None:
         startup = 0.0
         for kind, args in self.commands.items():
-            env = self.env
+            # the worker's environment already has src on PYTHONPATH
+            env = None
             argv = [sys.executable, "-m", "nonrecip", *args]
             if runner.traced:
                 trace_file = os.path.join(self.dir, f"trace-{kind}.json")
-                env = dict(self.env, NONRECIP_BENCH_TRACE=trace_file)
+                env = dict(os.environ, NONRECIP_BENCH_TRACE=trace_file)
                 argv = [sys.executable, os.path.join(HERE, "cli_traced.py"), *args]
             proc = self.attempt(runner, kind, lambda: subprocess.run(
                 argv, capture_output=True, text=True, env=env, cwd=self.dir,
@@ -637,7 +636,7 @@ class Cli(Workload):
             self.fail(f"{kind}: table has columns {payload['columns']} and "
                       f"{len(rows)} rows, expected {points}")
             return
-        for i in self.rng.integers(0, len(rows), size=4):
+        for i in self.rng.integers(0, len(rows), size=self.SAMPLES):
             theta, phi, t12, t21, status = rows[i]
             p, y = row_params(spec, {"theta": theta, "phi": phi})
             if status == "singular":
