@@ -82,14 +82,13 @@ def merge_summary(into: dict, summary: dict) -> None:
         into["durations"].setdefault(name, []).extend(v)
 
 
-def per_layer_metrics(summary: dict, rounds: int, counts: dict,
-                      count_rounds: int) -> dict[str, float]:
+def per_layer_metrics(summary: dict, rounds: int, counts: dict) -> dict[str, float]:
     """Per-round layer metrics from traced spans and counters.
 
     ``summary`` holds ``self_s`` and ``durations`` (seconds) and ``calls``
     per span name over ``rounds`` traced rounds. ``counts`` are the hook
-    counters over the first ``count_rounds`` traced rounds, which are the
-    same seeded inputs on every run, so they repeat exactly.
+    counters of one traced round, whose inputs are the same seeded ones on
+    every run, so they repeat exactly.
     """
     self_s, durations = summary["self_s"], summary["durations"]
 
@@ -101,7 +100,7 @@ def per_layer_metrics(summary: dict, rounds: int, counts: dict,
         return statistics.median(d) * 1e6 if d else 0.0
 
     def count(name):
-        return counts.get(name, 0) / count_rounds
+        return counts.get(name, 0)
 
     def ratio(num, den):
         return counts.get(num, 0) / counts[den] if counts.get(den) else 0.0

@@ -36,7 +36,7 @@ SRC = os.path.join(ROOT, "src")
 WORKDIR = os.path.join(ROOT, ".bench_work")
 WORKER = os.path.join(HERE, "worker.py")
 
-WORKLOADS = ("figures", "dense_sweep", "point_queries", "cli")
+WORKLOADS = ("dense_sweep", "point_queries", "cli")
 SETUP_PROBES = 11
 FLOOR_PROBES = 5
 # a run must end within this many seconds, children included

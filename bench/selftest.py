@@ -4,9 +4,10 @@
 
 They check that the benchmark keeps its contract with ``BENCHMARK.json``,
 that the exact counters repeat between runs with one seed, that the
-tracer sees callers that imported a function by name, that the output
-checks reject wrong values, and that a directory holding only the
-benchmark fails without printing a result.
+tracer sees callers that imported a function by name, that each request
+keeps its best time over the rounds, that the output checks reject
+wrong values, and that a directory holding only the benchmark fails
+without printing a result.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class ContractTest(unittest.TestCase):
             shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), d)
             shutil.copytree(HERE, os.path.join(d, "bench"),
                             ignore=shutil.ignore_patterns("__pycache__"))
-            proc = bench("figures", 0, cwd=d)
+            proc = bench("cli", 0, cwd=d)
         self.assertNotEqual(proc.returncode, 0)
         self.assertNotIn('"correct"', proc.stdout)
 
@@ -111,9 +112,6 @@ class CountsTest(unittest.TestCase):
                     self.assertEqual(first["metrics"][name], second["metrics"][name])
 
     def test_counts_where_the_work_happens(self):
-        figures = result("figures", 1)["metrics"]
-        self.assertEqual(figures["sweep.rows"]["value"], 30 * 1001 + 201 * 201)
-        self.assertGreater(figures["sweep.csv_bytes"]["value"], 0)
         queries = result("point_queries", 1)["metrics"]
         self.assertGreater(queries["design.candidates"]["value"], 0)
         self.assertGreater(queries["transmission.transmission_pair_calls"]["value"],
@@ -123,6 +121,9 @@ class CountsTest(unittest.TestCase):
         self.assertEqual(dense["transmission.transmission_pair_calls"]["value"], 0)
         self.assertGreater(dense["sweep.points_per_s_1thread"]["value"], 0)
         cli = result("cli", 1)["metrics"]
+        # the spectrum and fig3c CSVs; the phase map goes out as JSON
+        self.assertEqual(cli["sweep.rows"]["value"], 2 * 1001)
+        self.assertGreater(cli["sweep.csv_bytes"]["value"], 0)
         self.assertGreater(cli["sweep.table_to_json_s"]["value"], 0)
         self.assertGreater(cli["cli.cli_main_self_s"]["value"], 0)
 
@@ -150,6 +151,17 @@ class TracerTest(unittest.TestCase):
         self.assertEqual(calls["transmission.transmission_pair"],
                          tracer.counts["design.candidates"])
         self.assertAlmostEqual(sum(self_s.values()), root.duration, delta=1e-9)
+
+
+class BestTimesTest(unittest.TestCase):
+    def test_each_request_keeps_its_shortest_time(self):
+        from worker import keep_best
+
+        first = [("a", 3.0), ("b", 1.0), ("a", 2.0)]
+        second = [("a", 1.0), ("b", 2.0), ("a", 2.0)]
+        self.assertEqual(keep_best(first, second), [("a", 1.0), ("b", 1.0), ("a", 2.0)])
+        with self.assertRaises(RuntimeError):
+            keep_best(first, [("b", 1.0), ("a", 1.0), ("a", 1.0)])
 
 
 class ChecksTest(unittest.TestCase):

@@ -5,10 +5,12 @@
     python3 bench/worker.py --import-probe
 
 ``run.py`` starts this with ``src`` on ``PYTHONPATH``; run that instead.
-Untraced, rounds repeat until ``--seconds`` have passed (at least
-``MIN_ROUNDS``). Traced, after one unrecorded warm-up round, pairs of an
-untraced and a traced round of the same inputs repeat, each side first
-in turn, so the ratio of their mean times is the tracing overhead.
+Every round replays the same requests. Untraced, rounds repeat until
+``--seconds`` have passed (at least ``MIN_ROUNDS``), and each request is
+reported at its shortest time over the rounds. Traced, after one
+unrecorded warm-up round, pairs of an untraced and a traced round
+repeat, each side first in turn, so the ratio of their mean times is the
+tracing overhead.
 """
 
 from __future__ import annotations
@@ -28,6 +30,15 @@ from tracer import Tracer, install, summarize
 MIN_ROUNDS = 3
 # traced rounds stop once this many spans are held in memory
 SPAN_BUDGET = 250_000
+
+
+def keep_best(best: list[tuple[str, float]],
+              requests: list[tuple[str, float]]) -> list[tuple[str, float]]:
+    """Each request at the shorter of its two times, from two rounds that
+    made the same requests."""
+    if [k for k, _ in requests] != [k for k, _ in best]:
+        raise RuntimeError("rounds did not replay the same requests")
+    return [(k, min(a, b)) for (k, a), (_, b) in zip(best, requests)]
 
 
 def round_stats(requests: list[tuple[str, float]], untimed_kinds) -> dict:
@@ -73,10 +84,10 @@ class Runner:
             self.external["self_s"].get(bench_span, 0.0) - wall)
         self.tracer.counts.update(summary["counts"])
 
-    def round(self, workload, index: int, traced: bool = False) -> dict:
+    def round(self, workload, traced: bool = False) -> dict:
         self.requests = []
         self.traced = traced
-        workload.run_round(index, self)
+        workload.run_round(self)
         return round_stats(self.requests, workload.untimed_kinds)
 
 
@@ -86,17 +97,19 @@ def peak_rss_mb(children: bool) -> float:
 
 
 def run_untraced(workload, runner, seconds: float) -> dict:
-    """End-to-end metrics: the minimum over rounds of each round's time,
-    request p50 and request p99 (see README.md for why not the median),
-    and the peak resident memory."""
-    rounds = []
+    """End-to-end metrics: with each request at its shortest time over the
+    rounds (see README.md for why not the median), the round's time and
+    the request p50 and p99; and the peak resident memory."""
+    rounds, best = [], None
     start = time.perf_counter()
     while len(rounds) < MIN_ROUNDS or time.perf_counter() - start < seconds:
-        rounds.append(runner.round(workload, len(rounds)))
+        rounds.append(runner.round(workload))
+        best = runner.requests if best is None else keep_best(best, runner.requests)
+    best = round_stats(best, workload.untimed_kinds)
     metrics = {
-        "round_min_s": min(r["time"] for r in rounds),
-        "request_p50_min_ms": min(r["p50"] for r in rounds) * 1e3,
-        "request_p99_min_ms": min(r["p99"] for r in rounds) * 1e3,
+        "round_min_s": best["time"],
+        "request_p50_min_ms": best["p50"] * 1e3,
+        "request_p99_min_ms": best["p99"] * 1e3,
         "peak_rss_mb": peak_rss_mb(children=workload.name == "cli"),
     }
     detail = workload.detail(rounds)
@@ -113,30 +126,27 @@ def run_traced(workload, runner, seconds: float, trace_path: str) -> dict:
     tracer = runner.tracer
     install(tracer, HOOKS, also=(workloads,))
     # an unrecorded round first, so that neither side carries the cold one
-    runner.round(workload, 0)
+    runner.round(workload)
     start = time.perf_counter()
-    untraced, traced, per_round, counts = [], [], [], None
-    while (len(traced) < workload.count_rounds
+    untraced, traced, per_round = [], [], []
+    while (not traced
            or (time.perf_counter() - start < seconds
                and len(tracer.spans) < SPAN_BUDGET)):
-        index = len(traced)
         # which side of a pair runs first alternates, so that a trend in
         # the machine's speed favours neither
-        if index % 2 == 0:
-            untraced.append(runner.round(workload, index)["time"])
+        if len(traced) % 2 == 0:
+            untraced.append(runner.round(workload)["time"])
         before = dict(tracer.counts)
-        traced.append(runner.round(workload, index, traced=True)["time"])
+        traced.append(runner.round(workload, traced=True)["time"])
         per_round.append({k: v - before.get(k, 0) for k, v in tracer.counts.items()})
-        if index % 2 == 1:
-            untraced.append(runner.round(workload, index)["time"])
-        if len(traced) == workload.count_rounds:
-            counts = dict(tracer.counts)
-    if workload.identical_rounds and any(c != per_round[0] for c in per_round):
+        if len(traced) % 2 == 0:
+            untraced.append(runner.round(workload)["time"])
+    if any(c != per_round[0] for c in per_round):
         workload.fail(f"counters differ between identical rounds: {per_round}")
     self_s, durations, calls = summarize(tracer)
     summary = {"self_s": self_s, "durations": durations, "calls": dict(calls)}
     merge_summary(summary, runner.external)
-    metrics = per_layer_metrics(summary, len(traced), counts, workload.count_rounds)
+    metrics = per_layer_metrics(summary, len(traced), per_round[0])
     metrics.update(workload.layer_extras())
     metrics["trace.traced_round_s"] = statistics.mean(traced)
     metrics["trace.untraced_round_s"] = statistics.mean(untraced)

@@ -1,12 +1,10 @@
-"""The four benchmark workloads and the checks on their outputs.
+"""The three benchmark workloads and the checks on their outputs.
 
 Each workload builds its inputs from the seed in ``__init__`` (timed as
-set-up) and then runs rounds. A round is a fixed list of requests, each
-timed through ``runner.timed(kind)``; output checks run between requests,
-outside the timed regions, with tracing off.
+set-up) and then runs rounds. A round is a fixed list of requests, the
+same in every round, each timed through ``runner.timed(kind)``; output
+checks run between requests, outside the timed regions, with tracing off.
 
-* ``figures``: all 31 figure presets, one pass per round. The paper's
-  reproduction path, dominated by CSV emission.
 * ``dense_sweep``: a 1e6-point y spectrum, a 1001x1001 theta x phi map and
   a 1e6-point ``transmission_grid`` at the fig4d operating point. Kernel
   only, nothing written. The spectrum (array y, scalar parameters) and the
@@ -52,7 +50,6 @@ from nonrecip import (
     model_params_from_dict,
     model_params_to_dict,
     phasemap_spec,
-    reproduce_figure,
     solve_response,
     solve_steady_state,
     spectrum_spec,
@@ -151,10 +148,6 @@ class Workload:
     """Inputs, rounds and output checks of one workload."""
 
     name = ""
-    # traced rounds whose counters are reported; the same inputs every run
-    count_rounds = 1
-    # every round replays the same inputs, so counters must repeat per round
-    identical_rounds = True
     # request kinds left out of the request-latency percentiles
     untimed_kinds: tuple[str, ...] = ()
     # rows of each emitted table checked against the LU reference
@@ -204,7 +197,7 @@ class Workload:
         self._op_failed = None
         return result
 
-    def run_round(self, index: int, runner) -> None:
+    def run_round(self, runner) -> None:
         raise NotImplementedError
 
     def detail(self, rounds: list[dict]) -> dict[str, tuple[float, str]]:
@@ -281,33 +274,6 @@ def _median(rounds: list[dict], key: str, kind: str | None = None) -> float:
     return statistics.median(r[key][kind] for r in rounds)
 
 
-class Figures(Workload):
-    name = "figures"
-
-    def __init__(self, seed: int, workdir: str) -> None:
-        super().__init__(seed)
-        self.ids = figure_ids()
-        self.specs = {fid: figure_preset(fid) for fid in self.ids}
-        self.reference = load_reference()
-        self.out = tempfile.mkdtemp(prefix="figures-", dir=workdir)
-        self.rng = np.random.default_rng(seed)
-
-    def run_round(self, index: int, runner) -> None:
-        for fid in self.ids:
-            self.attempt(runner, "figure",
-                         lambda: reproduce_figure(fid, self.out),
-                         lambda summary: self.check_figure(fid, summary))
-
-    def check_figure(self, fid: str, summary: dict) -> None:
-        for msg in compare_landmarks(self.reference[fid], summary["landmarks"], fid):
-            self.fail(msg)
-        self.check_csv(fid, os.path.join(self.out, summary["csv"]), self.specs[fid],
-                       summary["landmarks"])
-
-    def detail(self, rounds):
-        return {"pass_s": (_median(rounds, "time"), "s")}
-
-
 class DenseSweep(Workload):
     name = "dense_sweep"
     SPECTRUM_POINTS = 1_000_000
@@ -329,7 +295,7 @@ class DenseSweep(Workload):
         self.ys = np.linspace(-half, half, self.GRID_POINTS)
         self.rng = np.random.default_rng([seed, 1])
 
-    def run_round(self, index: int, runner) -> None:
+    def run_round(self, runner) -> None:
         # results are checked and dropped one at a time, so peak memory is
         # that of the largest single request
         self.attempt(runner, "spectrum", lambda: sweep(self.spectrum),
@@ -397,39 +363,36 @@ class DenseSweep(Workload):
 
 
 class PointQueries(Workload):
-    """Closed loop, one caller: the seeded query stream in fixed blocks.
+    """Closed loop, one caller: the seeded query stream as a fixed block.
 
-    A block holds exactly ``SHARES`` queries of each kind in seeded order,
-    so p50 falls on transmission points and p99 on the design or
-    operating-point tail, and ends with one ``run_verification()``. Block
-    ``k`` depends only on (seed, k).
+    The block holds exactly ``SHARES`` queries of each kind in seeded
+    order, so p50 falls on transmission points and p99 on the design or
+    operating-point tail, and ends with one ``run_verification()``. Every
+    round replays the block.
     """
 
     name = "point_queries"
     SHARES = {"transmission": 1880, "design": 60, "steady": 60}
     LU_EVERY = 8
-    count_rounds = 4
-    identical_rounds = False
     untimed_kinds = ("verify",)
 
     def __init__(self, seed: int, workdir: str) -> None:
         super().__init__(seed)
-        self.block(0)
-
-    def block(self, k: int):
-        rng = np.random.default_rng([self.seed, k])
+        rng = np.random.default_rng(seed)
         kinds = [str(k) for k in np.repeat(list(self.SHARES), list(self.SHARES.values()))]
         rng.shuffle(kinds)
-        rates = 10.0 ** rng.uniform(-2.0, 2.0, size=(self.SHARES["design"], 4))
+        self.kinds = kinds
+        self.rates = [tuple(r) for r in
+                      10.0 ** rng.uniform(-2.0, 2.0, size=(self.SHARES["design"], 4))]
         lo, hi = np.log10(DRIVE_RANGE)
-        drives = [Drives(E1=e, E2=1j * e)
-                  for e in 10.0 ** rng.uniform(lo, hi, size=self.SHARES["steady"])]
-        return kinds, [tuple(r) for r in rates], drives, np.random.default_rng([self.seed, k, 1])
+        self.drives = [Drives(E1=e, E2=1j * e)
+                       for e in 10.0 ** rng.uniform(lo, hi, size=self.SHARES["steady"])]
 
-    def run_round(self, index: int, runner) -> None:
-        kinds, rates, drives, rng = self.block(index)
-        rates, drives = iter(rates), iter(drives)
-        for n, kind in enumerate(kinds):
+    def run_round(self, runner) -> None:
+        # the transmission queries draw their points from this stream
+        rng = np.random.default_rng([self.seed, 1])
+        rates, drives = iter(self.rates), iter(self.drives)
+        for n, kind in enumerate(self.kinds):
             if kind == "transmission":
                 with_lu = n % self.LU_EVERY == 0
                 self.attempt(runner, kind, lambda: self.transmission(rng),
@@ -573,7 +536,7 @@ class Cli(Workload):
         self.rng = np.random.default_rng([seed, 1])
         self.startup: list[float] = []
 
-    def run_round(self, index: int, runner) -> None:
+    def run_round(self, runner) -> None:
         startup = 0.0
         for kind, args in self.commands.items():
             # the worker's environment already has src on PYTHONPATH
@@ -654,4 +617,4 @@ class Cli(Workload):
         return {"cli.startup_s": statistics.mean(self.startup)} if self.startup else {}
 
 
-WORKLOADS = {w.name: w for w in (Figures, DenseSweep, PointQueries, Cli)}
+WORKLOADS = {w.name: w for w in (DenseSweep, PointQueries, Cli)}
