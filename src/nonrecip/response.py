@@ -2,9 +2,16 @@
 
 The positive-frequency fluctuation amplitudes X = (da1, da2, dd, db) at probe
 detuning y obey the 4x4 complex linear system A1(y) X = B with drive vector
-B = (Ep1, Ep2, 0, 0). This module builds A1, solves the system by LU with
-partial pivoting (the authoritative path), and independently evaluates the
-closed-form amplitudes and determinant used for cross-validation.
+B = (Ep1, Ep2, 0, 0). This module builds A1 and solves the system by LU
+with partial pivoting, and it evaluates the closed-form cofactors and
+determinant of A1.
+
+The closed form is the production path for transmission: the kernel in
+`nonrecip.transmission` reads T12 and T21 from `transfer_coefficients` at
+every point, over scalars or arrays, and falls back to LU on
+`system_matrices` only inside a guard band around the poles. The LU solve
+(`build_system_matrix`, `solve_response`) stays the independent reference
+that `verify` and the tests compare the closed form against.
 
 Only the +y (e^{-i y t}) sideband is represented; the -y component vanishes
 identically under the rotating-wave approximation used throughout.
@@ -14,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +31,17 @@ from .params import ModelParams, ensure_valid
 # scale-invariant pole detection: |det| below this times the product of row
 # norms is treated as singular
 SINGULARITY_RTOL = 1e-12
+
+_TINY = np.finfo(float).tiny
+
+
+def _expi(x):
+    """e^{i x} of a float or an array of floats."""
+    return np.exp(1j * x) if isinstance(x, np.ndarray) else cmath.exp(1j * x)
+
+
+def _cos(x):
+    return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
 
 
 class SingularMatrix(ArithmeticError):
@@ -103,25 +122,29 @@ def build_system_matrix(p: ModelParams, y: float) -> ResponseMatrix:
     return ResponseMatrix(entries=m, y=float(y))
 
 
-def batched_matrices(p: ModelParams, ys: np.ndarray) -> np.ndarray:
-    """Stack A1(y) over a detuning grid, shape (len(ys), 4, 4)."""
-    ensure_valid(p)
-    ys = np.asarray(ys, dtype=float)
-    n = ys.shape[0]
-    eth = cmath.exp(1j * p.theta)
-    eph = cmath.exp(1j * p.phi)
-    m = np.zeros((n, 4, 4), dtype=complex)
-    m[:, 0, 0] = p.kappa1 - 1j * ys
-    m[:, 1, 1] = p.kappa2 - 1j * ys
-    m[:, 2, 2] = p.f - 1j * ys
-    m[:, 3, 3] = p.gamma - 1j * ys
-    m[:, 0, 1] = m[:, 1, 0] = 1j * p.J1
-    m[:, 0, 2] = 1j * p.J2 * eph
-    m[:, 2, 0] = 1j * p.J2 / eph
-    m[:, 0, 3] = m[:, 3, 0] = 1j * p.G1
-    m[:, 1, 3] = 1j * p.G2 * eth
-    m[:, 3, 1] = 1j * p.G2 / eth
-    m[:, 2, 3] = m[:, 3, 2] = 1j * p.J3
+def system_matrices(v: Mapping[str, object]) -> np.ndarray:
+    """A1 at every point of broadcast parameter and detuning values.
+
+    ``v`` maps each ModelParams field name, and ``"y"``, to a scalar or an
+    array; arrays broadcast together and the result has their shape plus
+    (4, 4). Entries are those of :func:`build_system_matrix`, which stays
+    the unbatched reference.
+    """
+    y = np.asarray(v["y"], dtype=float)
+    eth = _expi(v["theta"])
+    eph = _expi(v["phi"])
+    G2, J2, J3 = v["G2"], v["J2"], v["J3"]
+    rows = (
+        (v["kappa1"] - 1j * y, 1j * v["J1"], 1j * J2 * eph, 1j * v["G1"]),
+        (1j * v["J1"], v["kappa2"] - 1j * y, 0.0, 1j * G2 * eth),
+        (1j * J2 / eph, 0.0, v["f"] - 1j * y, 1j * J3),
+        (1j * v["G1"], 1j * G2 / eth, 1j * J3, v["gamma"] - 1j * y),
+    )
+    shape = np.broadcast_shapes(*(np.shape(e) for row in rows for e in row))
+    m = np.empty(shape + (4, 4), dtype=complex)
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            m[..., i, j] = entry
     return m
 
 
@@ -133,8 +156,29 @@ def singularity_thresholds(mats: np.ndarray) -> np.ndarray:
     flagged instead of slipping through a strict comparison into the solver.
     """
     row_norms = np.linalg.norm(mats, axis=2)
-    return np.maximum(SINGULARITY_RTOL * np.prod(row_norms, axis=1),
-                      np.finfo(float).tiny)
+    return np.maximum(SINGULARITY_RTOL * np.prod(row_norms, axis=1), _TINY)
+
+
+def pole_thresholds(v: Mapping[str, object]):
+    """The cutoff of :func:`singularity_thresholds`, from the parameters.
+
+    The row norms of A1 are written out from the values in ``v`` (a mapping
+    as in :func:`system_matrices`) instead of being read off built matrices,
+    so they agree with ``singularity_thresholds(system_matrices(v))`` up to
+    rounding. Scalars give a float, arrays an array.
+    """
+    y2 = v["y"] ** 2
+    J1s, G1s, G2s = v["J1"] ** 2, v["G1"] ** 2, v["G2"] ** 2
+    J2s, J3s = abs(v["J2"]) ** 2, abs(v["J3"]) ** 2
+    # y last: the detuning is the usual array, the couplings scalars
+    r0 = (v["kappa1"] ** 2 + J1s + J2s + G1s) + y2
+    r1 = (J1s + v["kappa2"] ** 2 + G2s) + y2
+    r2 = (J2s + v["f"] ** 2 + J3s) + y2
+    r3 = (G1s + G2s + J3s + v["gamma"] ** 2) + y2
+    a, b = r0 * r1, r2 * r3
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.maximum(SINGULARITY_RTOL * np.sqrt(a) * np.sqrt(b), _TINY)
+    return max(SINGULARITY_RTOL * math.sqrt(a) * math.sqrt(b), _TINY)
 
 
 def _check_nonsingular(m: np.ndarray, y: float) -> None:
@@ -146,8 +190,8 @@ def _check_nonsingular(m: np.ndarray, y: float) -> None:
 def solve_response(p: ModelParams, y: float, Ep1: float, Ep2: float) -> ResponseSolution:
     """Solve A1 X = B for the fluctuation amplitudes at one detuning.
 
-    This LU-based solve is the authoritative result; the closed form of
-    :func:`response_closed_form` is a verification layer only.
+    This LU solve is the independent reference for the closed form, which
+    the transmission kernel uses in production.
 
     Raises
     ------
@@ -176,9 +220,14 @@ def response_residual(p: ModelParams, sol: ResponseSolution, Ep1: float, Ep2: fl
     return float(np.linalg.norm(m @ x - b) / nb)
 
 
-def closed_form_coefficients(p: ModelParams, y: float,
-                             as_printed: bool = False) -> ClosedFormCoefficients:
-    """Evaluate the closed-form numerators tau1..4, chi1..4 and determinant D.
+def transfer_coefficients(v: Mapping[str, object], as_printed: bool = False):
+    """The cofactors tau1, tau2, chi1, chi2 and the determinant D.
+
+    ``v`` maps each ModelParams field name, and ``"y"``, to a scalar or an
+    array, as in :func:`system_matrices`; the five results broadcast the
+    same way and are Python complex numbers when every value is a scalar.
+    They give the inter-cavity elements of the inverse,
+    [A1^-1]_(2,1) = (i chi1 - chi2) / D and [A1^-1]_(1,2) = (i tau1 - tau2) / D.
 
     The determinant is assembled from the compact expansion in the auxiliary
     coefficients D1..D9. An earlier transcription of that expansion omitted
@@ -187,51 +236,72 @@ def closed_form_coefficients(p: ModelParams, y: float,
     determinant, and ``as_printed=True`` keeps the uncorrected variant for
     auditability. The two variants coincide at y = 0.
     """
-    ensure_valid(p)
-    k1, k2, g, f = p.kappa1, p.kappa2, p.gamma, p.f
-    G1, G2, J1 = p.G1, p.G2, p.J1
-    J2, J3 = p.J2, p.J3
-    th, ph = p.theta, p.phi
-    eth = cmath.exp(1j * th)
-    eph = cmath.exp(1j * ph)
+    k1, k2, g, f = v["kappa1"], v["kappa2"], v["gamma"], v["f"]
+    G1, G2, J1 = v["G1"], v["G2"], v["J1"]
+    J2, J3 = v["J2"], v["J3"]
+    th, ph = v["theta"], v["phi"]
+    y = v["y"]
+    # integer powers of an array y go through the slow general np.power
+    y2 = y * y
+    eth = _expi(th)
+    eph = _expi(ph)
 
-    tau1 = (J1 * y**2 - J1 * J3**2 - J1 * g * f
+    tau1 = (J1 * y2 - J1 * J3**2 - J1 * g * f
             + G1 * G2 * y / eth + G2 * J2 * J3 * eph / eth)
     tau2 = J1 * g * y + J1 * f * y + G1 * G2 * f / eth
-    tau3 = -G2**2 * y + y**3 - J3**2 * y - g * f * y - g * y * k2 - f * y * k2
-    tau4 = G2**2 * f - g * y**2 - f * y**2 - y**2 * k2 + J3**2 * k2 + g * f * k2
-    chi1 = (J1 * y**2 - J1 * J3**2 - J1 * g * f
+    chi1 = (J1 * y2 - J1 * J3**2 - J1 * g * f
             + G1 * G2 * y * eth + G2 * J2 * J3 * eth / eph)
     chi2 = J1 * g * y + J1 * f * y + G1 * G2 * f * eth
-    chi3 = (-G1**2 * y + y**3 - J2**2 * y - G1 * J2 * J3 * eph - J3**2 * y
-            - g * f * y - J2 * G1 * J3 / eph - g * y * k1 - f * y * k1)
-    chi4 = (-g * y**2 - f * y**2 - y**2 * k1 + J3**2 * k1 + g * f * k1
-            + J2**2 * g + G1**2 * f)
 
-    D1 = J2**2 - 1j * y * k1 - 1j * f * y + f * k1 - y**2
-    D2 = -y**2 - 1j * f * y - 1j * y * k2 + f * k2
-    D3 = -1j * g * y - 1j * y * k2 + g * k2 - y**2
-    D4 = -y**2 + J3**2 - 1j * g * y - 1j * f * y + g * f
-    D5 = -y**2 - 1j * y * k1 - 1j * y * k2 + k1 * k2
+    D1 = J2**2 - 1j * y * k1 - 1j * f * y + f * k1 - y2
+    D2 = -y2 - 1j * f * y - 1j * y * k2 + f * k2
+    D3 = -1j * g * y - 1j * y * k2 + g * k2 - y2
+    D4 = -y2 + J3**2 - 1j * g * y - 1j * f * y + g * f
+    D5 = -y2 - 1j * y * k1 - 1j * y * k2 + k1 * k2
     D6 = 1j * (k1 + k2 + g + f)
     D7 = -g * f - g * k2 - f * k1 - k1 * k2 - f * k2 - g * k1
     D8 = g * f - 1j * f * y - 1j * g * y
     D9 = k1 + k2
     cross_gg = 1.0 if as_printed else J1
-    D = (-2 * J1 * J2 * J3 * G2 * math.cos(th - ph)
-         - 2j * J2 * J3 * k2 * G1 * math.cos(ph)
-         - 2j * J1 * G1 * G2 * f * math.cos(th)
-         - 2 * J2 * J3 * G1 * y * math.cos(ph)
-         - 2 * cross_gg * G1 * G2 * y * math.cos(th)
+    # the real part of e^{i x} is cos(x) to the last bit
+    cos_th, cos_ph = eth.real, eph.real
+    D = (-2 * J1 * J2 * J3 * G2 * _cos(th - ph)
+         - 2j * J2 * J3 * k2 * G1 * cos_ph
+         - 2j * J1 * G1 * G2 * f * cos_th
+         - 2 * J2 * J3 * G1 * y * cos_ph
+         - 2 * cross_gg * G1 * G2 * y * cos_th
          + G2**2 * D1 + G1**2 * D2 + J2**2 * D3 + J1**2 * D4 + J3**2 * D5
-         + y**3 * D6 + y**2 * D7 + k1 * k2 * D8 - 1j * g * f * y * D9 + y**4)
+         + y2 * y * D6 + y2 * D7 + k1 * k2 * D8 - 1j * g * f * y * D9 + y2 * y2)
+    return tau1, tau2, chi1, chi2, D
+
+
+def closed_form_coefficients(p: ModelParams, y: float,
+                             as_printed: bool = False) -> ClosedFormCoefficients:
+    """Evaluate the closed-form numerators tau1..4, chi1..4 and determinant D.
+
+    tau1, tau2, chi1, chi2 and D come from :func:`transfer_coefficients`;
+    ``as_printed`` selects its determinant variant.
+    """
+    ensure_valid(p)
+    k1, k2, g, f = p.kappa1, p.kappa2, p.gamma, p.f
+    G1, G2 = p.G1, p.G2
+    J2, J3 = p.J2, p.J3
+    eph = cmath.exp(1j * p.phi)
+    tau1, tau2, chi1, chi2, D = transfer_coefficients(dict(vars(p), y=y),
+                                                      as_printed)
+    tau3 = -G2**2 * y + y**3 - J3**2 * y - g * f * y - g * y * k2 - f * y * k2
+    tau4 = G2**2 * f - g * y**2 - f * y**2 - y**2 * k2 + J3**2 * k2 + g * f * k2
+    chi3 = (-G1**2 * y + y**3 - J2**2 * y - G1 * J2 * J3 * eph - J3**2 * y
+            - g * f * y - J2 * G1 * J3 / eph - g * y * k1 - f * y * k1)
+    chi4 = (-g * y**2 - f * y**2 - y**2 * k1 + J3**2 * k1 + g * f * k1
+            + J2**2 * g + G1**2 * f)
     return ClosedFormCoefficients(tau1, tau2, tau3, tau4,
                                   chi1, chi2, chi3, chi4, complex(D))
 
 
 def response_closed_form(p: ModelParams, y: float, Ep1: float, Ep2: float,
                          as_printed: bool = False) -> ResponseSolution:
-    """Closed-form cavity amplitudes da1, da2 (verification path).
+    """Closed-form cavity amplitudes da1, da2.
 
     da1 = ((i tau3 + tau4) Ep1 + (i tau1 - tau2) Ep2) / D and
     da2 = ((i chi1 - chi2) Ep1 + (i chi3 + chi4) Ep2) / D. The ensemble and
@@ -250,7 +320,7 @@ def response_closed_form(p: ModelParams, y: float, Ep1: float, Ep2: float,
 __all__ = [
     "ClosedFormCoefficients", "ResponseMatrix", "ResponseSolution",
     "SINGULARITY_RTOL", "SingularDeterminant", "SingularMatrix",
-    "batched_matrices", "build_system_matrix", "closed_form_coefficients",
+    "build_system_matrix", "closed_form_coefficients", "pole_thresholds",
     "response_closed_form", "response_residual", "singularity_thresholds",
-    "solve_response",
+    "solve_response", "system_matrices", "transfer_coefficients",
 ]

@@ -1,12 +1,12 @@
 """Parameter sweeps, figure-regression presets, and dataset emission.
 
-Grids are evaluated through the same 4x4 response algebra as
-`transmission_pair`, but batched: matrix entries are assembled directly
-from broadcast parameter arrays, inverted in one LAPACK call per chunk,
-and chunks are dispatched to a thread pool sized by the NONRECIP_THREADS
-environment variable (0 or unset = auto). Row order is always axis2 outer,
-axis1 inner, and CSV cells are printed with a fixed 17-significant-digit
-scientific format, so identical invocations produce byte-identical files.
+Grids are evaluated by the transmission kernel that `transmission_pair`
+uses, over broadcast parameter arrays: the closed-form cofactors and
+determinant at every point, LU only inside the guard band around the
+poles, in fixed chunks dispatched to the NONRECIP_THREADS thread pool (see
+`nonrecip.transmission`). Row order is always axis2 outer, axis1 inner,
+and CSV cells are printed with a fixed 17-significant-digit scientific
+format, so identical invocations produce byte-identical files.
 
 Grid points where the response matrix is singular are kept as rows with
 status=singular and empty observable cells rather than aborting the sweep.
@@ -18,7 +18,6 @@ import cmath
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,19 +30,15 @@ from .params import (
     ensure_valid,
     model_params_to_dict,
 )
-from .response import singularity_thresholds
+from .transmission import isolation_db, transmission_arrays
 
 SCHEMA_VERSION = 1
-
-_CHUNK = 8192
 
 # fields of ModelParams that a sweep axis may address, plus the detuning y
 _REAL_PATHS = ("kappa1", "kappa2", "gamma", "f", "G1", "G2",
                "theta", "J1", "J2", "phi", "y")
 
 _OBSERVABLES = ("T12", "T21", "isolation_db")
-
-_DB_CAP = 300.0
 
 
 class InvalidParameterPath(ValueError):
@@ -122,79 +117,6 @@ class SweepTable:
         return len(self.status)
 
 
-def thread_count() -> int:
-    """Worker count from NONRECIP_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("NONRECIP_THREADS", "0").strip()
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"NONRECIP_THREADS must be an integer, got {raw!r}") from exc
-    if n < 0:
-        raise ValueError("NONRECIP_THREADS must be nonnegative")
-    if n == 0:
-        return min(32, os.cpu_count() or 1)
-    return n
-
-
-def _grid_matrices(vals: dict[str, object], n: int) -> np.ndarray:
-    """Batched response matrices from scalar-or-array parameter values."""
-    y = np.broadcast_to(np.asarray(vals["y"], dtype=float), (n,))
-    eth = np.exp(1j * np.asarray(vals["theta"], dtype=float))
-    eph = np.exp(1j * np.asarray(vals["phi"], dtype=float))
-    J2 = np.asarray(vals["J2"], dtype=complex)
-    J3 = np.asarray(vals["J3"], dtype=complex)
-    m = np.zeros((n, 4, 4), dtype=complex)
-    m[:, 0, 0] = vals["kappa1"] - 1j * y
-    m[:, 0, 1] = 1j * np.asarray(vals["J1"], dtype=float) + 0.0 * y
-    m[:, 0, 2] = 1j * J2 * eph + 0.0 * y
-    m[:, 0, 3] = 1j * np.asarray(vals["G1"], dtype=float) + 0.0 * y
-    m[:, 1, 0] = m[:, 0, 1]
-    m[:, 1, 1] = vals["kappa2"] - 1j * y
-    m[:, 1, 3] = 1j * np.asarray(vals["G2"], dtype=float) * eth + 0.0 * y
-    m[:, 2, 0] = 1j * J2 / eph + 0.0 * y
-    m[:, 2, 2] = vals["f"] - 1j * y
-    m[:, 2, 3] = 1j * J3 + 0.0 * y
-    m[:, 3, 0] = m[:, 0, 3]
-    m[:, 3, 1] = 1j * np.asarray(vals["G2"], dtype=float) / eth + 0.0 * y
-    m[:, 3, 2] = m[:, 2, 3]
-    m[:, 3, 3] = vals["gamma"] - 1j * y
-    return m
-
-
-def _transmit_chunk(vals: dict[str, object], idx: np.ndarray,
-                    kappa_pref) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    sub = {
-        k: (v[idx] if isinstance(v, np.ndarray) and v.ndim else v)
-        for k, v in vals.items()
-    }
-    n = len(idx)
-    mats = _grid_matrices(sub, n)
-    dets = np.linalg.det(mats)
-    singular = np.abs(dets) < singularity_thresholds(mats)
-    t12 = np.full(n, np.nan)
-    t21 = np.full(n, np.nan)
-    ok = ~singular
-    if np.any(ok):
-        inv = np.linalg.inv(mats[ok])
-        pref = (kappa_pref[idx][ok] if isinstance(kappa_pref, np.ndarray)
-                else kappa_pref)
-        t12[ok] = pref * np.abs(inv[:, 1, 0])
-        t21[ok] = pref * np.abs(inv[:, 0, 1])
-    return t12, t21, singular
-
-
-def _isolation_db(t12: np.ndarray, t21: np.ndarray) -> np.ndarray:
-    hi = np.maximum(t12, t21)
-    lo = np.minimum(t12, t21)
-    recip = np.abs(t12 - t21) <= 1e-9 * np.maximum(hi, 1e-30)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(lo > 0.0, hi / np.where(lo > 0.0, lo, 1.0), np.inf)
-        db = np.minimum(20.0 * np.log10(ratio), _DB_CAP)
-    db = np.where(recip, 0.0, db)
-    return np.where(np.isnan(t12), np.nan, db)
-
-
 def sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the requested observables over the grid of ``spec``.
 
@@ -207,43 +129,13 @@ def sweep(spec: SweepSpec) -> SweepTable:
     grid1 = spec.axis1.grid()
     if spec.axis2 is None:
         axis_cols = [(spec.axis1.name, grid1)]
-        flat = {spec.axis1.name: grid1}
-        n = len(grid1)
     else:
         g2, g1 = np.meshgrid(spec.axis2.grid(), grid1, indexing="ij")
         axis_cols = [(spec.axis1.name, g1.ravel()),
                      (spec.axis2.name, g2.ravel())]
-        flat = {spec.axis1.name: g1.ravel(), spec.axis2.name: g2.ravel()}
-        n = g1.size
-    vals: dict[str, object] = {
-        name: getattr(spec.fixed, name)
-        for name in ("kappa1", "kappa2", "gamma", "f", "G1", "G2",
-                     "theta", "J1", "J2", "phi", "J3")
-    }
-    vals["y"] = spec.y
-    for name, arr in flat.items():
-        vals[name] = arr.astype(complex) if name == "J2" else arr
-    kappa_pref = np.sqrt(np.abs(
-        np.asarray(vals["kappa1"], dtype=float)
-        * np.asarray(vals["kappa2"], dtype=float)))
-    if kappa_pref.ndim == 0:
-        kappa_pref = float(kappa_pref)
-
-    t12 = np.empty(n)
-    t21 = np.empty(n)
-    singular = np.empty(n, dtype=bool)
-    chunks = [np.arange(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
-    workers = min(thread_count(), len(chunks))
-    if workers <= 1:
-        results = [_transmit_chunk(vals, idx, kappa_pref) for idx in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda idx: _transmit_chunk(vals, idx, kappa_pref), chunks))
-    for idx, (c12, c21, csing) in zip(chunks, results):
-        t12[idx] = c12
-        t21[idx] = c21
-        singular[idx] = csing
+    vals = dict(vars(spec.fixed), y=spec.y)
+    vals.update(axis_cols)
+    t12, t21, singular = transmission_arrays(vals)
 
     data: dict[str, np.ndarray] = {name: arr for name, arr in axis_cols}
     for obs in spec.observables:
@@ -252,7 +144,7 @@ def sweep(spec: SweepSpec) -> SweepTable:
         elif obs == "T21":
             data[obs] = t21
         else:
-            data[obs] = _isolation_db(t12, t21)
+            data[obs] = isolation_db(t12, t21)
     status = np.where(singular, "singular", "ok")
     columns = tuple(name for name, _ in axis_cols) + spec.observables + ("status",)
     return SweepTable(columns=columns, data=data, status=status)
@@ -538,6 +430,6 @@ __all__ = [
     "Axis", "InvalidParameterPath", "PHASEMAP_POINTS", "SCHEMA_VERSION",
     "SPECTRUM_POINTS", "SweepSpec", "SweepTable", "UnknownFigure",
     "figure_ids", "figure_preset", "phasemap_spec", "reproduce_figure",
-    "spectrum_spec", "sweep", "table_to_json", "thread_count",
-    "threshold_band", "write_csv",
+    "spectrum_spec", "sweep", "table_to_json", "threshold_band",
+    "write_csv",
 ]

@@ -15,7 +15,7 @@ from nonrecip import (
     response_residual,
     solve_response,
 )
-from nonrecip.response import batched_matrices, singularity_thresholds
+from nonrecip.response import singularity_thresholds, system_matrices
 from nonrecip.verify import random_params
 
 
@@ -196,7 +196,7 @@ def test_far_detuned_response_decays(base_params):
 def test_batched_matrices_match_scalar(base_params):
     p = base_params(1.1, 0.2)
     ys = np.linspace(-3.0, 3.0, 7)
-    mats = batched_matrices(p, ys)
+    mats = system_matrices(dict(vars(p), y=ys))
     assert mats.shape == (7, 4, 4)
     for k, y in enumerate(ys):
         np.testing.assert_array_equal(mats[k],

@@ -28,13 +28,12 @@ from nonrecip.sweep import (
     phasemap_spec,
     spectrum_spec,
     table_to_json,
-    thread_count,
     threshold_band,
 )
+from nonrecip.transmission import thread_count
 
-# the package re-exports the sweep() function under the submodule's name,
-# so attribute import would shadow the module object we patch here
-sweep_mod = importlib.import_module("nonrecip.sweep")
+# the module whose chunk size test_threads_do_not_change_bytes patches
+transmission_mod = importlib.import_module("nonrecip.transmission")
 
 HALF_PI = math.pi / 2
 
@@ -121,7 +120,7 @@ def test_csv_format_and_determinism(base_params, tmp_path):
 
 def test_threads_do_not_change_bytes(base_params, tmp_path, monkeypatch):
     # shrink the chunk size so the grid actually splits across workers
-    monkeypatch.setattr(sweep_mod, "_CHUNK", 16)
+    monkeypatch.setattr(transmission_mod, "_CHUNK", 16)
     p = base_params(HALF_PI)
     spec = SweepSpec(fixed=p, axis1=Axis("y", -2.0, 2.0, 101))
     monkeypatch.setenv("NONRECIP_THREADS", "1")

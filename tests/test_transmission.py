@@ -6,17 +6,47 @@ import numpy as np
 import pytest
 
 from nonrecip import (
+    Axis,
     Direction,
     IsolationMetrics,
+    SingularMatrix,
+    SweepSpec,
     TransmissionPoint,
     isolation_metrics,
     output_fields,
+    solve_response,
+    sweep,
     transmission_grid,
     transmission_pair,
 )
-from nonrecip.transmission import ISOLATION_DB_CAP
+from nonrecip.response import pole_thresholds, transfer_coefficients
+from nonrecip.transmission import ISOLATION_DB_CAP, LU_GUARD_BAND, isolation_db
+from nonrecip.verify import random_params
 
 HALF_PI = math.pi / 2
+
+# the LU reference is the independent path; the closed form must meet it
+LU_RTOL = 1e-10
+LU_ATOL = 1e-12
+
+
+def _lu_pair(p, y):
+    """(T12, T21) from two LU solves, or None at a pole."""
+    pref = math.sqrt(p.kappa1 * p.kappa2)
+    try:
+        return (pref * abs(solve_response(p, y, 1.0, 0.0).da2),
+                pref * abs(solve_response(p, y, 0.0, 1.0).da1))
+    except SingularMatrix:
+        return None
+
+
+def _assert_matches_lu(p, ys, t12, t21, singular):
+    for k, y in enumerate(ys):
+        ref = _lu_pair(p, float(y))
+        assert singular[k] == (ref is None)
+        if ref is not None:
+            assert t12[k] == pytest.approx(ref[0], rel=LU_RTOL, abs=LU_ATOL)
+            assert t21[k] == pytest.approx(ref[1], rel=LU_RTOL, abs=LU_ATOL)
 
 
 def test_zero_probe_zero_output(base_params):
@@ -115,3 +145,52 @@ def test_direction_enum_values():
     assert Direction.FORWARD_1TO2.value == "forward_1to2"
     assert Direction.FORWARD_2TO1.value == "forward_2to1"
     assert Direction.RECIPROCAL.value == "reciprocal"
+
+
+def test_closed_form_grid_and_sweep_match_lu():
+    rng = np.random.default_rng(20241030)
+    ys = np.linspace(-5.0, 5.0, 201)
+    for _ in range(25):
+        p = random_params(rng)
+        _assert_matches_lu(p, ys, *transmission_grid(p, ys))
+        table = sweep(SweepSpec(fixed=p, axis1=Axis("y", -5.0, 5.0, 201)))
+        _assert_matches_lu(p, table.data["y"], table.data["T12"],
+                           table.data["T21"], table.status == "singular")
+
+
+def test_guard_band_point_comes_from_lu(base_params):
+    # an ensemble/mechanics block decoupled from the cavities, tuned 1e-7
+    # off its pole at y = 0 (|J3|^2 = f gamma): |D| is about 1e5 times the
+    # pole threshold, inside the guard band but not singular
+    p = base_params(0.0, G1=0.0, G2=0.0, J2=0.0, f=1.0,
+                    J3=1j * (1.0 + 1e-7))
+    v = dict(vars(p), y=0.0)
+    ratio = abs(transfer_coefficients(v)[4]) / pole_thresholds(v)
+    assert 1.0 < ratio < LU_GUARD_BAND
+    ys = np.array([-0.5, 0.0, 0.5])
+    _assert_matches_lu(p, ys, *transmission_grid(p, ys))
+    tp = transmission_pair(p, 0.0)
+    ref = _lu_pair(p, 0.0)
+    assert tp.T12 == pytest.approx(ref[0], rel=LU_RTOL)
+    assert tp.T21 == pytest.approx(ref[1], rel=LU_RTOL)
+
+
+def test_exact_pole_flagged_where_lu_raises(base_params):
+    p = base_params(0.0, G1=0.0, G2=0.0, J1=0.0, J2=0.0, J3=0.0, gamma=0.0)
+    ys = np.array([-1.0, 0.0, 1.0])
+    _assert_matches_lu(p, ys, *transmission_grid(p, ys))
+    table = sweep(SweepSpec(fixed=p, axis1=Axis("y", -1.0, 1.0, 3)))
+    _assert_matches_lu(p, ys, table.data["T12"], table.data["T21"],
+                       table.status == "singular")
+    with pytest.raises(SingularMatrix):
+        transmission_pair(p, 0.0)
+
+
+def test_isolation_db_elementwise():
+    t12 = np.array([1.0, 0.5, 0.01, 1.0, 1.0, np.nan])
+    t21 = np.array([0.0, 0.5, 0.99, 1.0 - 1e-10, 1e-300, np.nan])
+    db = isolation_db(t12, t21)
+    assert db[[0, 1, 3, 4]].tolist() == [ISOLATION_DB_CAP, 0.0, 0.0,
+                                         ISOLATION_DB_CAP]
+    assert db[2] == pytest.approx(20.0 * math.log10(99.0))
+    assert math.isnan(db[5])
