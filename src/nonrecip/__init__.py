@@ -20,7 +20,6 @@ from .design import (
     ZeroJ3,
     design_isolator,
     design_to_dict,
-    j2_from_design,
     j2_literal,
     j3_roots,
     nonreal_residue,
@@ -52,7 +51,6 @@ from .response import (
     build_system_matrix,
     closed_form_coefficients,
     response_closed_form,
-    response_residual,
     solve_response,
 )
 from .steady import (
@@ -79,6 +77,7 @@ from .sweep import (
     spectrum_spec,
     sweep,
     write_csv,
+    write_json,
 )
 from .transmission import (
     Direction,
@@ -103,12 +102,11 @@ __all__ = [
     "ZeroJ3", "build_system_matrix", "closed_form_coefficients",
     "convert_unit", "design_isolator", "design_to_dict",
     "effective_couplings", "ensure_valid", "figure_ids", "figure_preset",
-    "isolation_metrics", "j2_from_design", "j2_literal", "j3_roots",
-    "linearized_params", "load_params", "model_params_from_dict",
-    "model_params_to_dict", "nonreal_residue", "output_fields",
-    "phasemap_spec", "r_coefficients", "reproduce_figure",
-    "response_closed_form", "response_residual", "save_params",
+    "isolation_metrics", "j2_literal", "j3_roots", "linearized_params",
+    "load_params", "model_params_from_dict", "model_params_to_dict",
+    "nonreal_residue", "output_fields", "phasemap_spec", "r_coefficients",
+    "reproduce_figure", "response_closed_form", "save_params",
     "solve_response", "solve_steady_state", "spectrum_spec",
     "steady_residual", "sweep", "transmission_grid", "transmission_pair",
-    "validate_params", "wrap_phase", "write_csv",
+    "validate_params", "wrap_phase", "write_csv", "write_json",
 ]

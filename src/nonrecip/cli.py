@@ -32,8 +32,8 @@ from .sweep import (
     reproduce_figure,
     spectrum_spec,
     sweep,
-    table_to_json,
     write_csv,
+    write_json,
 )
 from .verify import DEFAULT_DRAWS, DEFAULT_SEED, run_verification
 
@@ -79,12 +79,11 @@ def _write_json(payload: dict, path: str) -> None:
 
 def _emit_table(table, args, name: str) -> int:
     os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, f"{name}.{args.format}")
     if args.format == "csv":
-        path = os.path.join(args.out, f"{name}.csv")
         write_csv(table, path)
     else:
-        path = os.path.join(args.out, f"{name}.json")
-        _write_json(table_to_json(table), path)
+        write_json(table, path)
     print(path)
     return 0
 

@@ -206,23 +206,6 @@ def nonreal_residue(q: complex) -> float:
     return abs(q - m) / m
 
 
-def j2_from_design(
-    J1: float, J3: complex, gamma: float, f: float, G1: float, G2: float,
-) -> float:
-    """Magnitude of the J2 design quotient.
-
-    The literal quotient can be non-real (it is for every working design
-    with purely imaginary J3); this returns its magnitude, and the design
-    report records the discarded residue via :func:`nonreal_residue`.
-
-    Raises
-    ------
-    ZeroJ3
-        At J3 = 0.
-    """
-    return abs(j2_literal(J1, J3, gamma, f, G1, G2))
-
-
 @dataclass(frozen=True)
 class DesignCandidate:
     """One J3 root candidate with its resonance validation verdict.
@@ -424,7 +407,6 @@ def design_to_dict(d: IsolatorDesign) -> dict:
 __all__ = [
     "DESIGN_TOL", "DegenerateQuadratic", "DesignCandidate", "DivisionByZero",
     "IsolatorDesign", "J2_RESIDUE_TOL", "NoValidDesign", "RCoefficients",
-    "ZeroJ3", "design_isolator", "design_to_dict", "j2_from_design",
-    "j2_literal", "j3_roots", "nonreal_residue", "r_coefficients",
-    "r_coefficients_to_dict",
+    "ZeroJ3", "design_isolator", "design_to_dict", "j2_literal",
+    "j3_roots", "nonreal_residue", "r_coefficients", "r_coefficients_to_dict",
 ]

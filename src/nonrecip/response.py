@@ -207,19 +207,6 @@ def solve_response(p: ModelParams, y: float, Ep1: float, Ep2: float) -> Response
                             y=float(y), method="matrix_solve")
 
 
-def response_residual(p: ModelParams, sol: ResponseSolution, Ep1: float, Ep2: float) -> float:
-    """Relative residual ||A1 X - B|| / ||B|| of a full solution (on demand)."""
-    if sol.dd is None or sol.db is None:
-        raise ValueError("residual needs all four components (matrix_solve output)")
-    m = build_system_matrix(p, sol.y).entries
-    b = np.array([Ep1, Ep2, 0.0, 0.0], dtype=complex)
-    x = np.array([sol.da1, sol.da2, sol.dd, sol.db], dtype=complex)
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        return float(np.linalg.norm(m @ x))
-    return float(np.linalg.norm(m @ x - b) / nb)
-
-
 def transfer_coefficients(v: Mapping[str, object], as_printed: bool = False):
     """The cofactors tau1, tau2, chi1, chi2 and the determinant D.
 
@@ -321,6 +308,6 @@ __all__ = [
     "ClosedFormCoefficients", "ResponseMatrix", "ResponseSolution",
     "SINGULARITY_RTOL", "SingularDeterminant", "SingularMatrix",
     "build_system_matrix", "closed_form_coefficients", "pole_thresholds",
-    "response_closed_form", "response_residual", "singularity_thresholds",
-    "solve_response", "system_matrices", "transfer_coefficients",
+    "response_closed_form", "singularity_thresholds", "solve_response",
+    "system_matrices", "transfer_coefficients",
 ]

@@ -5,8 +5,9 @@ uses, over broadcast parameter arrays: the closed-form cofactors and
 determinant at every point, LU only inside the guard band around the
 poles, in fixed chunks dispatched to the NONRECIP_THREADS thread pool (see
 `nonrecip.transmission`). Row order is always axis2 outer, axis1 inner,
-and CSV cells are printed with a fixed 17-significant-digit scientific
-format, so identical invocations produce byte-identical files.
+CSV cells are printed with a fixed 17-significant-digit scientific
+format, and JSON tables have the layout of ``json.dump(..., indent=2,
+sort_keys=True)``, so identical invocations produce byte-identical files.
 
 Grid points where the response matrix is singular are kept as rows with
 status=singular and empty observable cells rather than aborting the sweep.
@@ -145,37 +146,84 @@ def sweep(spec: SweepSpec) -> SweepTable:
             data[obs] = t21
         else:
             data[obs] = isolation_db(t12, t21)
-    status = np.where(singular, "singular", "ok")
+    status = np.full(len(singular), "ok", dtype="<U8")
+    status[singular] = "singular"
     columns = tuple(name for name, _ in axis_cols) + spec.observables + ("status",)
     return SweepTable(columns=columns, data=data, status=status)
 
 
+# rows formatted or encoded per block, so emission never holds a whole
+# table of strings in memory
+_ROWS_PER_BLOCK = 1024
+
+# a block of rows encoded with separators=(_JSON_CELL_SEP, ...) reads
+# "[[a,<sep>b],<sep>[c,<sep>d]]"; rows hold only numbers, null and the
+# two status strings, so _JSON_ROW_SEP occurs only between rows
+_JSON_CELL_SEP = ",\n      "
+_JSON_ROW_SEP = "]" + _JSON_CELL_SEP + "["
+_JSON_ROW_OPEN = "    [\n      "
+_JSON_ROW_CLOSE = "\n    ]"
+
+
+def _status_cells(status: np.ndarray) -> list[str]:
+    # every row shares one of the two status strings
+    cells = ["ok"] * len(status)
+    for i in np.flatnonzero(status == "singular").tolist():
+        cells[i] = "singular"
+    return cells
+
+
+def _blank_nan(cells: list, col: np.ndarray, blank) -> list:
+    for i in np.flatnonzero(np.isnan(col)).tolist():
+        cells[i] = blank
+    return cells
+
+
 def write_csv(table: SweepTable, path: str) -> None:
     """Emit a sweep table deterministically: %.16e cells, LF endings."""
-    names = [c for c in table.columns if c != "status"]
+    cols = [table.data[c] for c in table.columns if c != "status"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(table.columns) + "\n")
-        cols = [table.data[name] for name in names]
-        for i in range(len(table)):
-            cells = []
-            for col in cols:
-                v = float(col[i])
-                cells.append("" if math.isnan(v) else f"{v:.16e}")
-            cells.append(str(table.status[i]))
-            fh.write(",".join(cells) + "\n")
+        for start in range(0, len(table), _ROWS_PER_BLOCK):
+            block = slice(start, start + _ROWS_PER_BLOCK)
+            cells = [_blank_nan([f"{v:.16e}" for v in col[block].tolist()],
+                                col[block], "")
+                     for col in cols]
+            cells.append(_status_cells(table.status[block]))
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def table_to_json(table: SweepTable) -> dict:
-    def cell(v: float):
-        return None if math.isnan(v) else v
-    names = [c for c in table.columns if c != "status"]
-    rows = [
-        [cell(float(table.data[name][i])) for name in names]
-        + [str(table.status[i])]
-        for i in range(len(table))
-    ]
+    """The table as a JSON-ready payload; NaN cells become None."""
+    cols = [_blank_nan(table.data[c].tolist(), table.data[c], None)
+            for c in table.columns if c != "status"]
+    cols.append(_status_cells(table.status))
     return {"schema_version": SCHEMA_VERSION,
-            "columns": list(table.columns), "rows": rows}
+            "columns": list(table.columns),
+            "rows": [list(row) for row in zip(*cols)]}
+
+
+def write_json(table: SweepTable, path: str) -> None:
+    """Emit ``table_to_json(table)`` as indent-2 JSON with sorted keys.
+
+    The bytes are those of ``json.dump(payload, fh, indent=2,
+    sort_keys=True)`` plus a final newline, but the rows are encoded per
+    block by the C encoder, which ``json.dump`` with an indent never uses.
+    """
+    payload = table_to_json(table)
+    rows = payload["rows"]
+    head, tail = json.dumps(dict(payload, rows=[]), indent=2,
+                            sort_keys=True).split('"rows": []')
+    encode = json.JSONEncoder(separators=(_JSON_CELL_SEP, ": ")).encode
+    between_rows = _JSON_ROW_CLOSE + ",\n" + _JSON_ROW_OPEN
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head + '"rows": [')
+        for start in range(0, len(rows), _ROWS_PER_BLOCK):
+            text = encode(rows[start:start + _ROWS_PER_BLOCK])
+            fh.write(("\n" if start == 0 else ",\n") + _JSON_ROW_OPEN
+                     + text[2:-2].replace(_JSON_ROW_SEP, between_rows)
+                     + _JSON_ROW_CLOSE)
+        fh.write(("\n  ]" if rows else "]") + tail + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +240,8 @@ _BASE_GAMMA = dict(kappa1=1.0, kappa2=1.0, gamma=1.0, f=10.0,
                    G1=0.5, G2=0.5, J1=0.5, J2=0.01, J3=4.476j,
                    unit=_GAMMA_UNIT)
 
-_EIGHTHS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75)  # of 2*pi... in pi units below
+# the common theta = phi of fig3a-h, in units of pi
+_EIGHTHS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75)
 
 _FIG4_J2 = (0.01, 0.1, 0.3, 0.5)
 _FIG4_J3 = (0.476j, 1.476j, 2.476j, 4.476j)
@@ -431,5 +480,5 @@ __all__ = [
     "SPECTRUM_POINTS", "SweepSpec", "SweepTable", "UnknownFigure",
     "figure_ids", "figure_preset", "phasemap_spec", "reproduce_figure",
     "spectrum_spec", "sweep", "table_to_json", "threshold_band",
-    "write_csv",
+    "write_csv", "write_json",
 ]

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, emitted files."""
 
+import importlib
 import json
 import math
 
@@ -8,6 +9,10 @@ import pytest
 from nonrecip.cli import cli_main
 from nonrecip.params import model_params_to_dict
 from nonrecip.sweep import SPECTRUM_POINTS
+
+# the module whose chunk size test_phasemap_json_threads_do_not_change_bytes
+# patches
+transmission_mod = importlib.import_module("nonrecip.transmission")
 
 
 @pytest.fixture
@@ -113,6 +118,22 @@ def test_phasemap_subcommand(tmp_path, params_file):
     lines = (tmp_path / "phasemap.csv").read_text().splitlines()
     assert lines[0] == "theta,phi,T12,T21,status"
     assert len(lines) == 26
+
+
+def test_phasemap_json_threads_do_not_change_bytes(tmp_path, params_file,
+                                                   monkeypatch):
+    # shrink the chunk size so the map actually splits across workers
+    monkeypatch.setattr(transmission_mod, "_CHUNK", 16)
+    written = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("NONRECIP_THREADS", threads)
+        out = tmp_path / threads
+        rc = cli_main(["phasemap", "--params", params_file, "--out", str(out),
+                       "--points", "21", "--format", "json"])
+        assert rc == 0
+        written.append((out / "phasemap.json").read_bytes())
+    assert written[0] == written[1]
+    assert len(json.loads(written[0])["rows"]) == 21 * 21
 
 
 def test_steady_subcommand(steady_file, capsys):

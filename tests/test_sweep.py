@@ -13,6 +13,7 @@ from nonrecip import (
     Axis,
     InvalidParameterPath,
     SweepSpec,
+    SweepTable,
     UnknownFigure,
     figure_ids,
     figure_preset,
@@ -20,6 +21,7 @@ from nonrecip import (
     sweep,
     transmission_pair,
     write_csv,
+    write_json,
 )
 from nonrecip.design import j3_roots, r_coefficients
 from nonrecip.sweep import (
@@ -34,6 +36,7 @@ from nonrecip.transmission import thread_count
 
 # the module whose chunk size test_threads_do_not_change_bytes patches
 transmission_mod = importlib.import_module("nonrecip.transmission")
+sweep_mod = importlib.import_module("nonrecip.sweep")
 
 HALF_PI = math.pi / 2
 
@@ -156,6 +159,85 @@ def test_table_json_round_trip(base_params):
     assert "NaN" not in text
     rows = payload["rows"]
     assert rows[1][1] is None and rows[1][3] == "singular"
+
+
+def _stdlib_json_bytes(table, path):
+    # the reference layout: the stdlib encoder with an indent, in Python
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(table_to_json(table), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path.read_bytes()
+
+
+def _per_cell_csv_bytes(table, path):
+    # the row-by-row, cell-by-cell writer that write_csv must reproduce
+    names = [c for c in table.columns if c != "status"]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(table.columns) + "\n")
+        cols = [table.data[name] for name in names]
+        for i in range(len(table)):
+            cells = []
+            for col in cols:
+                v = float(col[i])
+                cells.append("" if math.isnan(v) else f"{v:.16e}")
+            cells.append(str(table.status[i]))
+            fh.write(",".join(cells) + "\n")
+    return path.read_bytes()
+
+
+def test_write_json_singular_rows_match_stdlib(base_params, tmp_path):
+    p = base_params(0.0, G1=0.0, G2=0.0, J1=0.0, J2=0.0, J3=0.0, gamma=0.0)
+    table = sweep(SweepSpec(fixed=p, axis1=Axis("y", -1.0, 1.0, 3),
+                            observables=("T12", "T21", "isolation_db")))
+    assert table.status.tolist() == ["ok", "singular", "ok"]
+    assert math.isnan(table.data["isolation_db"][1])
+    write_json(table, str(tmp_path / "t.json"))
+    got = (tmp_path / "t.json").read_bytes()
+    assert got == _stdlib_json_bytes(table, tmp_path / "ref.json")
+    assert b"NaN" not in got
+    assert json.loads(got)["rows"][1] == [0.0, None, None, None, "singular"]
+
+
+@pytest.mark.parametrize("offset", [None, -1, 0, 1])
+def test_write_json_block_edges_match_stdlib(base_params, tmp_path, offset):
+    # one row, and one row short of, exactly at and one row past a block
+    rows = 1 if offset is None else sweep_mod._ROWS_PER_BLOCK + offset
+    table = sweep(SweepSpec(fixed=base_params(HALF_PI),
+                            axis1=Axis("y", -2.0, 2.0, rows)))
+    write_json(table, str(tmp_path / "t.json"))
+    got = (tmp_path / "t.json").read_bytes()
+    assert got == _stdlib_json_bytes(table, tmp_path / "ref.json")
+    assert len(json.loads(got)["rows"]) == rows
+
+
+def test_write_json_empty_table_matches_stdlib(tmp_path):
+    empty = np.array([])
+    table = SweepTable(columns=("y", "T12", "status"),
+                       data={"y": empty, "T12": empty},
+                       status=np.array([], dtype="<U8"))
+    write_json(table, str(tmp_path / "t.json"))
+    assert (tmp_path / "t.json").read_bytes() == \
+        _stdlib_json_bytes(table, tmp_path / "ref.json")
+
+
+def test_write_json_phase_map_matches_stdlib(base_params, tmp_path):
+    table = sweep(phasemap_spec(base_params(0.0), points=9, y=0.3))
+    write_json(table, str(tmp_path / "t.json"))
+    assert (tmp_path / "t.json").read_bytes() == \
+        _stdlib_json_bytes(table, tmp_path / "ref.json")
+
+
+def test_write_csv_matches_per_cell_writer(base_params, tmp_path):
+    table = sweep(figure_preset("fig2"))
+    write_csv(table, str(tmp_path / "fig2.csv"))
+    assert (tmp_path / "fig2.csv").read_bytes() == \
+        _per_cell_csv_bytes(table, tmp_path / "ref.csv")
+    p = base_params(0.0, G1=0.0, G2=0.0, J1=0.0, J2=0.0, J3=0.0, gamma=0.0)
+    singular = sweep(SweepSpec(fixed=p, axis1=Axis("y", -1.0, 1.0, 3),
+                               observables=("T12", "T21", "isolation_db")))
+    write_csv(singular, str(tmp_path / "s.csv"))
+    assert (tmp_path / "s.csv").read_bytes() == \
+        _per_cell_csv_bytes(singular, tmp_path / "s_ref.csv")
 
 
 def test_figure_id_catalog():
