@@ -9,9 +9,13 @@ determinant of A1.
 The closed form is the production path for transmission: the kernel in
 `nonrecip.transmission` reads T12 and T21 from `transfer_coefficients` at
 every point, over scalars or arrays, and falls back to LU on
-`system_matrices` only inside a guard band around the poles. The LU solve
-(`build_system_matrix`, `solve_response`) stays the independent reference
-that `verify` and the tests compare the closed form against.
+`system_matrices` only inside a guard band around the poles.
+`transfer_coefficients` writes the cofactors and the determinant as
+polynomials in y whose coefficients hold only the parameters, and
+evaluates them by Horner's rule, so an array of detunings costs a few
+operations per point and a phase axis only what depends on it. The LU
+solve (`build_system_matrix`, `solve_response`) stays the independent
+reference that `verify` and the tests compare the closed form against.
 
 Only the +y (e^{-i y t}) sideband is represented; the -y component vanishes
 identically under the rotating-wave approximation used throughout.
@@ -38,10 +42,6 @@ _TINY = np.finfo(float).tiny
 def _expi(x):
     """e^{i x} of a float or an array of floats."""
     return np.exp(1j * x) if isinstance(x, np.ndarray) else cmath.exp(1j * x)
-
-
-def _cos(x):
-    return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
 
 
 class SingularMatrix(ArithmeticError):
@@ -216,49 +216,59 @@ def transfer_coefficients(v: Mapping[str, object], as_printed: bool = False):
     They give the inter-cavity elements of the inverse,
     [A1^-1]_(2,1) = (i chi1 - chi2) / D and [A1^-1]_(1,2) = (i tau1 - tau2) / D.
 
-    The determinant is assembled from the compact expansion in the auxiliary
-    coefficients D1..D9. An earlier transcription of that expansion omitted
-    the J1 factor in the ``-2 J1 G1 G2 y cos(theta)`` cross term; the
-    corrected term (default) restores exact agreement with the numeric
-    determinant, and ``as_printed=True`` keeps the uncorrected variant for
-    auditability. The two variants coincide at y = 0.
+    All five are polynomials in y, evaluated by Horner's rule from
+    coefficients that hold only the parameters:
+
+        tau1 = (J1 y + G1 G2 e^{-i theta}) y
+               - J1 J3^2 - J1 gamma f + G2 J2 J3 e^{i(phi - theta)},
+        tau2 = J1 (gamma + f) y + G1 G2 f e^{-i theta},
+        D = (((y + c3) y + c2) y + c1) y + c0,
+
+    and chi1, chi2 the same with the signs of both phases flipped. The
+    coefficients c3..c0 are the compact D1..D9 expansion of the
+    determinant collected by powers of y. An earlier transcription of that
+    expansion omitted the J1 factor in the ``-2 J1 G1 G2 y cos(theta)``
+    cross term (in c1); the corrected term (default) restores exact
+    agreement with the numeric determinant, and ``as_printed=True`` keeps
+    the uncorrected variant for auditability. The two variants coincide at
+    y = 0.
     """
     k1, k2, g, f = v["kappa1"], v["kappa2"], v["gamma"], v["f"]
     G1, G2, J1 = v["G1"], v["G2"], v["J1"]
     J2, J3 = v["J2"], v["J3"]
-    th, ph = v["theta"], v["phi"]
     y = v["y"]
-    # integer powers of an array y go through the slow general np.power
-    y2 = y * y
-    eth = _expi(th)
-    eph = _expi(ph)
-
-    tau1 = (J1 * y2 - J1 * J3**2 - J1 * g * f
-            + G1 * G2 * y / eth + G2 * J2 * J3 * eph / eth)
-    tau2 = J1 * g * y + J1 * f * y + G1 * G2 * f / eth
-    chi1 = (J1 * y2 - J1 * J3**2 - J1 * g * f
-            + G1 * G2 * y * eth + G2 * J2 * J3 * eth / eph)
-    chi2 = J1 * g * y + J1 * f * y + G1 * G2 * f * eth
-
-    D1 = J2**2 - 1j * y * k1 - 1j * f * y + f * k1 - y2
-    D2 = -y2 - 1j * f * y - 1j * y * k2 + f * k2
-    D3 = -1j * g * y - 1j * y * k2 + g * k2 - y2
-    D4 = -y2 + J3**2 - 1j * g * y - 1j * f * y + g * f
-    D5 = -y2 - 1j * y * k1 - 1j * y * k2 + k1 * k2
-    D6 = 1j * (k1 + k2 + g + f)
-    D7 = -g * f - g * k2 - f * k1 - k1 * k2 - f * k2 - g * k1
-    D8 = g * f - 1j * f * y - 1j * g * y
-    D9 = k1 + k2
-    cross_gg = 1.0 if as_printed else J1
-    # the real part of e^{i x} is cos(x) to the last bit
+    eth = _expi(v["theta"])
+    eph = _expi(v["phi"])
+    # e^{i(theta - phi)}; its real part is cos(theta - phi)
+    eth_ph = eth * eph.conjugate()
     cos_th, cos_ph = eth.real, eph.real
-    D = (-2 * J1 * J2 * J3 * G2 * _cos(th - ph)
-         - 2j * J2 * J3 * k2 * G1 * cos_ph
-         - 2j * J1 * G1 * G2 * f * cos_th
-         - 2 * J2 * J3 * G1 * y * cos_ph
-         - 2 * cross_gg * G1 * G2 * y * cos_th
-         + G2**2 * D1 + G1**2 * D2 + J2**2 * D3 + J1**2 * D4 + J3**2 * D5
-         + y2 * y * D6 + y2 * D7 + k1 * k2 * D8 - 1j * g * f * y * D9 + y2 * y2)
+    G1G2 = G1 * G2
+    G1s, G2s, J1s, J2s, J3s = G1 * G1, G2 * G2, J1 * J1, J2 * J2, J3 * J3
+    gf, k1k2 = g * f, k1 * k2
+    cross = 1.0 if as_printed else J1
+
+    # the phase terms go last, so that the scalar parts are summed first
+    # and a term of one phase axis widens to the full grid only once
+    J1y, J1gfy = J1 * y, J1 * (g + f) * y
+    const1 = -J1 * J3s - J1 * gf
+    tau1 = (J1y + G1G2 * eth.conjugate()) * y + (
+        const1 + G2 * J2 * J3 * eth_ph.conjugate())
+    chi1 = (J1y + G1G2 * eth) * y + (const1 + G2 * J2 * J3 * eth_ph)
+    tau2 = J1gfy + G1G2 * f * eth.conjugate()
+    chi2 = J1gfy + G1G2 * f * eth
+
+    c3 = 1j * (k1 + k2 + g + f)
+    c2 = (-(G1s + G2s + J1s + J2s + J3s)
+          - (gf + g * k2 + f * k1 + k1k2 + f * k2 + g * k1))
+    c1 = (-1j * (G2s * (k1 + f) + G1s * (f + k2) + J2s * (g + k2)
+                 + J1s * (g + f) + J3s * (k1 + k2) + k1k2 * (f + g)
+                 + gf * (k1 + k2))
+          - 2 * J2 * J3 * G1 * cos_ph - 2 * cross * G1G2 * cos_th)
+    c0 = (G2s * (J2s + f * k1) + G1s * f * k2 + J2s * g * k2
+          + J1s * (J3s + gf) + J3s * k1k2 + k1k2 * gf
+          - 2j * J2 * J3 * k2 * G1 * cos_ph - 2j * J1 * G1G2 * f * cos_th
+          - 2 * J1 * J2 * J3 * G2 * eth_ph.real)
+    D = (((y + c3) * y + c2) * y + c1) * y + c0
     return tau1, tau2, chi1, chi2, D
 
 

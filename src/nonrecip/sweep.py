@@ -3,11 +3,17 @@
 Grids are evaluated by the transmission kernel that `transmission_pair`
 uses, over broadcast parameter arrays: the closed-form cofactors and
 determinant at every point, LU only inside the guard band around the
-poles, in fixed chunks dispatched to the NONRECIP_THREADS thread pool (see
-`nonrecip.transmission`). Row order is always axis2 outer, axis1 inner,
-CSV cells are printed with a fixed 17-significant-digit scientific
-format, and JSON tables have the layout of ``json.dump(..., indent=2,
-sort_keys=True)``, so identical invocations produce byte-identical files.
+poles, in fixed blocks dispatched to the NONRECIP_THREADS thread pool (see
+`nonrecip.transmission`). A 2-axis grid reaches the kernel as a row of
+axis1 values against a column of axis2 values, so a quantity that depends
+on one axis alone is computed once per axis value, not once per point.
+Row order is always axis2 outer, axis1 inner, CSV cells are printed with
+a fixed 17-significant-digit scientific format, and JSON tables have the
+layout of ``json.dump(..., indent=2, sort_keys=True)``, so identical
+invocations produce byte-identical files.
+
+The designed figure presets (fig5-8) are built by `design.design_isolator`,
+the same path as the ``design`` command.
 
 Grid points where the response matrix is singular are kept as rows with
 status=singular and empty observable cells rather than aborting the sweep.
@@ -15,7 +21,6 @@ status=singular and empty observable cells rather than aborting the sweep.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import os
@@ -23,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .design import j2_literal, r_coefficients
+from .design import design_isolator
 from .params import (
     InvalidParams,
     ModelParams,
@@ -128,15 +133,20 @@ def sweep(spec: SweepSpec) -> SweepTable:
     if spec.fixed.kappa1 <= 0.0 or spec.fixed.kappa2 <= 0.0:
         raise InvalidParams("sweeps need strictly positive cavity decay rates")
     grid1 = spec.axis1.grid()
+    vals = dict(vars(spec.fixed), y=spec.y)
     if spec.axis2 is None:
         axis_cols = [(spec.axis1.name, grid1)]
+        vals[spec.axis1.name] = grid1
     else:
-        g2, g1 = np.meshgrid(spec.axis2.grid(), grid1, indexing="ij")
+        grid2 = spec.axis2.grid()
+        # the kernel broadcasts a row of axis1 against a column of axis2;
+        # the C order of that (n2, n1) grid is axis2 outer, axis1 inner
+        vals[spec.axis1.name] = grid1[np.newaxis, :]
+        vals[spec.axis2.name] = grid2[:, np.newaxis]
+        g2, g1 = np.meshgrid(grid2, grid1, indexing="ij")
         axis_cols = [(spec.axis1.name, g1.ravel()),
                      (spec.axis2.name, g2.ravel())]
-    vals = dict(vars(spec.fixed), y=spec.y)
-    vals.update(axis_cols)
-    t12, t21, singular = transmission_arrays(vals)
+    t12, t21, singular = (a.ravel() for a in transmission_arrays(vals))
 
     data: dict[str, np.ndarray] = {name: arr for name, arr in axis_cols}
     for obs in spec.observables:
@@ -249,29 +259,14 @@ _FIG4_J3 = (0.476j, 1.476j, 2.476j, 4.476j)
 _FIG56_F = (0.1, 1.0, 5.0)
 _FIG78_GAMMA = (0.001, 0.01, 0.1, 1.0)
 
+# design candidates behind fig5-8, in the candidate order of
+# design_isolator: J3 = +sqrt((-R8 + sqrt(disc))/(2 R7)) (fig5, fig7) and
+# J3 = -sqrt((-R8 - sqrt(disc))/(2 R7)) (fig6, fig8)
+_ROOT_PLUS = 0
+_ROOT_MINUS = 3
+
 SPECTRUM_POINTS = 1001
 PHASEMAP_POINTS = 201
-
-
-def _designed_params(kappa1: float, kappa2: float, gamma: float, f: float,
-                     branch: str) -> ModelParams:
-    # branch "plus": J3 = +sqrt((-R8 + sqrt(disc))/(2 R7))
-    # branch "minus": J3 = -sqrt((-R8 - sqrt(disc))/(2 R7))
-    G1 = math.sqrt(gamma * kappa1)
-    G2 = math.sqrt(gamma * kappa2)
-    J1 = G1 * G2 / (gamma + f)
-    r = r_coefficients(kappa1, kappa2, gamma, f, G1, G2, J1)
-    disc = cmath.sqrt(complex(r.R8 * r.R8 - 4.0 * r.R7 * r.R9))
-    if branch == "plus":
-        J3 = cmath.sqrt((-r.R8 + disc) / (2.0 * r.R7))
-    else:
-        J3 = -cmath.sqrt((-r.R8 - disc) / (2.0 * r.R7))
-    J2 = j2_literal(J1, J3, gamma, f, G1, G2)
-    return ModelParams(
-        kappa1=kappa1, kappa2=kappa2, gamma=gamma, f=f,
-        G1=G1, G2=G2, theta=math.pi / 2.0, J1=J1,
-        J2=J2, phi=math.pi / 2.0, J3=J3, unit=_KAPPA2_UNIT,
-    )
 
 
 def _y_axis(p: ModelParams, half_width_rates: float) -> Axis:
@@ -321,13 +316,15 @@ def figure_preset(fid: str) -> SweepSpec:
         return SweepSpec(fixed=p, axis1=_y_axis(p, 5.0 * p.gamma))
     if family in ("fig5", "fig6") and letter in "abc" and len(letter) == 1:
         f = _FIG56_F["abc".index(letter)]
-        p = _designed_params(kappa1=10.0, kappa2=1.0, gamma=0.01, f=f,
-                             branch="plus" if family == "fig5" else "minus")
+        design = design_isolator(10.0, 1.0, 0.01, f, unit=_KAPPA2_UNIT)
+        p = design.to_model_params(
+            _ROOT_PLUS if family == "fig5" else _ROOT_MINUS)
         return SweepSpec(fixed=p, axis1=_y_axis(p, 5.0 * p.kappa2))
     if family in ("fig7", "fig8") and letter in "abcd" and len(letter) == 1:
         gamma = _FIG78_GAMMA["abcd".index(letter)]
-        p = _designed_params(kappa1=10.0, kappa2=1.0, gamma=gamma, f=1.0,
-                             branch="plus" if family == "fig7" else "minus")
+        design = design_isolator(10.0, 1.0, gamma, 1.0, unit=_KAPPA2_UNIT)
+        p = design.to_model_params(
+            _ROOT_PLUS if family == "fig7" else _ROOT_MINUS)
         return SweepSpec(fixed=p, axis1=_y_axis(p, 5.0 * p.kappa2))
     raise UnknownFigure(f"no preset for {fid!r}; known ids: "
                         + ", ".join(figure_ids()))

@@ -14,12 +14,13 @@ cofactors and determinant of `response.transfer_coefficients`,
     T12 = sqrt(kappa1 kappa2) |i chi1 - chi2| / |D|,
     T21 = sqrt(kappa1 kappa2) |i tau1 - tau2| / |D|,
 
-broadcasting over scalars and arrays. Where |D| lies below LU_GUARD_BAND
-times the pole threshold of `response.pole_thresholds`, it builds those
-points' matrices and decides as the LU solve does: det against
-`response.singularity_thresholds`, then the inverse. Pole flags are
-therefore those of the LU rule. Arrays are cut into a fixed partition of
-_CHUNK points, whatever the thread count, and the chunks go to a thread
+broadcasting over scalars and arrays of any shape. Where |D| lies below
+LU_GUARD_BAND times the pole threshold of `response.pole_thresholds`, it
+builds those points' matrices and decides as the LU solve does: det
+against `response.singularity_thresholds`, then the inverse. Pole flags
+are therefore those of the LU rule. `transmission_arrays` cuts the
+broadcast shape along its first axis into a fixed partition of about
+_CHUNK points, whatever the thread count, and the blocks go to a thread
 pool sized by the NONRECIP_THREADS environment variable (0 or unset =
 auto), so results are the same bytes for any number of threads.
 """
@@ -115,9 +116,9 @@ def _lu_transmission(v: Mapping[str, object]):
 def _kernel(v: Mapping[str, object]):
     """T12, T21 and pole flags at the points of ``v``.
 
-    ``v`` maps each ModelParams field name, and ``"y"``, to a scalar or a
-    1-D array, the arrays all of one length. All scalars give floats and
-    a bool; otherwise the results are arrays over the points.
+    ``v`` maps each ModelParams field name, and ``"y"``, to a scalar or an
+    array, the arrays broadcasting together. All scalars give floats and a
+    bool; otherwise the results are arrays in the broadcast shape.
     """
     tau1, tau2, chi1, chi2, D = transfer_coefficients(v)
     abs_d = abs(D)
@@ -136,36 +137,52 @@ def _kernel(v: Mapping[str, object]):
         t21 = pref * np.abs(1j * tau1 - tau2) / abs_d
     singular = np.zeros(abs_d.shape, dtype=bool)
     if np.any(band):
-        sub = {k: x[band] if isinstance(x, np.ndarray) else x
-               for k, x in v.items()}
+        sub = {k: np.broadcast_to(x, band.shape)[band]
+               if isinstance(x, np.ndarray) else x for k, x in v.items()}
         t12[band], t21[band], singular[band] = _lu_transmission(sub)
     return t12, t21, singular
 
 
 def transmission_arrays(v: Mapping[str, object]
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The kernel over parameter and detuning arrays, in chunks.
+    """The kernel over parameter and detuning arrays, in blocks of rows.
 
-    ``v`` maps each ModelParams field name, and ``"y"``, to a scalar or a
-    1-D array; at least one value is an array and all arrays have one
-    length n. Values are not validated.
+    ``v`` maps each ModelParams field name, and ``"y"``, to a scalar or an
+    array; at least one value is an array of one or more dimensions, and
+    the arrays broadcast together. A 2-D grid is best passed as a row
+    ``(1, n1)`` and a column ``(n2, 1)``, so that whatever depends on one
+    axis alone is computed once per value. Values are not validated.
+
+    The broadcast shape is cut along its first axis into blocks of
+    ``max(1, _CHUNK // points per row)`` rows, whatever the thread count;
+    a leading axis of length 1 is skipped.
 
     Returns
     -------
-    (T12, T21, singular) : three arrays of length n
+    (T12, T21, singular) : three arrays in the broadcast shape
         Transmission amplitudes, NaN at poles, and the pole mask.
     """
-    n = max(len(x) for x in v.values() if isinstance(x, np.ndarray))
-    t12 = np.empty(n)
-    t21 = np.empty(n)
-    singular = np.empty(n, dtype=bool)
+    shape = np.broadcast_shapes(*(np.shape(x) for x in v.values()
+                                  if isinstance(x, np.ndarray)))
+    if len(shape) > 1 and shape[0] == 1:
+        # a single row would be a single block: cut the row instead
+        row = transmission_arrays({
+            k: x[0] if isinstance(x, np.ndarray) and x.ndim == len(shape)
+            else x for k, x in v.items()})
+        return tuple(a[np.newaxis] for a in row)
+    t12 = np.empty(shape)
+    t21 = np.empty(shape)
+    singular = np.empty(shape, dtype=bool)
 
     def run(s: slice) -> None:
-        sub = {k: x[s] if isinstance(x, np.ndarray) else x
-               for k, x in v.items()}
+        # only arrays that span the first axis are cut; the others
+        # broadcast along it
+        sub = {k: x[s] if isinstance(x, np.ndarray) and x.ndim == len(shape)
+               and x.shape[0] > 1 else x for k, x in v.items()}
         t12[s], t21[s], singular[s] = _kernel(sub)
 
-    chunks = [slice(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
+    rows = max(1, _CHUNK // max(1, math.prod(shape[1:])))
+    chunks = [slice(i, i + rows) for i in range(0, shape[0], rows)]
     workers = min(thread_count(), len(chunks))
     if workers <= 1:
         for s in chunks:

@@ -14,7 +14,11 @@ from nonrecip import (
     response_closed_form,
     solve_response,
 )
-from nonrecip.response import singularity_thresholds, system_matrices
+from nonrecip.response import (
+    singularity_thresholds,
+    system_matrices,
+    transfer_coefficients,
+)
 from nonrecip.verify import random_params
 
 
@@ -205,3 +209,49 @@ def test_batched_matrices_match_scalar(base_params):
                                       build_system_matrix(p, float(y)).entries)
     thr = singularity_thresholds(mats)
     assert thr.shape == (7,) and np.all(thr > 0)
+
+
+def _term_expansion(v, as_printed):
+    """tau1, tau2, chi1, chi2, D term by term, through the auxiliary D1..D9."""
+    k1, k2, g, f = v["kappa1"], v["kappa2"], v["gamma"], v["f"]
+    G1, G2, J1, J2, J3 = v["G1"], v["G2"], v["J1"], v["J2"], v["J3"]
+    th, ph, y = v["theta"], v["phi"], v["y"]
+    eth, eph = cmath.exp(1j * th), cmath.exp(1j * ph)
+    tau1 = (J1 * y**2 - J1 * J3**2 - J1 * g * f
+            + G1 * G2 * y / eth + G2 * J2 * J3 * eph / eth)
+    tau2 = J1 * g * y + J1 * f * y + G1 * G2 * f / eth
+    chi1 = (J1 * y**2 - J1 * J3**2 - J1 * g * f
+            + G1 * G2 * y * eth + G2 * J2 * J3 * eth / eph)
+    chi2 = J1 * g * y + J1 * f * y + G1 * G2 * f * eth
+    D1 = J2**2 - 1j * y * k1 - 1j * f * y + f * k1 - y**2
+    D2 = -y**2 - 1j * f * y - 1j * y * k2 + f * k2
+    D3 = -1j * g * y - 1j * y * k2 + g * k2 - y**2
+    D4 = -y**2 + J3**2 - 1j * g * y - 1j * f * y + g * f
+    D5 = -y**2 - 1j * y * k1 - 1j * y * k2 + k1 * k2
+    D6 = 1j * (k1 + k2 + g + f)
+    D7 = -g * f - g * k2 - f * k1 - k1 * k2 - f * k2 - g * k1
+    D8 = g * f - 1j * f * y - 1j * g * y
+    D9 = k1 + k2
+    cross = 1.0 if as_printed else J1
+    D = (-2 * J1 * J2 * J3 * G2 * math.cos(th - ph)
+         - 2j * J2 * J3 * k2 * G1 * math.cos(ph)
+         - 2j * J1 * G1 * G2 * f * math.cos(th)
+         - 2 * J2 * J3 * G1 * y * math.cos(ph)
+         - 2 * cross * G1 * G2 * y * math.cos(th)
+         + G2**2 * D1 + G1**2 * D2 + J2**2 * D3 + J1**2 * D4 + J3**2 * D5
+         + y**3 * D6 + y**2 * D7 + k1 * k2 * D8 - 1j * g * f * y * D9 + y**4)
+    return tau1, tau2, chi1, chi2, D
+
+
+@pytest.mark.parametrize("as_printed", [False, True])
+def test_transfer_coefficients_match_term_expansion(as_printed):
+    rng = np.random.default_rng(5150)
+    ys = np.linspace(-5.0, 5.0, 201)
+    for _ in range(20):
+        p = random_params(rng)
+        got = transfer_coefficients(dict(vars(p), y=ys), as_printed)
+        for k, y in enumerate(ys.tolist()):
+            ref = _term_expansion(dict(vars(p), y=y), as_printed)
+            for name, a, b in zip(("tau1", "tau2", "chi1", "chi2", "D"),
+                                  got, ref):
+                assert abs(a[k] - b) <= 1e-10 * abs(b), (name, p, y)

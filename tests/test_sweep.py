@@ -1,5 +1,6 @@
 """Sweep engine, figure presets, dataset emission, landmark extraction."""
 
+import cmath
 import json
 import math
 import os
@@ -11,6 +12,8 @@ import importlib
 
 from nonrecip import (
     Axis,
+    ModelParams,
+    RateUnit,
     InvalidParameterPath,
     SweepSpec,
     SweepTable,
@@ -23,7 +26,7 @@ from nonrecip import (
     write_csv,
     write_json,
 )
-from nonrecip.design import j3_roots, r_coefficients
+from nonrecip.design import j2_literal, j3_roots, r_coefficients
 from nonrecip.sweep import (
     PHASEMAP_POINTS,
     SPECTRUM_POINTS,
@@ -129,6 +132,22 @@ def test_threads_do_not_change_bytes(base_params, tmp_path, monkeypatch):
     monkeypatch.setenv("NONRECIP_THREADS", "1")
     serial = sweep(spec)
     monkeypatch.setenv("NONRECIP_THREADS", "4")
+    threaded = sweep(spec)
+    assert np.array_equal(serial.data["T12"], threaded.data["T12"])
+    assert np.array_equal(serial.data["T21"], threaded.data["T21"])
+
+
+@pytest.mark.parametrize("points1", [7, 40])
+def test_threads_do_not_change_two_axis_bytes(base_params, monkeypatch,
+                                              points1):
+    # 16 points per chunk: two rows of 7, or one row of 40 (more than a chunk)
+    monkeypatch.setattr(transmission_mod, "_CHUNK", 16)
+    p = base_params(HALF_PI)
+    spec = SweepSpec(fixed=p, axis1=Axis("y", -2.0, 2.0, points1),
+                     axis2=Axis("phi", 0.0, 6.0, 9))
+    monkeypatch.setenv("NONRECIP_THREADS", "1")
+    serial = sweep(spec)
+    monkeypatch.setenv("NONRECIP_THREADS", "2")
     threaded = sweep(spec)
     assert np.array_equal(serial.data["T12"], threaded.data["T12"])
     assert np.array_equal(serial.data["T21"], threaded.data["T21"])
@@ -308,6 +327,38 @@ def test_designed_presets_follow_root_formula():
     q = figure_preset("fig6b").fixed
     minus = -complex(np.emath.sqrt((-r.R8 - disc) / (2 * r.R7)))
     assert q.J3 == pytest.approx(minus, rel=1e-12)
+
+
+def _root_formula_params(kappa1, kappa2, gamma, f, branch):
+    # the designed point written out from the quartic's root formula:
+    # "plus" J3 = +sqrt((-R8 + sqrt(disc))/(2 R7)),
+    # "minus" J3 = -sqrt((-R8 - sqrt(disc))/(2 R7))
+    G1 = math.sqrt(gamma * kappa1)
+    G2 = math.sqrt(gamma * kappa2)
+    J1 = G1 * G2 / (gamma + f)
+    r = r_coefficients(kappa1, kappa2, gamma, f, G1, G2, J1)
+    disc = cmath.sqrt(complex(r.R8 * r.R8 - 4.0 * r.R7 * r.R9))
+    if branch == "plus":
+        J3 = cmath.sqrt((-r.R8 + disc) / (2.0 * r.R7))
+    else:
+        J3 = -cmath.sqrt((-r.R8 - disc) / (2.0 * r.R7))
+    return ModelParams(
+        kappa1=kappa1, kappa2=kappa2, gamma=gamma, f=f, G1=G1, G2=G2,
+        theta=math.pi / 2.0, J1=J1, J2=j2_literal(J1, J3, gamma, f, G1, G2),
+        phi=math.pi / 2.0, J3=J3, unit=RateUnit("kappa2", 1.0))
+
+
+def test_designed_presets_equal_root_formula_exactly():
+    cases = [(f"fig5{c}", 0.01, f, "plus") for c, f in zip("abc", (0.1, 1.0, 5.0))]
+    cases += [(f"fig6{c}", 0.01, f, "minus") for c, f in zip("abc", (0.1, 1.0, 5.0))]
+    cases += [(f"fig7{c}", g, 1.0, "plus")
+              for c, g in zip("abcd", (0.001, 0.01, 0.1, 1.0))]
+    cases += [(f"fig8{c}", g, 1.0, "minus")
+              for c, g in zip("abcd", (0.001, 0.01, 0.1, 1.0))]
+    assert len(cases) == 14
+    for fid, gamma, f, branch in cases:
+        expect = _root_formula_params(10.0, 1.0, gamma, f, branch)
+        assert figure_preset(fid).fixed == expect, fid
 
 
 def test_fig7_presets_sweep_gamma():

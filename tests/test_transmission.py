@@ -1,6 +1,8 @@
 """Input-output conversion and the two-direction transmission observables."""
 
+import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,8 +22,16 @@ from nonrecip import (
     transmission_pair,
 )
 from nonrecip.response import pole_thresholds, transfer_coefficients
-from nonrecip.transmission import ISOLATION_DB_CAP, LU_GUARD_BAND, isolation_db
+from nonrecip.transmission import (
+    ISOLATION_DB_CAP,
+    LU_GUARD_BAND,
+    isolation_db,
+    transmission_arrays,
+)
 from nonrecip.verify import random_params
+
+# the module whose chunk size and kernel the partition test patches
+transmission_mod = importlib.import_module("nonrecip.transmission")
 
 HALF_PI = math.pi / 2
 
@@ -156,6 +166,73 @@ def test_closed_form_grid_and_sweep_match_lu():
         table = sweep(SweepSpec(fixed=p, axis1=Axis("y", -5.0, 5.0, 201)))
         _assert_matches_lu(p, table.data["y"], table.data["T12"],
                            table.data["T21"], table.status == "singular")
+
+
+@pytest.mark.parametrize("axes", [
+    (Axis("theta", 0.0, 6.0, 9), Axis("phi", 0.5, 6.5, 7)),
+    (Axis("y", -4.0, 4.0, 9), Axis("J2", 0.01, 3.0, 7)),
+    (Axis("J1", 0.1, 5.0, 9), Axis("y", -4.0, 4.0, 7)),
+])
+def test_two_axis_sweep_rows_match_lu(axes):
+    axis1, axis2 = axes
+    p = random_params(np.random.default_rng(8128))
+    table = sweep(SweepSpec(fixed=p, axis1=axis1, axis2=axis2, y=0.3))
+    # axis2 outer, axis1 inner
+    assert table.data[axis2.name].tolist() == np.repeat(
+        axis2.grid(), axis1.points).tolist()
+    assert table.data[axis1.name].tolist() == np.tile(
+        axis1.grid(), axis2.points).tolist()
+    for k in range(len(table)):
+        row = {a.name: float(table.data[a.name][k]) for a in axes}
+        y = row.pop("y", 0.3)
+        ref = _lu_pair(replace(p, **row), y)
+        assert (table.status[k] == "singular") == (ref is None)
+        if ref is None:
+            continue
+        assert table.data["T12"][k] == pytest.approx(ref[0], rel=LU_RTOL,
+                                                     abs=LU_ATOL)
+        assert table.data["T21"][k] == pytest.approx(ref[1], rel=LU_RTOL,
+                                                     abs=LU_ATOL)
+
+
+def test_transmission_arrays_broadcast_shape(base_params):
+    p = base_params(HALF_PI)
+    ys = np.linspace(-2.0, 2.0, 5)
+    thetas = np.linspace(0.0, 3.0, 3)
+    v = dict(vars(p), y=ys[np.newaxis, :], theta=thetas[:, np.newaxis])
+    t12, t21, singular = transmission_arrays(v)
+    assert t12.shape == t21.shape == singular.shape == (3, 5)
+    for i, theta in enumerate(thetas):
+        ref = transmission_grid(replace(p, theta=float(theta)), ys)
+        np.testing.assert_allclose(t12[i], ref[0], rtol=1e-14)
+        np.testing.assert_allclose(t21[i], ref[1], rtol=1e-14)
+
+
+@pytest.mark.parametrize("shape, block", [
+    ((9, 7), (2, 7)),      # 16 // 7 = 2 rows per block
+    ((3, 40), (1, 40)),    # a row longer than a block is one block
+    ((1, 40), (16,)),      # a single row is cut into 16-point blocks
+])
+def test_transmission_arrays_block_partition(base_params, monkeypatch,
+                                             shape, block):
+    monkeypatch.setattr(transmission_mod, "_CHUNK", 16)
+    seen = []
+    kernel = transmission_mod._kernel
+
+    def recording(v):
+        out = kernel(v)
+        seen.append(out[0].shape)
+        return out
+
+    monkeypatch.setattr(transmission_mod, "_kernel", recording)
+    monkeypatch.setenv("NONRECIP_THREADS", "1")
+    p = base_params(HALF_PI)
+    v = dict(vars(p), y=np.linspace(-2.0, 2.0, shape[1])[np.newaxis, :],
+             phi=np.linspace(0.0, 6.0, shape[0])[:, np.newaxis])
+    t12, t21, singular = transmission_arrays(v)
+    assert t12.shape == t21.shape == singular.shape == shape
+    assert seen[0] == block
+    assert sum(math.prod(s) for s in seen) == math.prod(shape)
 
 
 def test_guard_band_point_comes_from_lu(base_params):
