@@ -44,7 +44,6 @@ from .params import (
 )
 from .response import (
     ClosedFormCoefficients,
-    ResponseMatrix,
     ResponseSolution,
     SingularDeterminant,
     SingularMatrix,
@@ -95,12 +94,12 @@ __all__ = [
     "DesignCandidate", "Direction", "DivisionByZero", "Drives",
     "InvalidParameterPath", "InvalidParams", "IsolationMetrics",
     "IsolatorDesign", "ModelParams", "NoValidDesign", "NonConvergence",
-    "RCoefficients", "RateUnit", "ResonanceMisaligned", "ResponseMatrix",
-    "ResponseSolution", "SingularDeterminant", "SingularJacobian",
-    "SingularMatrix", "SolverConfig", "SteadyState", "SweepSpec",
-    "SweepTable", "TransmissionPoint", "UnknownFigure", "ZeroAmplitude",
-    "ZeroJ3", "build_system_matrix", "closed_form_coefficients",
-    "convert_unit", "design_isolator", "design_to_dict",
+    "RCoefficients", "RateUnit", "ResonanceMisaligned", "ResponseSolution",
+    "SingularDeterminant", "SingularJacobian", "SingularMatrix",
+    "SolverConfig", "SteadyState", "SweepSpec", "SweepTable",
+    "TransmissionPoint", "UnknownFigure", "ZeroAmplitude", "ZeroJ3",
+    "build_system_matrix", "closed_form_coefficients", "convert_unit",
+    "design_isolator", "design_to_dict",
     "effective_couplings", "ensure_valid", "figure_ids", "figure_preset",
     "isolation_metrics", "j2_literal", "j3_roots", "linearized_params",
     "load_params", "model_params_from_dict", "model_params_to_dict",

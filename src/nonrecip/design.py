@@ -268,17 +268,6 @@ class IsolatorDesign:
         )
 
 
-def _candidate_order(roots: list[complex]) -> list[complex]:
-    # bare roots first, then each advanced by e^{i pi/2}: the root formula
-    # carries no phase, but the dissipative-coupling convention elsewhere
-    # attaches one, so both readings are tried and the validator arbitrates
-    ordered: list[complex] = []
-    for z in list(roots) + [z * 1j for z in roots]:
-        if z not in ordered:
-            ordered.append(z)
-    return ordered
-
-
 def design_isolator(
     kappa1: float, kappa2: float, gamma: float, f: float,
     unit: RateUnit | None = None,
@@ -287,10 +276,10 @@ def design_isolator(
 
     Sets G1 = sqrt(gamma kappa1), G2 = sqrt(gamma kappa2),
     J1 = G1 G2/(gamma + f) and theta = phi = pi/2, enumerates every J3 root
-    of the quartic (each also retried with an extra e^{i pi/2} factor),
-    binds the literal J2 quotient per candidate, and accepts a candidate
-    only if `transmission_pair` at y = 0 returns {<= 1e-6, within 1e-6 of
-    1} in some order.
+    of the quartic in the order of :func:`j3_roots`, binds the literal J2
+    quotient per candidate, and accepts a candidate only if
+    `transmission_pair` at y = 0 returns {<= 1e-6, within 1e-6 of 1} in
+    some order.
 
     Raises
     ------
@@ -308,7 +297,7 @@ def design_isolator(
     J1 = G1 * G2 / (gamma + f)
     r = r_coefficients(kappa1, kappa2, gamma, f, G1, G2, J1)
     records: list[DesignCandidate] = []
-    for J3 in _candidate_order(j3_roots(r)):
+    for J3 in j3_roots(r):
         if J3 == 0:
             records.append(DesignCandidate(
                 J3=J3, J2=complex("nan"), J2_mag=math.nan, J2_residue=math.nan,

@@ -17,6 +17,11 @@ operations per point and a phase axis only what depends on it. The LU
 solve (`build_system_matrix`, `solve_response`) stays the independent
 reference that `verify` and the tests compare the closed form against.
 
+A1 is written out once, in `system_matrices`, for scalars and arrays
+alike. There is one pole rule: |det A1| below `pole_thresholds`, a
+relative cutoff computed from the parameters. `solve_response` and the
+LU band of the kernel both apply it.
+
 Only the +y (e^{-i y t}) sideband is represented; the -y component vanishes
 identically under the rotating-wave approximation used throughout.
 """
@@ -53,14 +58,6 @@ class SingularDeterminant(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class ResponseMatrix:
-    """The 4x4 system matrix at one detuning, row order (da1, da2, dd, db)."""
-
-    entries: np.ndarray
-    y: float
-
-
-@dataclass(frozen=True)
 class ResponseSolution:
     """Fluctuation amplitudes at one probe detuning.
 
@@ -91,46 +88,18 @@ class ClosedFormCoefficients:
     D: complex
 
 
-def build_system_matrix(p: ModelParams, y: float) -> ResponseMatrix:
-    """Fill the system matrix A1 at detuning ``y``.
-
-    Parameters
-    ----------
-    p : ModelParams
-        Validated model parameters.
-    y : float
-        Probe detuning from the mechanical frequency, in ``p.unit`` rates.
-
-    Returns
-    -------
-    ResponseMatrix
-        Dense complex 4x4 matrix. The diagonal carries (kappa1 - iy,
-        kappa2 - iy, f - iy, gamma - iy); couplings enter as i J1,
-        i J2 e^{+-i phi}, i G1, i G2 e^{+-i theta}, and i J3. The (2,3)
-        and (3,2) entries are exactly zero: the ensemble couples to
-        cavity 1 only.
-    """
-    ensure_valid(p)
-    eth = cmath.exp(1j * p.theta)
-    eph = cmath.exp(1j * p.phi)
-    m = np.array([
-        [p.kappa1 - 1j * y, 1j * p.J1, 1j * p.J2 * eph, 1j * p.G1],
-        [1j * p.J1, p.kappa2 - 1j * y, 0.0, 1j * p.G2 * eth],
-        [1j * p.J2 / eph, 0.0, p.f - 1j * y, 1j * p.J3],
-        [1j * p.G1, 1j * p.G2 / eth, 1j * p.J3, p.gamma - 1j * y],
-    ], dtype=complex)
-    return ResponseMatrix(entries=m, y=float(y))
-
-
 def system_matrices(v: Mapping[str, object]) -> np.ndarray:
     """A1 at every point of broadcast parameter and detuning values.
 
     ``v`` maps each ModelParams field name, and ``"y"``, to a scalar or an
     array; arrays broadcast together and the result has their shape plus
-    (4, 4). Entries are those of :func:`build_system_matrix`, which stays
-    the unbatched reference.
+    (4, 4), row order (da1, da2, dd, db). All scalars give one 4x4 matrix.
+    The diagonal carries (kappa1 - iy, kappa2 - iy, f - iy, gamma - iy);
+    couplings enter as i J1, i J2 e^{+-i phi}, i G1, i G2 e^{+-i theta},
+    and i J3. The (2,3) and (3,2) entries are exactly zero: the ensemble
+    couples to cavity 1 only.
     """
-    y = np.asarray(v["y"], dtype=float)
+    y = v["y"]
     eth = _expi(v["theta"])
     eph = _expi(v["phi"])
     G2, J2, J3 = v["G2"], v["J2"], v["J3"]
@@ -140,6 +109,8 @@ def system_matrices(v: Mapping[str, object]) -> np.ndarray:
         (1j * J2 / eph, 0.0, v["f"] - 1j * y, 1j * J3),
         (1j * v["G1"], 1j * G2 / eth, 1j * J3, v["gamma"] - 1j * y),
     )
+    if not any(isinstance(x, np.ndarray) for x in v.values()):
+        return np.array(rows, dtype=complex)
     shape = np.broadcast_shapes(*(np.shape(e) for row in rows for e in row))
     m = np.empty(shape + (4, 4), dtype=complex)
     for i, row in enumerate(rows):
@@ -148,24 +119,26 @@ def system_matrices(v: Mapping[str, object]) -> np.ndarray:
     return m
 
 
-def singularity_thresholds(mats: np.ndarray) -> np.ndarray:
-    """Per-matrix singularity cutoff: SINGULARITY_RTOL times prod of row norms.
+def build_system_matrix(p: ModelParams, y: float) -> np.ndarray:
+    """The 4x4 system matrix A1 of ``p`` at detuning ``y``.
 
-    Floored at the smallest positive normal float so that a matrix with an
-    all-zero row (threshold product 0, determinant exactly 0) is still
-    flagged instead of slipping through a strict comparison into the solver.
+    ``p`` is validated first. ``y`` is the probe detuning from the
+    mechanical frequency, in ``p.unit`` rates; the entries are those of
+    :func:`system_matrices`.
     """
-    row_norms = np.linalg.norm(mats, axis=2)
-    return np.maximum(SINGULARITY_RTOL * np.prod(row_norms, axis=1), _TINY)
+    ensure_valid(p)
+    return system_matrices(dict(vars(p), y=float(y)))
 
 
 def pole_thresholds(v: Mapping[str, object]):
-    """The cutoff of :func:`singularity_thresholds`, from the parameters.
+    """The pole cutoff: SINGULARITY_RTOL times the product of A1's row norms.
 
-    The row norms of A1 are written out from the values in ``v`` (a mapping
-    as in :func:`system_matrices`) instead of being read off built matrices,
-    so they agree with ``singularity_thresholds(system_matrices(v))`` up to
-    rounding. Scalars give a float, arrays an array.
+    The row norms are written out from the values in ``v`` (a mapping as in
+    :func:`system_matrices`), so no matrix is built; they do not depend on
+    theta or phi. The cutoff is floored at the smallest positive normal
+    float, so that a matrix with an all-zero row (product 0, determinant
+    exactly 0) is still flagged by a strict comparison. Scalars give a
+    float, arrays an array.
     """
     y2 = v["y"] ** 2
     J1s, G1s, G2s = v["J1"] ** 2, v["G1"] ** 2, v["G2"] ** 2
@@ -181,12 +154,6 @@ def pole_thresholds(v: Mapping[str, object]):
     return max(SINGULARITY_RTOL * math.sqrt(a) * math.sqrt(b), _TINY)
 
 
-def _check_nonsingular(m: np.ndarray, y: float) -> None:
-    det = np.linalg.det(m)
-    if abs(det) < singularity_thresholds(m[np.newaxis])[0]:
-        raise SingularMatrix(f"response matrix is singular at y={y} (|det|={abs(det):.3e})")
-
-
 def solve_response(p: ModelParams, y: float, Ep1: float, Ep2: float) -> ResponseSolution:
     """Solve A1 X = B for the fluctuation amplitudes at one detuning.
 
@@ -196,10 +163,13 @@ def solve_response(p: ModelParams, y: float, Ep1: float, Ep2: float) -> Response
     Raises
     ------
     SingularMatrix
-        If |det A1| falls below the scale-invariant pole threshold.
+        If |det A1| falls below :func:`pole_thresholds`.
     """
-    m = build_system_matrix(p, y).entries
-    _check_nonsingular(m, y)
+    m = build_system_matrix(p, y)
+    det = np.linalg.det(m)
+    if abs(det) < pole_thresholds(dict(vars(p), y=y)):
+        raise SingularMatrix(
+            f"response matrix is singular at y={y} (|det|={abs(det):.3e})")
     b = np.array([Ep1, Ep2, 0.0, 0.0], dtype=complex)
     x = np.linalg.solve(m, b)
     return ResponseSolution(da1=complex(x[0]), da2=complex(x[1]),
@@ -207,7 +177,7 @@ def solve_response(p: ModelParams, y: float, Ep1: float, Ep2: float) -> Response
                             y=float(y), method="matrix_solve")
 
 
-def transfer_coefficients(v: Mapping[str, object], as_printed: bool = False):
+def transfer_coefficients(v: Mapping[str, object]):
     """The cofactors tau1, tau2, chi1, chi2 and the determinant D.
 
     ``v`` maps each ModelParams field name, and ``"y"``, to a scalar or an
@@ -226,12 +196,8 @@ def transfer_coefficients(v: Mapping[str, object], as_printed: bool = False):
 
     and chi1, chi2 the same with the signs of both phases flipped. The
     coefficients c3..c0 are the compact D1..D9 expansion of the
-    determinant collected by powers of y. An earlier transcription of that
-    expansion omitted the J1 factor in the ``-2 J1 G1 G2 y cos(theta)``
-    cross term (in c1); the corrected term (default) restores exact
-    agreement with the numeric determinant, and ``as_printed=True`` keeps
-    the uncorrected variant for auditability. The two variants coincide at
-    y = 0.
+    determinant collected by powers of y, with the J1 factor in the
+    ``-2 J1 G1 G2 y cos(theta)`` term of c1 (see the README).
     """
     k1, k2, g, f = v["kappa1"], v["kappa2"], v["gamma"], v["f"]
     G1, G2, J1 = v["G1"], v["G2"], v["J1"]
@@ -245,7 +211,6 @@ def transfer_coefficients(v: Mapping[str, object], as_printed: bool = False):
     G1G2 = G1 * G2
     G1s, G2s, J1s, J2s, J3s = G1 * G1, G2 * G2, J1 * J1, J2 * J2, J3 * J3
     gf, k1k2 = g * f, k1 * k2
-    cross = 1.0 if as_printed else J1
 
     # the phase terms go last, so that the scalar parts are summed first
     # and a term of one phase axis widens to the full grid only once
@@ -263,7 +228,7 @@ def transfer_coefficients(v: Mapping[str, object], as_printed: bool = False):
     c1 = (-1j * (G2s * (k1 + f) + G1s * (f + k2) + J2s * (g + k2)
                  + J1s * (g + f) + J3s * (k1 + k2) + k1k2 * (f + g)
                  + gf * (k1 + k2))
-          - 2 * J2 * J3 * G1 * cos_ph - 2 * cross * G1G2 * cos_th)
+          - 2 * J2 * J3 * G1 * cos_ph - 2 * J1 * G1G2 * cos_th)
     c0 = (G2s * (J2s + f * k1) + G1s * f * k2 + J2s * g * k2
           + J1s * (J3s + gf) + J3s * k1k2 + k1k2 * gf
           - 2j * J2 * J3 * k2 * G1 * cos_ph - 2j * J1 * G1G2 * f * cos_th
@@ -272,20 +237,17 @@ def transfer_coefficients(v: Mapping[str, object], as_printed: bool = False):
     return tau1, tau2, chi1, chi2, D
 
 
-def closed_form_coefficients(p: ModelParams, y: float,
-                             as_printed: bool = False) -> ClosedFormCoefficients:
+def closed_form_coefficients(p: ModelParams, y: float) -> ClosedFormCoefficients:
     """Evaluate the closed-form numerators tau1..4, chi1..4 and determinant D.
 
-    tau1, tau2, chi1, chi2 and D come from :func:`transfer_coefficients`;
-    ``as_printed`` selects its determinant variant.
+    tau1, tau2, chi1, chi2 and D come from :func:`transfer_coefficients`.
     """
     ensure_valid(p)
     k1, k2, g, f = p.kappa1, p.kappa2, p.gamma, p.f
     G1, G2 = p.G1, p.G2
     J2, J3 = p.J2, p.J3
     eph = cmath.exp(1j * p.phi)
-    tau1, tau2, chi1, chi2, D = transfer_coefficients(dict(vars(p), y=y),
-                                                      as_printed)
+    tau1, tau2, chi1, chi2, D = transfer_coefficients(dict(vars(p), y=y))
     tau3 = -G2**2 * y + y**3 - J3**2 * y - g * f * y - g * y * k2 - f * y * k2
     tau4 = G2**2 * f - g * y**2 - f * y**2 - y**2 * k2 + J3**2 * k2 + g * f * k2
     chi3 = (-G1**2 * y + y**3 - J2**2 * y - G1 * J2 * J3 * eph - J3**2 * y
@@ -296,8 +258,8 @@ def closed_form_coefficients(p: ModelParams, y: float,
                                   chi1, chi2, chi3, chi4, complex(D))
 
 
-def response_closed_form(p: ModelParams, y: float, Ep1: float, Ep2: float,
-                         as_printed: bool = False) -> ResponseSolution:
+def response_closed_form(p: ModelParams, y: float, Ep1: float,
+                         Ep2: float) -> ResponseSolution:
     """Closed-form cavity amplitudes da1, da2.
 
     da1 = ((i tau3 + tau4) Ep1 + (i tau1 - tau2) Ep2) / D and
@@ -305,7 +267,7 @@ def response_closed_form(p: ModelParams, y: float, Ep1: float, Ep2: float,
     mechanical components are not expressed by the closed form and are
     returned as None.
     """
-    c = closed_form_coefficients(p, y, as_printed=as_printed)
+    c = closed_form_coefficients(p, y)
     if c.D == 0:
         raise SingularDeterminant(f"closed-form determinant vanishes at y={y}")
     da1 = ((1j * c.tau3 + c.tau4) * Ep1 + (1j * c.tau1 - c.tau2) * Ep2) / c.D
@@ -315,9 +277,8 @@ def response_closed_form(p: ModelParams, y: float, Ep1: float, Ep2: float,
 
 
 __all__ = [
-    "ClosedFormCoefficients", "ResponseMatrix", "ResponseSolution",
-    "SINGULARITY_RTOL", "SingularDeterminant", "SingularMatrix",
-    "build_system_matrix", "closed_form_coefficients", "pole_thresholds",
-    "response_closed_form", "singularity_thresholds", "solve_response",
-    "system_matrices", "transfer_coefficients",
+    "ClosedFormCoefficients", "ResponseSolution", "SINGULARITY_RTOL",
+    "SingularDeterminant", "SingularMatrix", "build_system_matrix",
+    "closed_form_coefficients", "pole_thresholds", "response_closed_form",
+    "solve_response", "system_matrices", "transfer_coefficients",
 ]

@@ -33,10 +33,9 @@ from .params import (
     InvalidParams,
     ModelParams,
     RateUnit,
-    ensure_valid,
     model_params_to_dict,
 )
-from .transmission import isolation_db, transmission_arrays
+from .transmission import _require_open_ports, isolation_db, transmission_arrays
 
 SCHEMA_VERSION = 1
 
@@ -63,14 +62,11 @@ class Axis:
     start: float
     stop: float
     points: int
-    scale: str = "linear"
 
     def __post_init__(self) -> None:
         if self.name not in _REAL_PATHS:
             raise InvalidParameterPath(
                 f"cannot sweep {self.name!r}; choose one of {', '.join(_REAL_PATHS)}")
-        if self.scale != "linear":
-            raise ValueError(f"unsupported axis scale {self.scale!r}")
         if self.points < 1:
             raise ValueError("axis needs at least one point")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
@@ -129,9 +125,7 @@ def sweep(spec: SweepSpec) -> SweepTable:
     Rows are ordered axis2 outer, axis1 inner. Singular grid points carry
     status "singular" and NaN observables (emitted as empty CSV cells).
     """
-    ensure_valid(spec.fixed)
-    if spec.fixed.kappa1 <= 0.0 or spec.fixed.kappa2 <= 0.0:
-        raise InvalidParams("sweeps need strictly positive cavity decay rates")
+    _require_open_ports(spec.fixed)
     grid1 = spec.axis1.grid()
     vals = dict(vars(spec.fixed), y=spec.y)
     if spec.axis2 is None:
@@ -269,7 +263,7 @@ SPECTRUM_POINTS = 1001
 PHASEMAP_POINTS = 201
 
 
-def _y_axis(p: ModelParams, half_width_rates: float) -> Axis:
+def _y_axis(half_width_rates: float) -> Axis:
     return Axis("y", -half_width_rates, half_width_rates, SPECTRUM_POINTS)
 
 
@@ -304,7 +298,7 @@ def figure_preset(fid: str) -> SweepSpec:
         k = "abcdefgh".index(letter)
         ang = _EIGHTHS[k] * math.pi
         p = ModelParams(theta=ang, phi=ang, **_BASE_GAMMA)
-        return SweepSpec(fixed=p, axis1=_y_axis(p, 5.0 * p.gamma))
+        return SweepSpec(fixed=p, axis1=_y_axis(5.0 * p.gamma))
     if family == "fig4" and letter in "abcdefgh" and len(letter) == 1:
         k = "abcdefgh".index(letter)
         base = dict(_BASE_GAMMA)
@@ -313,19 +307,19 @@ def figure_preset(fid: str) -> SweepSpec:
         else:
             base["J3"] = _FIG4_J3[k - 4]
         p = ModelParams(theta=math.pi / 2.0, phi=math.pi / 2.0, **base)
-        return SweepSpec(fixed=p, axis1=_y_axis(p, 5.0 * p.gamma))
+        return SweepSpec(fixed=p, axis1=_y_axis(5.0 * p.gamma))
     if family in ("fig5", "fig6") and letter in "abc" and len(letter) == 1:
         f = _FIG56_F["abc".index(letter)]
         design = design_isolator(10.0, 1.0, 0.01, f, unit=_KAPPA2_UNIT)
         p = design.to_model_params(
             _ROOT_PLUS if family == "fig5" else _ROOT_MINUS)
-        return SweepSpec(fixed=p, axis1=_y_axis(p, 5.0 * p.kappa2))
+        return SweepSpec(fixed=p, axis1=_y_axis(5.0 * p.kappa2))
     if family in ("fig7", "fig8") and letter in "abcd" and len(letter) == 1:
         gamma = _FIG78_GAMMA["abcd".index(letter)]
         design = design_isolator(10.0, 1.0, gamma, 1.0, unit=_KAPPA2_UNIT)
         p = design.to_model_params(
             _ROOT_PLUS if family == "fig7" else _ROOT_MINUS)
-        return SweepSpec(fixed=p, axis1=_y_axis(p, 5.0 * p.kappa2))
+        return SweepSpec(fixed=p, axis1=_y_axis(5.0 * p.kappa2))
     raise UnknownFigure(f"no preset for {fid!r}; known ids: "
                         + ", ".join(figure_ids()))
 

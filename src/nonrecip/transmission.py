@@ -14,15 +14,16 @@ cofactors and determinant of `response.transfer_coefficients`,
     T12 = sqrt(kappa1 kappa2) |i chi1 - chi2| / |D|,
     T21 = sqrt(kappa1 kappa2) |i tau1 - tau2| / |D|,
 
-broadcasting over scalars and arrays of any shape. Where |D| lies below
-LU_GUARD_BAND times the pole threshold of `response.pole_thresholds`, it
-builds those points' matrices and decides as the LU solve does: det
-against `response.singularity_thresholds`, then the inverse. Pole flags
-are therefore those of the LU rule. `transmission_arrays` cuts the
-broadcast shape along its first axis into a fixed partition of about
-_CHUNK points, whatever the thread count, and the blocks go to a thread
-pool sized by the NONRECIP_THREADS environment variable (0 or unset =
-auto), so results are the same bytes for any number of threads.
+broadcasting over scalars and arrays of any shape. It computes the pole
+threshold of `response.pole_thresholds` once per point. Where |D| lies
+below LU_GUARD_BAND times that threshold, it builds those points'
+matrices and decides as the LU solve does: numeric det against the same
+threshold, then the inverse. Pole flags are therefore those of the LU
+rule. `transmission_arrays` cuts the broadcast shape along its first
+axis into a fixed partition of about _CHUNK points, whatever the thread
+count, and the blocks go to a thread pool sized by the NONRECIP_THREADS
+environment variable (0 or unset = auto), so results are the same bytes
+for any number of threads.
 """
 
 from __future__ import annotations
@@ -36,11 +37,10 @@ from enum import Enum
 
 import numpy as np
 
-from .params import ModelParams, TransmissionPoint, ensure_valid
+from .params import InvalidParams, ModelParams, TransmissionPoint, ensure_valid
 from .response import (
     SingularMatrix,
     pole_thresholds,
-    singularity_thresholds,
     solve_response,
     system_matrices,
     transfer_coefficients,
@@ -74,8 +74,7 @@ class IsolationMetrics:
 
 def output_fields(p: ModelParams, y: float, Ep1: float, Ep2: float) -> tuple[complex, complex]:
     """Output probe-field amplitudes at both ports for given probe drives."""
-    if p.kappa1 <= 0.0 or p.kappa2 <= 0.0:
-        raise ValueError("output fields need strictly positive cavity decay rates")
+    _require_open_ports(p)
     sol = solve_response(p, y, Ep1, Ep2)
     e1 = math.sqrt(p.kappa1) * sol.da1 - Ep1 / math.sqrt(p.kappa1)
     e2 = math.sqrt(p.kappa2) * sol.da2 - Ep2 / math.sqrt(p.kappa2)
@@ -97,10 +96,14 @@ def thread_count() -> int:
     return n
 
 
-def _lu_transmission(v: Mapping[str, object]):
-    """T12, T21 and pole flags by LU, as 1-D arrays over the points of ``v``."""
+def _lu_transmission(v: Mapping[str, object], thresholds):
+    """T12, T21 and pole flags by LU, as 1-D arrays over the points of ``v``.
+
+    ``thresholds`` holds the pole thresholds of those points, as a scalar or
+    a 1-D array.
+    """
     m = system_matrices(v).reshape(-1, 4, 4)
-    singular = np.abs(np.linalg.det(m)) < singularity_thresholds(m)
+    singular = np.abs(np.linalg.det(m)) < thresholds
     t12 = np.full(len(m), np.nan)
     t21 = np.full(len(m), np.nan)
     ok = ~singular
@@ -122,10 +125,11 @@ def _kernel(v: Mapping[str, object]):
     """
     tau1, tau2, chi1, chi2, D = transfer_coefficients(v)
     abs_d = abs(D)
-    band = abs_d < LU_GUARD_BAND * pole_thresholds(v)
+    thresholds = pole_thresholds(v)
+    band = abs_d < LU_GUARD_BAND * thresholds
     if isinstance(abs_d, float):
         if band:
-            t12, t21, singular = _lu_transmission(v)
+            t12, t21, singular = _lu_transmission(v, thresholds)
             return float(t12[0]), float(t21[0]), bool(singular[0])
         pref = math.sqrt(abs(v["kappa1"] * v["kappa2"]))
         return (pref * abs(1j * chi1 - chi2) / abs_d,
@@ -139,7 +143,8 @@ def _kernel(v: Mapping[str, object]):
     if np.any(band):
         sub = {k: np.broadcast_to(x, band.shape)[band]
                if isinstance(x, np.ndarray) else x for k, x in v.items()}
-        t12[band], t21[band], singular[band] = _lu_transmission(sub)
+        t12[band], t21[band], singular[band] = _lu_transmission(
+            sub, np.broadcast_to(thresholds, band.shape)[band])
     return t12, t21, singular
 
 
@@ -194,9 +199,12 @@ def transmission_arrays(v: Mapping[str, object]
 
 
 def _require_open_ports(p: ModelParams) -> None:
+    """Validate ``p`` and require both ports open (kappa1, kappa2 > 0)."""
     ensure_valid(p)
     if p.kappa1 <= 0.0 or p.kappa2 <= 0.0:
-        raise ValueError("transmission needs strictly positive cavity decay rates")
+        raise InvalidParams(
+            "transmission needs strictly positive cavity decay rates "
+            f"(got kappa1={p.kappa1}, kappa2={p.kappa2})")
 
 
 def transmission_pair(p: ModelParams, y: float) -> TransmissionPoint:

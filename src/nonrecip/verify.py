@@ -87,7 +87,7 @@ def check_determinant(draws: int, rng: np.random.Generator) -> CheckResult:
     for _ in range(draws):
         p = random_params(rng)
         y = float(rng.uniform(-5.0, 5.0))
-        m = build_system_matrix(p, y).entries
+        m = build_system_matrix(p, y)
         det = complex(np.linalg.det(m))
         d = closed_form_coefficients(p, y).D
         worst = max(worst, _crel(det, d))
@@ -141,8 +141,8 @@ def check_transpose_structure(draws: int, rng: np.random.Generator) -> CheckResu
         p = random_params(rng)
         q = replace(p, theta=-p.theta, phi=-p.phi)
         y = float(rng.uniform(-5.0, 5.0))
-        a = build_system_matrix(p, y).entries
-        b = build_system_matrix(q, y).entries
+        a = build_system_matrix(p, y)
+        b = build_system_matrix(q, y)
         scale = float(np.max(np.abs(a))) or 1.0
         worst = max(worst, float(np.max(np.abs(a.T - b))) / scale)
     return CheckResult("transpose_structure", worst < 1e-12,

@@ -121,7 +121,7 @@ def test_criterion_06_determinant_identity():
     for _ in range(1000):
         p = random_params(rng)
         y = float(rng.uniform(-5.0, 5.0))
-        det = complex(np.linalg.det(build_system_matrix(p, y).entries))
+        det = complex(np.linalg.det(build_system_matrix(p, y)))
         d = closed_form_coefficients(p, y).D
         worst = max(worst, abs(det - d) / max(abs(det), abs(d), 1e-30))
     _report(6, worst < 1e-10,

@@ -104,6 +104,20 @@ def test_invalid_params_content(tmp_path, base_params, capsys):
     assert "kappa1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("closed", ["kappa1", "kappa2"])
+def test_closed_port_is_exit_1(tmp_path, base_params, capsys, closed):
+    payload = model_params_to_dict(base_params(0.0))
+    payload[closed] = 0.0
+    path = tmp_path / "closed.json"
+    path.write_text(json.dumps(payload))
+    rc = cli_main(["spectrum", "--params", str(path), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{closed}=0.0" in err
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
 def test_usage_error_is_exit_1(capsys):
     assert cli_main(["spectrum"]) == 1  # --params is required
     assert cli_main([]) == 1

@@ -1,6 +1,7 @@
 """Coupling-design algebra: R coefficients, root candidates, validation."""
 
 import cmath
+import json
 import math
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from nonrecip import (
     InvalidParams,
     NoValidDesign,
     RateUnit,
+    SingularMatrix,
     ZeroJ3,
     design_isolator,
     design_to_dict,
@@ -247,6 +249,25 @@ def test_design_report_serialization():
     assert cand["J3"] == {"re": d.chosen_candidate.J3.real,
                           "im": d.chosen_candidate.J3.imag}
     assert rep["model_params"]["J2"]["im"] != 0.0
-    # rejected candidates serialize their missing transmissions as null
-    rejected = [c for c in rep["root_candidates"] if c["direction"] == "rejected"]
-    assert all(c["T12_at_resonance"] is None for c in rejected)
+    # one candidate per root of the quartic
+    assert len(rep["root_candidates"]) == 4
+
+
+def test_design_report_serializes_missing_transmissions_as_null(monkeypatch):
+    import nonrecip.design as design_mod
+
+    def at_pole(p, y):
+        raise SingularMatrix(f"response matrix is singular at y={y}")
+
+    monkeypatch.setattr(design_mod, "transmission_pair", at_pole)
+    with pytest.raises(NoValidDesign) as exc_info:
+        design_isolator(10.0, 1.0, 0.01, 1.0)
+    rep = design_to_dict(exc_info.value.design)
+    assert rep["chosen"] is None and "model_params" not in rep
+    singular = [c for c in rep["root_candidates"] if c["direction"] == "singular"]
+    assert singular
+    for c in singular:
+        assert c["T12_at_resonance"] is None
+        assert c["T21_at_resonance"] is None
+    # NaN never reaches the JSON text
+    json.dumps(rep, allow_nan=False)

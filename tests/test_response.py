@@ -15,7 +15,8 @@ from nonrecip import (
     solve_response,
 )
 from nonrecip.response import (
-    singularity_thresholds,
+    SINGULARITY_RTOL,
+    pole_thresholds,
     system_matrices,
     transfer_coefficients,
 )
@@ -47,9 +48,7 @@ def test_matrix_entries(base_params):
     th, ph = 0.7, 1.3
     p = base_params(th, ph, kappa1=1.5, kappa2=0.5, J3=2.0 - 0.3j)
     y = 0.25
-    rm = build_system_matrix(p, y)
-    assert rm.y == y
-    m = rm.entries
+    m = build_system_matrix(p, y)
     assert m[0, 0] == p.kappa1 - 1j * y
     assert m[1, 1] == p.kappa2 - 1j * y
     assert m[2, 2] == p.f - 1j * y
@@ -66,7 +65,7 @@ def test_matrix_entries(base_params):
 
 def test_uncoupled_matrix_is_diagonal(base_params):
     p = base_params(0.0, G1=0.0, G2=0.0, J1=0.0, J2=0.0, J3=0.0, f=3.0)
-    m = build_system_matrix(p, 0.0).entries
+    m = build_system_matrix(p, 0.0)
     np.testing.assert_array_equal(
         m, np.diag([p.kappa1, p.kappa2, p.f, p.gamma]).astype(complex))
 
@@ -75,7 +74,7 @@ def test_quadrature_phase_first_row(base_params):
     # at theta = phi = pi/2 the J2 entry rotates onto the negative real axis
     # and the ensemble/mechanics entry i*J3 becomes real for imaginary J3
     p = base_params(math.pi / 2)
-    m = build_system_matrix(p, 0.0).entries
+    m = build_system_matrix(p, 0.0)
     np.testing.assert_allclose(m[0], [1.0, 0.5j, -0.01, 0.5j],
                                rtol=0, atol=1e-15)
     assert m[2, 3] == pytest.approx(-4.476)
@@ -84,7 +83,7 @@ def test_quadrature_phase_first_row(base_params):
 def test_determinant_matches_cofactor_oracle(rng):
     for _ in range(50):
         p = random_params(rng)
-        m = build_system_matrix(p, float(rng.normal())).entries
+        m = build_system_matrix(p, float(rng.normal()))
         det = np.linalg.det(m)
         oracle = _cofactor_det(m)
         assert abs(det - oracle) <= 1e-12 * max(abs(det), abs(oracle))
@@ -106,7 +105,7 @@ def test_solve_response_single_cavity(base_params):
 
 def test_solve_matches_cofactor_inverse(base_params):
     p = base_params(math.pi / 2)
-    m = build_system_matrix(p, 0.0).entries
+    m = build_system_matrix(p, 0.0)
     oracle = _cofactor_inverse(m) @ np.array([1.0, 0, 0, 0], dtype=complex)
     sol = solve_response(p, 0.0, 1.0, 0.0)
     got = np.array([sol.da1, sol.da2, sol.dd, sol.db])
@@ -117,7 +116,7 @@ def test_solve_residual_small(base_params, rng):
     for _ in range(20):
         p = random_params(rng)
         sol = solve_response(p, float(rng.normal()), 1.0, 0.7)
-        m = build_system_matrix(p, sol.y).entries
+        m = build_system_matrix(p, sol.y)
         x = np.array([sol.da1, sol.da2, sol.dd, sol.db])
         b = np.array([1.0, 0.7, 0.0, 0.0])
         assert np.linalg.norm(m @ x - b) / np.linalg.norm(b) < 1e-10
@@ -163,25 +162,8 @@ def test_determinant_formula_matches_numeric(base_params, rng):
     for _ in range(100):
         p = random_params(rng)
         y = float(rng.normal())
-        num = np.linalg.det(build_system_matrix(p, y).entries)
+        num = np.linalg.det(build_system_matrix(p, y))
         assert abs(closed_form_coefficients(p, y).D - num) <= 1e-10 * abs(num)
-
-
-def test_printed_determinant_variant(base_params):
-    # the as-printed variant of one cross term lacks a J1 factor; the two
-    # variants must coincide at y = 0 and split off resonance, where only
-    # the corrected one tracks the numeric determinant
-    p = base_params(0.4, 2.0, J1=0.7)
-    y = 0.6
-    corrected = closed_form_coefficients(p, y).D
-    printed = closed_form_coefficients(p, y, as_printed=True).D
-    assert corrected != printed
-    num = np.linalg.det(build_system_matrix(p, y).entries)
-    assert abs(corrected - num) <= 1e-12 * abs(num)
-    assert abs(printed - num) > 1e-6 * abs(num)
-    on_res = closed_form_coefficients(p, 0.0)
-    on_res_printed = closed_form_coefficients(p, 0.0, as_printed=True)
-    assert on_res_printed.D == pytest.approx(on_res.D, rel=1e-13)
 
 
 def test_singular_pole_detected(base_params):
@@ -206,12 +188,15 @@ def test_batched_matrices_match_scalar(base_params):
     assert mats.shape == (7, 4, 4)
     for k, y in enumerate(ys):
         np.testing.assert_array_equal(mats[k],
-                                      build_system_matrix(p, float(y)).entries)
-    thr = singularity_thresholds(mats)
+                                      build_system_matrix(p, float(y)))
+    # the analytic row norms agree with the numeric ones of the built matrices
+    thr = pole_thresholds(dict(vars(p), y=ys))
+    ref = SINGULARITY_RTOL * np.prod(np.linalg.norm(mats, axis=2), axis=1)
     assert thr.shape == (7,) and np.all(thr > 0)
+    np.testing.assert_allclose(thr, ref, rtol=1e-14, atol=0)
 
 
-def _term_expansion(v, as_printed):
+def _term_expansion(v):
     """tau1, tau2, chi1, chi2, D term by term, through the auxiliary D1..D9."""
     k1, k2, g, f = v["kappa1"], v["kappa2"], v["gamma"], v["f"]
     G1, G2, J1, J2, J3 = v["G1"], v["G2"], v["J1"], v["J2"], v["J3"]
@@ -232,26 +217,24 @@ def _term_expansion(v, as_printed):
     D7 = -g * f - g * k2 - f * k1 - k1 * k2 - f * k2 - g * k1
     D8 = g * f - 1j * f * y - 1j * g * y
     D9 = k1 + k2
-    cross = 1.0 if as_printed else J1
     D = (-2 * J1 * J2 * J3 * G2 * math.cos(th - ph)
          - 2j * J2 * J3 * k2 * G1 * math.cos(ph)
          - 2j * J1 * G1 * G2 * f * math.cos(th)
          - 2 * J2 * J3 * G1 * y * math.cos(ph)
-         - 2 * cross * G1 * G2 * y * math.cos(th)
+         - 2 * J1 * G1 * G2 * y * math.cos(th)
          + G2**2 * D1 + G1**2 * D2 + J2**2 * D3 + J1**2 * D4 + J3**2 * D5
          + y**3 * D6 + y**2 * D7 + k1 * k2 * D8 - 1j * g * f * y * D9 + y**4)
     return tau1, tau2, chi1, chi2, D
 
 
-@pytest.mark.parametrize("as_printed", [False, True])
-def test_transfer_coefficients_match_term_expansion(as_printed):
+def test_transfer_coefficients_match_term_expansion():
     rng = np.random.default_rng(5150)
     ys = np.linspace(-5.0, 5.0, 201)
     for _ in range(20):
         p = random_params(rng)
-        got = transfer_coefficients(dict(vars(p), y=ys), as_printed)
+        got = transfer_coefficients(dict(vars(p), y=ys))
         for k, y in enumerate(ys.tolist()):
-            ref = _term_expansion(dict(vars(p), y=y), as_printed)
+            ref = _term_expansion(dict(vars(p), y=y))
             for name, a, b in zip(("tau1", "tau2", "chi1", "chi2", "D"),
                                   got, ref):
                 assert abs(a[k] - b) <= 1e-10 * abs(b), (name, p, y)

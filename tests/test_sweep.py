@@ -51,8 +51,6 @@ def test_axis_validation():
         Axis("y", 0.0, 1.0, 0)
     with pytest.raises(ValueError):
         Axis("y", 1.0, 0.0, 5)
-    with pytest.raises(ValueError):
-        Axis("y", 0.0, 1.0, 5, scale="log")
     assert Axis("y", -1.0, 1.0, 3).grid().tolist() == [-1.0, 0.0, 1.0]
 
 

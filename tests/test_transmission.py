@@ -10,6 +10,7 @@ import pytest
 from nonrecip import (
     Axis,
     Direction,
+    InvalidParams,
     IsolationMetrics,
     SingularMatrix,
     SweepSpec,
@@ -61,6 +62,21 @@ def _assert_matches_lu(p, ys, t12, t21, singular):
 
 def test_zero_probe_zero_output(base_params):
     assert output_fields(base_params(1.0), 0.2, 0.0, 0.0) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("closed", ["kappa1", "kappa2"])
+def test_closed_port_rejected_everywhere(base_params, closed):
+    # transmission and the output fields need both ports open
+    p = base_params(HALF_PI, **{closed: 0.0})
+    calls = (
+        lambda: transmission_pair(p, 0.0),
+        lambda: transmission_grid(p, np.linspace(-1.0, 1.0, 5)),
+        lambda: output_fields(p, 0.0, 1.0, 0.0),
+        lambda: sweep(SweepSpec(fixed=p, axis1=Axis("y", -1.0, 1.0, 5))),
+    )
+    for call in calls:
+        with pytest.raises(InvalidParams, match=f"{closed}=0.0"):
+            call()
 
 
 def test_critically_coupled_cavity_absorbs_on_resonance(base_params):
