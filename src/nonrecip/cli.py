@@ -15,6 +15,7 @@ import sys
 from .design import NoValidDesign, design_isolator, design_to_dict
 from .params import (
     RateUnit,
+    _write_json,
     bare_params_from_dict,
     bare_params_to_dict,
     convert_unit,
@@ -71,10 +72,12 @@ def _load_model_params(path: str, unit: str | None):
     return p
 
 
-def _write_json(payload: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _emit_report(payload: dict, out_dir: str | None, name: str) -> int:
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        _write_json(payload, os.path.join(out_dir, name))
+    print(json.dumps(payload, indent=2, sort_keys=True))
+    return 0
 
 
 def _emit_table(table, args, name: str) -> int:
@@ -117,11 +120,7 @@ def _cmd_steady(args) -> int:
         "drives": drives_to_dict(drives),
         "steady_state": steady_state_to_dict(state),
     }
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_json(payload, os.path.join(args.out, "steady.json"))
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
+    return _emit_report(payload, args.out, "steady.json")
 
 
 def _cmd_design(args) -> int:
@@ -129,11 +128,7 @@ def _cmd_design(args) -> int:
     design = design_isolator(args.kappa1, args.kappa2, args.gamma, args.f,
                              unit=unit)
     payload = dict(schema_version=SCHEMA_VERSION, **design_to_dict(design))
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_json(payload, os.path.join(args.out, "design.json"))
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
+    return _emit_report(payload, args.out, "design.json")
 
 
 def _cmd_figure(args) -> int:

@@ -15,6 +15,7 @@ them losslessly.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -36,6 +37,12 @@ def wrap_phase(x: float) -> float:
     if w >= TWO_PI:  # fmod can land exactly on 2*pi after the shift
         w -= TWO_PI
     return w + 0.0
+
+
+def _require_finite(obj) -> None:
+    for name, value in vars(obj).items():
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -197,6 +204,7 @@ class BareParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "J2", complex(self.J2))
         object.__setattr__(self, "J3", complex(self.J3))
+        _require_finite(self)
         if not self.omega_m > 0.0:
             raise ValueError("omega_m must be positive")
         for name in ("kappa1", "kappa2", "gamma", "f"):
@@ -217,6 +225,7 @@ class Drives:
     def __post_init__(self) -> None:
         object.__setattr__(self, "E1", complex(self.E1))
         object.__setattr__(self, "E2", complex(self.E2))
+        _require_finite(self)
         if self.Ep1 < 0.0 or self.Ep2 < 0.0:
             raise ValueError("probe amplitudes must be nonnegative")
 
@@ -346,10 +355,15 @@ def steady_state_to_dict(s: SteadyState) -> dict:
     }
 
 
-def save_params(path: str, p: ModelParams) -> None:
+def _write_json(payload: dict, path: str) -> None:
+    # the one layout of every JSON report and saved parameter file
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_params_to_dict(p), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def save_params(path: str, p: ModelParams) -> None:
+    _write_json(model_params_to_dict(p), path)
 
 
 def load_params(path: str) -> ModelParams:

@@ -6,10 +6,9 @@ mechanical displacement, Delta_j_eff = Delta_j + 2 g_j Re(beta), making the
 system nonlinear through |alpha_j|^2 and Re(beta). A damped Newton
 iteration on the eight real components solves it; the zero state is the
 exact weak-drive limit and serves as the initial guess, with a drive-ramp
-homotopy as the automatic retry and a damped fixed-point sweep as the
-fallback when the Newton step is unsolvable. Under strong drive the system
-can be multistable; the returned branch is the one continuously connected
-to zero drive.
+homotopy as the automatic retry. Under strong drive the system can be
+multistable; the returned branch is the one continuously connected to zero
+drive.
 
 `effective_couplings` and `linearized_params` convert a converged state
 into the parameter set consumed by the linear response machinery.
@@ -179,50 +178,6 @@ def _newton(p: BareParams, d: Drives, cfg: SolverConfig,
     raise NonConvergence("iteration budget exhausted", best)
 
 
-def _fixed_point(p: BareParams, d: Drives, cfg: SolverConfig,
-                 x0: np.ndarray, weight: float = 0.5,
-                 max_sweeps: int = 20000) -> tuple[np.ndarray, float, int]:
-    # Gauss-Seidel sweep: linear cavity block at frozen rho/beta, then the
-    # ensemble and mechanical closures, under-relaxed for stability
-    a1, a2, rho, beta = _unpack(np.asarray(x0, dtype=float))
-    den_r = 1j * p.Delta_en + p.f
-    den_b = 1j * p.omega_m + p.gamma
-    if den_r == 0 or den_b == 0:
-        raise SingularJacobian("ensemble or mechanical response diverges")
-    n = math.inf
-    for sweep in range(1, max_sweeps + 1):
-        D1 = p.Delta1 + 2.0 * p.g1 * beta.real
-        D2 = p.Delta2 + 2.0 * p.g2 * beta.real
-        m = np.array([[1j * D1 + p.kappa1, 1j * p.J1],
-                      [1j * p.J1, 1j * D2 + p.kappa2]], dtype=complex)
-        rhs = np.array([d.E1 - 1j * p.J2 * rho, d.E2], dtype=complex)
-        try:
-            na = np.linalg.solve(m, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(f"cavity block unsolvable: {exc}") from exc
-        na1, na2 = complex(na[0]), complex(na[1])
-        nrho = -(1j * p.J2.conjugate() * na1 + 2j * p.J3 * beta.real) / den_r
-        nbeta = -(1j * p.g1 * abs(na1) ** 2 + 1j * p.g2 * abs(na2) ** 2
-                  + 2j * p.J3 * nrho.real) / den_b
-        a1 = (1.0 - weight) * a1 + weight * na1
-        a2 = (1.0 - weight) * a2 + weight * na2
-        rho = (1.0 - weight) * rho + weight * nrho
-        beta = (1.0 - weight) * beta + weight * nbeta
-        x = _pack(a1, a2, rho, beta)
-        n = float(np.linalg.norm(_residual_vec(p, d, x)))
-        if n < cfg.tol:
-            return x, n, sweep
-    raise NonConvergence("fixed-point fallback exhausted", n)
-
-
-def _solve_once(p: BareParams, d: Drives, cfg: SolverConfig,
-                x0: np.ndarray) -> tuple[np.ndarray, float, int]:
-    try:
-        return _newton(p, d, cfg, x0)
-    except SingularJacobian:
-        return _fixed_point(p, d, cfg, x0)
-
-
 def _state(p: BareParams, x: np.ndarray, n: float, its: int) -> SteadyState:
     a1, a2, rho, beta = _unpack(x)
     return SteadyState(
@@ -248,7 +203,8 @@ def solve_steady_state(p: BareParams, d: Drives,
     NonConvergence
         Both the direct solve and the homotopy retry ran out of budget.
     SingularJacobian
-        The Newton step was unsolvable and the fixed-point fallback failed.
+        A Newton step, direct or within the ramp, was singular or not
+        finite.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -256,7 +212,7 @@ def solve_steady_state(p: BareParams, d: Drives,
     x0 = zero if initial is None else _pack(
         initial.alpha1, initial.alpha2, initial.rho, initial.beta)
     try:
-        x, n, its = _solve_once(p, d, cfg, x0)
+        x, n, its = _newton(p, d, cfg, x0)
         return _state(p, x, n, its)
     except NonConvergence as err:
         best = err.best_residual
@@ -265,7 +221,7 @@ def solve_steady_state(p: BareParams, d: Drives,
         for k in range(1, 11):
             s = k / 10.0
             dk = replace(d, E1=d.E1 * s, E2=d.E2 * s)
-            x, n, its = _solve_once(p, dk, cfg, x)
+            x, n, its = _newton(p, dk, cfg, x)
             total += its
     except NonConvergence as err:
         raise NonConvergence("drive-ramp homotopy failed",

@@ -33,6 +33,7 @@ from .params import (
     InvalidParams,
     ModelParams,
     RateUnit,
+    _write_json,
     model_params_to_dict,
 )
 from .transmission import _require_open_ports, isolation_db, transmission_arrays
@@ -438,10 +439,7 @@ def reproduce_figure(fid: str, out_dir: str = ".") -> dict:
         },
         "landmarks": landmarks,
     }
-    with open(os.path.join(out_dir, f"{fid}_summary.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(summary, os.path.join(out_dir, f"{fid}_summary.json"))
     return summary
 
 

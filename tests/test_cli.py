@@ -3,6 +3,9 @@
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -22,15 +25,26 @@ def params_file(tmp_path, base_params):
     return str(path)
 
 
-@pytest.fixture
-def steady_file(tmp_path):
+def _steady_payload(**changes):
+    # each keyword merges fields into that section, or drops it when None
     payload = {
         "bare": {"Delta1": 10.0, "Delta2": 10.0, "Delta_en": 10.0,
                  "omega_m": 10.0, "g1": 0.004, "g2": 0.004, "J1": 0.5,
                  "J2": 0.01, "J3": {"re": 0.0, "im": 4.476},
                  "kappa1": 1.0, "kappa2": 1.0, "gamma": 1.0, "f": 10.0},
-        "drives": {"E1": 100.0, "E2": {"re": 0.0, "im": 100.0}},
+        "drives": {"E1": 100.0},
     }
+    for section, fields in changes.items():
+        if fields is None:
+            del payload[section]
+        else:
+            payload[section] = {**payload.get(section, {}), **fields}
+    return payload
+
+
+@pytest.fixture
+def steady_file(tmp_path):
+    payload = _steady_payload(drives={"E2": {"re": 0.0, "im": 100.0}})
     path = tmp_path / "steady.json"
     path.write_text(json.dumps(payload))
     return str(path)
@@ -167,19 +181,47 @@ def test_steady_writes_report(tmp_path, steady_file):
 
 
 def test_steady_nonconvergence_is_exit_2(tmp_path, capsys):
-    payload = {
-        "bare": {"Delta1": 10.0, "Delta2": 10.0, "Delta_en": 10.0,
-                 "omega_m": 10.0, "g1": 0.004, "g2": 0.004, "J1": 0.5,
-                 "J2": 0.01, "J3": {"re": 0.0, "im": 4.476},
-                 "kappa1": 1.0, "kappa2": 1.0, "gamma": 1.0, "f": 10.0},
-        "drives": {"E1": 50.0},
-        "solver": {"tol": 1e-30, "max_iter": 2},
-    }
+    payload = _steady_payload(drives={"E1": 50.0},
+                              solver={"tol": 1e-30, "max_iter": 2})
     path = tmp_path / "hard.json"
     path.write_text(json.dumps(payload))
     rc = cli_main(["steady", "--params", str(path)])
     assert rc == 2
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, payload, named", [
+    ("spectrum", {"kappa2": 1.0, "gamma": 1.0, "f": 10.0, "G1": 0.5,
+                  "G2": 0.5, "theta": 0.0, "J1": 0.5, "J2": 0.01, "phi": 0.0,
+                  "J3": {"re": 0.0, "im": 4.476}}, "kappa1"),
+    ("steady", _steady_payload(bare=None), "bare"),
+    ("steady", _steady_payload(solver={"tol": 1e-12, "steps": 3}), "steps"),
+    ("steady", _steady_payload(bare={"gamma": math.nan}), "gamma"),
+], ids=["spectrum-missing-field", "steady-no-bare", "steady-unknown-solver-key",
+        "steady-nan-rate"])
+def test_bad_input_file_is_exit_1(tmp_path, capsys, command, payload, named):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))  # NaN is written as the bare literal
+    out = tmp_path / "out"
+    rc = cli_main([command, "--params", str(path), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+    assert not out.exists() or not os.listdir(out)
+
+
+def test_module_entry_point():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "nonrecip", "verify", "--draws", "3"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    passed = [ln for ln in proc.stdout.splitlines() if ln.startswith("PASS ")]
+    assert len(passed) == 8
 
 
 def test_design_subcommand(tmp_path, capsys):

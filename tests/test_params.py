@@ -139,6 +139,23 @@ def test_bare_params_constraints():
                    kappa1=-1.0, kappa2=1.0, gamma=1.0, f=1.0)
 
 
+_BARE = dict(Delta1=10.0, Delta2=10.0, Delta_en=10.0, omega_m=10.0,
+             g1=4e-3, g2=4e-3, J1=0.5, J2=0.01, J3=4.476j,
+             kappa1=1.0, kappa2=1.0, gamma=1.0, f=10.0)
+
+
+@pytest.mark.parametrize("cls, base, field, value", [
+    (BareParams, _BARE, "kappa1", math.nan),
+    (BareParams, _BARE, "omega_m", math.inf),
+    (BareParams, _BARE, "J3", complex(math.nan, 1.0)),
+    (Drives, {}, "E1", math.nan),
+    (Drives, {}, "Ep1", math.nan),
+], ids=["kappa1-nan", "omega_m-inf", "J3-nan", "E1-nan", "Ep1-nan"])
+def test_non_finite_field_rejected(cls, base, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        cls(**{**base, field: value})
+
+
 def test_drives_round_trip_and_constraints():
     d = Drives(E1=1.0 + 2.0j, E2=-0.5j, Ep1=1.0, Ep2=0.25, delta=10.3)
     assert drives_from_dict(drives_to_dict(d)) == d

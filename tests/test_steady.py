@@ -1,6 +1,7 @@
 """Nonlinear operating-point solver and the linearization bridge."""
 
 import cmath
+import importlib
 import math
 from dataclasses import replace
 
@@ -20,7 +21,9 @@ from nonrecip import (
     solve_steady_state,
     steady_residual,
 )
-from nonrecip.steady import NonConvergence
+from nonrecip.steady import NonConvergence, SingularJacobian
+
+steady_mod = importlib.import_module("nonrecip.steady")
 
 
 def _bare(**overrides):
@@ -33,7 +36,7 @@ def _bare(**overrides):
 
 def _fixed_point_oracle(b, d, mix=0.4, tol=1e-13, max_sweeps=200000):
     # plain damped Jacobi iteration on the update maps; deliberately a
-    # different algorithm from the package's Newton/Gauss-Seidel pair
+    # different algorithm from the package's Newton solver
     a1 = a2 = rho = beta = 0j
     den_r = 1j * b.Delta_en + b.f
     den_b = 1j * b.omega_m + b.gamma
@@ -239,3 +242,33 @@ def test_homotopy_handles_strong_drive():
     s = solve_steady_state(b, d)
     assert s.residual_norm < 1e-10
     assert np.linalg.norm(steady_residual(b, d, s)) < 1e-10
+
+
+def test_drive_ramp_rescues_direct_failure(monkeypatch):
+    # detuned, complex-coupled point where direct Newton from zero drive
+    # stalls but the 10-step drive ramp converges
+    b = BareParams(Delta1=1.4, Delta2=1.4, Delta_en=1.4, omega_m=1.4,
+                   g1=0.0082, g2=0.0053, J1=1.0, J2=0.23, J3=-0.59 - 0.073j,
+                   kappa1=0.25, kappa2=0.73, gamma=0.3, f=0.25)
+    d = Drives(E1=-60.0 - 18.0j, E2=1.1 - 0.37j)
+    with pytest.raises(NonConvergence, match="line search stalled"):
+        steady_mod._newton(b, d, SolverConfig(), np.zeros(8))
+    calls = []
+    newton = steady_mod._newton
+
+    def counted(*args):
+        calls.append(args)
+        return newton(*args)
+
+    monkeypatch.setattr(steady_mod, "_newton", counted)
+    s = solve_steady_state(b, d)
+    assert len(calls) == 11  # the direct attempt plus 10 ramp steps
+    assert np.linalg.norm(steady_residual(b, d, s)) < 1e-12
+
+
+def test_singular_newton_step_raises():
+    # cavity 1 decoupled, undamped and on resonance: its linear block of the
+    # Jacobian is zero, so the very first Newton step is unsolvable
+    b = _bare(kappa1=0.0, Delta1=0.0, J1=0.0, J2=0.0, g1=0.0)
+    with pytest.raises(SingularJacobian):
+        solve_steady_state(b, Drives(E1=30.0))
