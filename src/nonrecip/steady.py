@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,6 +45,10 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError("tol must be a positive finite number")
+        # bool subclasses int, but True is no iteration budget
+        if (isinstance(self.max_iter, bool)
+                or not isinstance(self.max_iter, numbers.Integral)):
+            raise ValueError("max_iter must be an integer")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if not (0.0 < self.damping <= 1.0):

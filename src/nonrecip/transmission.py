@@ -243,13 +243,29 @@ def isolation_db(t12, t21):
 
     0 where the two directions agree to 1e-9 relative (reciprocal),
     ISOLATION_DB_CAP where the ratio exceeds the cap or the smaller one is
-    0, NaN where either is NaN (a pole).
+    0, NaN where either is NaN (a pole). Two Python floats give a Python
+    float, the value the array rule gives at that pair; anything else
+    gives an array.
     """
+    # exactly float: np.float64 scalars warn where a division overflows
+    if type(t12) is float and type(t21) is float:
+        hi, lo = (t12, t21) if t12 > t21 else (t21, t12)
+        if abs(t12 - t21) <= 1e-9 * max(hi, 1e-30):
+            return 0.0
+        # np.log10 as for arrays: math.log10 differs in the last bit
+        if lo > 0.0:
+            db = np.log10(hi / lo)  # of a ratio >= 1, inf or NaN: no warning
+        else:
+            # a zero, negative or NaN side: IEEE division, as for arrays
+            with np.errstate(all="ignore"):
+                db = np.log10(np.float64(hi) / lo)
+        return min(20.0 * float(db), ISOLATION_DB_CAP)
     hi = np.maximum(t12, t21)
     with np.errstate(all="ignore"):
         db = np.minimum(20.0 * np.log10(hi / np.minimum(t12, t21)),
                         ISOLATION_DB_CAP)
-    return np.where(np.abs(t12 - t21) <= 1e-9 * np.maximum(hi, 1e-30), 0.0, db)
+        return np.where(np.abs(t12 - t21) <= 1e-9 * np.maximum(hi, 1e-30),
+                        0.0, db)
 
 
 def isolation_metrics(tp: TransmissionPoint) -> IsolationMetrics:

@@ -36,22 +36,35 @@ class CheckResult:
     detail: str
 
 
+# (low, high - low) of each uniform draw of random_params, in draw order:
+# log10 of kappa1, kappa2, f, G1, G2; theta; log10 of J1, J2; phi;
+# log10 |J3|; arg J3
+_LOG_RATE = (-2.0, 4.0)
+_PHASE = (0.0, 2.0 * math.pi)
+_DRAWS = (_LOG_RATE,) * 5 + (_PHASE, _LOG_RATE, _LOG_RATE, _PHASE,
+                             _LOG_RATE, _PHASE)
+_GAMMA_UNIT = RateUnit("gamma", 1.0)
+
+
 def random_params(rng: np.random.Generator) -> ModelParams:
     """A random parameter draw: rates log-uniform over [1e-2, 1e2]*gamma.
 
     gamma itself is pinned to 1 (everything is quoted relative to it),
     phases are uniform, and J3 gets a log-uniform magnitude with a uniform
     complex phase.
-    """
-    def rate() -> float:
-        return float(10.0 ** rng.uniform(-2.0, 2.0))
 
+    The 11 uniforms come from one ``rng.random`` call, each mapped to
+    ``low + span * u`` as ``rng.uniform(low, high)`` maps its draw, and the
+    powers of 10 are taken on Python floats; so the parameters and the
+    generator's state afterwards are those of 11 ``rng.uniform`` calls.
+    """
+    k1, k2, f, G1, G2, theta, J1, J2, phi, J3, arg = (
+        low + span * u for (low, span), u in zip(_DRAWS, rng.random(11).tolist()))
     return ModelParams(
-        kappa1=rate(), kappa2=rate(), gamma=1.0, f=rate(),
-        G1=rate(), G2=rate(), theta=float(rng.uniform(0.0, 2.0 * math.pi)),
-        J1=rate(), J2=rate(), phi=float(rng.uniform(0.0, 2.0 * math.pi)),
-        J3=rate() * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)),
-        unit=RateUnit("gamma", 1.0),
+        kappa1=10.0 ** k1, kappa2=10.0 ** k2, gamma=1.0, f=10.0 ** f,
+        G1=10.0 ** G1, G2=10.0 ** G2, theta=theta,
+        J1=10.0 ** J1, J2=10.0 ** J2, phi=phi,
+        J3=10.0 ** J3 * cmath.exp(1j * arg), unit=_GAMMA_UNIT,
     )
 
 
@@ -227,7 +240,15 @@ _CHECKS = (
 
 def run_verification(draws: int = DEFAULT_DRAWS,
                      seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Run every invariant check with a fresh seeded generator per check."""
+    """Run every invariant check with a fresh seeded generator per check.
+
+    Raises
+    ------
+    ValueError
+        If ``draws`` is below 1: a check over no draws passes vacuously.
+    """
+    if draws < 1:
+        raise ValueError("draws must be at least 1")
     results = []
     for i, check in enumerate(_CHECKS):
         rng = np.random.default_rng(seed + i)

@@ -197,8 +197,12 @@ def test_steady_nonconvergence_is_exit_2(tmp_path, capsys):
     ("steady", _steady_payload(bare=None), "bare"),
     ("steady", _steady_payload(solver={"tol": 1e-12, "steps": 3}), "steps"),
     ("steady", _steady_payload(bare={"gamma": math.nan}), "gamma"),
+    ("steady", _steady_payload(solver={"max_iter": 2.5}),
+     "max_iter must be an integer"),
+    ("steady", _steady_payload(solver={"max_iter": True}),
+     "max_iter must be an integer"),
 ], ids=["spectrum-missing-field", "steady-no-bare", "steady-unknown-solver-key",
-        "steady-nan-rate"])
+        "steady-nan-rate", "steady-float-max-iter", "steady-bool-max-iter"])
 def test_bad_input_file_is_exit_1(tmp_path, capsys, command, payload, named):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))  # NaN is written as the bare literal
@@ -281,6 +285,15 @@ def test_verify_subcommand(capsys):
     lines = [ln for ln in out.splitlines() if ln]
     assert len(lines) >= 8
     assert all(ln.startswith("PASS") for ln in lines)
+
+
+@pytest.mark.parametrize("draws", ["0", "-5"])
+def test_verify_rejects_draws_below_one(capsys, draws):
+    rc = cli_main(["verify", "--draws", draws])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: draws must be at least 1\n"
 
 
 def test_bad_thread_env_is_exit_1(tmp_path, params_file, monkeypatch, capsys):

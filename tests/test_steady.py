@@ -155,6 +155,10 @@ def test_solver_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(damping=1.5)
+    for bad in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            SolverConfig(max_iter=bad)
+    assert SolverConfig(max_iter=np.int64(3)).max_iter == 3
 
 
 def test_nonconvergence_reports_best_residual():

@@ -287,3 +287,33 @@ def test_isolation_db_elementwise():
                                          ISOLATION_DB_CAP]
     assert db[2] == pytest.approx(20.0 * math.log10(99.0))
     assert math.isnan(db[5])
+
+
+def _same(a, b):
+    # elementwise equality with NaN equal to NaN
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def test_isolation_db_scalar_matches_array():
+    rng = np.random.default_rng(20240817)
+    t12 = 10.0 ** rng.uniform(-12.0, 1.0, 100_000)
+    t21 = 10.0 ** rng.uniform(-12.0, 1.0, 100_000)
+    # pairs within and just outside the 1e-9 reciprocal tolerance
+    t21[:1000] = t12[:1000] * (1.0 + rng.uniform(-2e-9, 2e-9, 1000))
+    edges = [0.0, 1e-300, 1e-30, 1.0, 1.0 + 0.9e-9, 1.0 + 1.1e-9,
+             1.0 - 0.9e-9, 1.0 - 1.1e-9, 2.0, math.inf, math.nan]
+    pairs = np.array([(a, b) for a in edges for b in edges]).T
+    t12 = np.concatenate([t12, pairs[0]])
+    t21 = np.concatenate([t21, pairs[1]])
+    want = isolation_db(t12, t21).tolist()
+    got = [isolation_db(a, b) for a, b in zip(t12.tolist(), t21.tolist())]
+    assert all(type(g) is float for g in got)
+    mismatched = [(a, b) for a, b, g, w in zip(t12.tolist(), t21.tolist(),
+                                               got, want) if not _same(g, w)]
+    assert mismatched == []
+    # the isolation_metrics tests above cover the cap and the boundary
+    assert math.isnan(isolation_db(1.0, math.nan))
+    assert math.isnan(isolation_db(math.nan, 1.0))
+    m = isolation_metrics(TransmissionPoint(y=0.0, T12=0.25, T21=0.5))
+    assert type(m.isolation_db) is float
+    assert m.isolation_db == float(isolation_db(np.array(0.25), np.array(0.5)))
