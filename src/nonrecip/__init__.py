@@ -34,18 +34,15 @@ from .params import (
     SteadyState,
     TransmissionPoint,
     convert_unit,
-    ensure_valid,
     load_params,
     model_params_from_dict,
     model_params_to_dict,
     save_params,
-    validate_params,
     wrap_phase,
 )
 from .response import (
     ClosedFormCoefficients,
     ResponseSolution,
-    SingularDeterminant,
     SingularMatrix,
     build_system_matrix,
     closed_form_coefficients,
@@ -95,17 +92,17 @@ __all__ = [
     "InvalidParameterPath", "InvalidParams", "IsolationMetrics",
     "IsolatorDesign", "ModelParams", "NoValidDesign", "NonConvergence",
     "RCoefficients", "RateUnit", "ResonanceMisaligned", "ResponseSolution",
-    "SingularDeterminant", "SingularJacobian", "SingularMatrix",
-    "SolverConfig", "SteadyState", "SweepSpec", "SweepTable",
+    "SingularJacobian", "SingularMatrix", "SolverConfig", "SteadyState",
+    "SweepSpec", "SweepTable",
     "TransmissionPoint", "UnknownFigure", "ZeroAmplitude", "ZeroJ3",
     "build_system_matrix", "closed_form_coefficients", "convert_unit",
-    "design_isolator", "design_to_dict",
-    "effective_couplings", "ensure_valid", "figure_ids", "figure_preset",
+    "design_isolator", "design_to_dict", "effective_couplings",
+    "figure_ids", "figure_preset",
     "isolation_metrics", "j2_literal", "j3_roots", "linearized_params",
     "load_params", "model_params_from_dict", "model_params_to_dict",
     "nonreal_residue", "output_fields", "phasemap_spec", "r_coefficients",
     "reproduce_figure", "response_closed_form", "save_params",
     "solve_response", "solve_steady_state", "spectrum_spec",
     "steady_residual", "sweep", "transmission_grid", "transmission_pair",
-    "validate_params", "wrap_phase", "write_csv", "write_json",
+    "wrap_phase", "write_csv", "write_json",
 ]

@@ -26,7 +26,7 @@ _REFERENCES = ("gamma", "kappa2", "absolute")
 
 
 class InvalidParams(ValueError):
-    """Raised when an operation receives a parameter set that fails validation."""
+    """Raised when a parameter set breaks the model's invariants."""
 
 
 def wrap_phase(x: float) -> float:
@@ -94,6 +94,10 @@ class ModelParams:
         (reservoir-mediated) coupling.
     unit : RateUnit
         Normalization shared by every rate-valued field above.
+
+    Construction raises InvalidParams, naming every violation, for a
+    negative or non-finite rate, a non-finite phase or coupling, or a
+    negative real J2.
     """
 
     kappa1: float
@@ -110,43 +114,31 @@ class ModelParams:
     unit: RateUnit = field(default_factory=RateUnit)
 
     def __post_init__(self) -> None:
-        # phases are canonicalized at construction; everything else is
-        # checked by validate_params so invalid sets can still be reported
+        J2, J3 = complex(self.J2), complex(self.J3)
+        violations: list[str] = []
+        for name in ("kappa1", "kappa2", "gamma", "f", "G1", "G2", "J1"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                violations.append(f"{name} finite")
+            elif v < 0.0:
+                violations.append(f"{name} nonnegative")
+        # checked before wrapping, which cannot take a non-finite phase
+        for name in ("theta", "phi"):
+            if not math.isfinite(getattr(self, name)):
+                violations.append(f"{name} finite")
+        for name, z in (("J2", J2), ("J3", J3)):
+            if not cmath.isfinite(z):
+                violations.append(f"{name} finite")
+        # the J2 slot may be complex (designed configurations), but a plain
+        # negative real value is a sign error the phase phi should absorb
+        if J2.imag == 0.0 and J2.real < 0.0:
+            violations.append("J2 nonnegative when real")
+        if violations:
+            raise InvalidParams("invalid parameters: " + "; ".join(violations))
         object.__setattr__(self, "theta", wrap_phase(self.theta))
         object.__setattr__(self, "phi", wrap_phase(self.phi))
-        object.__setattr__(self, "J2", complex(self.J2))
-        object.__setattr__(self, "J3", complex(self.J3))
-
-
-def validate_params(p: ModelParams) -> list[str]:
-    """Return the list of violated invariants of ``p`` (empty means valid)."""
-    violations: list[str] = []
-    for name in ("kappa1", "kappa2", "gamma", "f", "G1", "G2", "J1"):
-        v = getattr(p, name)
-        if not math.isfinite(v):
-            violations.append(f"{name} finite")
-        elif v < 0.0:
-            violations.append(f"{name} nonnegative")
-    for name in ("theta", "phi"):
-        if not math.isfinite(getattr(p, name)):
-            violations.append(f"{name} finite")
-    for name in ("J2", "J3"):
-        z = getattr(p, name)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            violations.append(f"{name} finite")
-    # the J2 slot may be complex (designed configurations), but a plain
-    # negative real value is a sign error the phase phi should absorb
-    if p.J2.imag == 0.0 and p.J2.real < 0.0:
-        violations.append("J2 nonnegative when real")
-    return violations
-
-
-def ensure_valid(p: ModelParams) -> ModelParams:
-    """Raise InvalidParams if ``p`` fails validation; return it unchanged."""
-    violations = validate_params(p)
-    if violations:
-        raise InvalidParams("invalid parameters: " + "; ".join(violations))
-    return p
+        object.__setattr__(self, "J2", J2)
+        object.__setattr__(self, "J3", J3)
 
 
 _RATE_FIELDS = ("kappa1", "kappa2", "gamma", "f", "G1", "G2", "J1")
@@ -375,7 +367,7 @@ __all__ = [
     "BareParams", "Drives", "InvalidParams", "ModelParams", "RateUnit",
     "SteadyState", "TransmissionPoint", "bare_params_from_dict",
     "bare_params_to_dict", "convert_unit", "drives_from_dict",
-    "drives_to_dict", "ensure_valid", "load_params",
+    "drives_to_dict", "load_params",
     "model_params_from_dict", "model_params_to_dict", "save_params",
-    "steady_state_to_dict", "validate_params", "wrap_phase",
+    "steady_state_to_dict", "wrap_phase",
 ]

@@ -19,8 +19,8 @@ reference that `verify` and the tests compare the closed form against.
 
 A1 is written out once, in `system_matrices`, for scalars and arrays
 alike. There is one pole rule: |det A1| below `pole_thresholds`, a
-relative cutoff computed from the parameters. `solve_response` and the
-LU band of the kernel both apply it.
+relative cutoff computed from the parameters. `solve_response`,
+`response_closed_form` and the LU band of the kernel all apply it.
 
 Only the +y (e^{-i y t}) sideband is represented; the -y component vanishes
 identically under the rotating-wave approximation used throughout.
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ModelParams, ensure_valid
+from .params import ModelParams
 
 # scale-invariant pole detection: |det| below this times the product of row
 # norms is treated as singular
@@ -51,10 +51,6 @@ def _expi(x):
 
 class SingularMatrix(ArithmeticError):
     """The response matrix is singular at the requested detuning (a pole)."""
-
-
-class SingularDeterminant(ArithmeticError):
-    """The closed-form determinant vanishes at the requested detuning."""
 
 
 @dataclass(frozen=True)
@@ -122,11 +118,9 @@ def system_matrices(v: Mapping[str, object]) -> np.ndarray:
 def build_system_matrix(p: ModelParams, y: float) -> np.ndarray:
     """The 4x4 system matrix A1 of ``p`` at detuning ``y``.
 
-    ``p`` is validated first. ``y`` is the probe detuning from the
-    mechanical frequency, in ``p.unit`` rates; the entries are those of
-    :func:`system_matrices`.
+    ``y`` is the probe detuning from the mechanical frequency, in
+    ``p.unit`` rates; the entries are those of :func:`system_matrices`.
     """
-    ensure_valid(p)
     return system_matrices(dict(vars(p), y=float(y)))
 
 
@@ -242,7 +236,6 @@ def closed_form_coefficients(p: ModelParams, y: float) -> ClosedFormCoefficients
 
     tau1, tau2, chi1, chi2 and D come from :func:`transfer_coefficients`.
     """
-    ensure_valid(p)
     k1, k2, g, f = p.kappa1, p.kappa2, p.gamma, p.f
     G1, G2 = p.G1, p.G2
     J2, J3 = p.J2, p.J3
@@ -265,11 +258,13 @@ def response_closed_form(p: ModelParams, y: float, Ep1: float,
     da1 = ((i tau3 + tau4) Ep1 + (i tau1 - tau2) Ep2) / D and
     da2 = ((i chi1 - chi2) Ep1 + (i chi3 + chi4) Ep2) / D. The ensemble and
     mechanical components are not expressed by the closed form and are
-    returned as None.
+    returned as None. Raises SingularMatrix at a pole, by the rule of
+    :func:`solve_response`.
     """
     c = closed_form_coefficients(p, y)
-    if c.D == 0:
-        raise SingularDeterminant(f"closed-form determinant vanishes at y={y}")
+    if abs(c.D) < pole_thresholds(dict(vars(p), y=y)):
+        raise SingularMatrix(
+            f"closed-form determinant is singular at y={y} (|D|={abs(c.D):.3e})")
     da1 = ((1j * c.tau3 + c.tau4) * Ep1 + (1j * c.tau1 - c.tau2) * Ep2) / c.D
     da2 = ((1j * c.chi1 - c.chi2) * Ep1 + (1j * c.chi3 + c.chi4) * Ep2) / c.D
     return ResponseSolution(da1=da1, da2=da2, dd=None, db=None,
@@ -278,7 +273,7 @@ def response_closed_form(p: ModelParams, y: float, Ep1: float,
 
 __all__ = [
     "ClosedFormCoefficients", "ResponseSolution", "SINGULARITY_RTOL",
-    "SingularDeterminant", "SingularMatrix", "build_system_matrix",
-    "closed_form_coefficients", "pole_thresholds", "response_closed_form",
-    "solve_response", "system_matrices", "transfer_coefficients",
+    "SingularMatrix", "build_system_matrix", "closed_form_coefficients",
+    "pole_thresholds", "response_closed_form", "solve_response",
+    "system_matrices", "transfer_coefficients",
 ]

@@ -125,8 +125,14 @@ def sweep(spec: SweepSpec) -> SweepTable:
 
     Rows are ordered axis2 outer, axis1 inner. Singular grid points carry
     status "singular" and NaN observables (emitted as empty CSV cells).
+    An axis end that makes an invalid set or closes a port raises
+    InvalidParams; each rule is an interval, so the ends vouch for the axis.
     """
     _require_open_ports(spec.fixed)
+    for axis in (spec.axis1, spec.axis2):
+        if axis is not None and axis.name != "y":
+            for value in (axis.start, axis.stop):
+                _require_open_ports(replace(spec.fixed, **{axis.name: value}))
     grid1 = spec.axis1.grid()
     vals = dict(vars(spec.fixed), y=spec.y)
     if spec.axis2 is None:

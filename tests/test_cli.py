@@ -42,6 +42,12 @@ def _steady_payload(**changes):
     return payload
 
 
+def _model_payload(**changes):
+    return {"kappa1": 1.0, "kappa2": 1.0, "gamma": 1.0, "f": 10.0, "G1": 0.5,
+            "G2": 0.5, "theta": 0.0, "J1": 0.5, "J2": 0.01, "phi": 0.0,
+            "J3": {"re": 0.0, "im": 4.476}, **changes}
+
+
 @pytest.fixture
 def steady_file(tmp_path):
     payload = _steady_payload(drives={"E2": {"re": 0.0, "im": 100.0}})
@@ -201,11 +207,15 @@ def test_steady_nonconvergence_is_exit_2(tmp_path, capsys):
      "max_iter must be an integer"),
     ("steady", _steady_payload(solver={"max_iter": True}),
      "max_iter must be an integer"),
+    ("spectrum", _model_payload(theta=math.inf), "theta finite"),
+    ("phasemap", _model_payload(kappa1=-1.0), "kappa1 nonnegative"),
 ], ids=["spectrum-missing-field", "steady-no-bare", "steady-unknown-solver-key",
-        "steady-nan-rate", "steady-float-max-iter", "steady-bool-max-iter"])
+        "steady-nan-rate", "steady-float-max-iter", "steady-bool-max-iter",
+        "spectrum-infinite-theta", "phasemap-negative-rate"])
 def test_bad_input_file_is_exit_1(tmp_path, capsys, command, payload, named):
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(payload))  # NaN is written as the bare literal
+    # NaN and Infinity are written as the bare literals
+    path.write_text(json.dumps(payload))
     out = tmp_path / "out"
     rc = cli_main([command, "--params", str(path), "--out", str(out)])
     assert rc == 1

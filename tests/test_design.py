@@ -238,6 +238,20 @@ def test_no_valid_design_report(monkeypatch):
     assert len(str(err).splitlines()) == 1 + len(err.design.root_candidates)
 
 
+def test_invalid_quotient_is_recorded_as_rejected(monkeypatch):
+    import nonrecip.design as design_mod
+
+    # a small real root makes the J2 quotient a negative real, a set that
+    # ModelParams refuses to build
+    monkeypatch.setattr(design_mod, "j3_roots", lambda r: [0.1 + 0j])
+    with pytest.raises(NoValidDesign) as exc_info:
+        design_isolator(10.0, 1.0, 0.01, 1.0)
+    (c,) = exc_info.value.design.root_candidates
+    assert c.J2.imag == 0.0 and c.J2.real < 0.0
+    assert c.direction == "rejected" and not c.valid
+    assert math.isnan(c.T12_at_resonance) and math.isnan(c.T21_at_resonance)
+
+
 def test_design_report_serialization():
     d = design_isolator(10.0, 1.0, 0.01, 1.0, unit=RateUnit("kappa2", 1.0))
     rep = design_to_dict(d)

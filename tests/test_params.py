@@ -16,12 +16,10 @@ from nonrecip.params import (
     convert_unit,
     drives_from_dict,
     drives_to_dict,
-    ensure_valid,
     load_params,
     model_params_from_dict,
     model_params_to_dict,
     save_params,
-    validate_params,
     wrap_phase,
 )
 
@@ -48,32 +46,36 @@ def test_phases_wrapped_at_construction(base_params):
     p = base_params(TWO_PI + 0.1, phi=-0.3)
     assert p.theta == pytest.approx(0.1, abs=1e-15)
     assert p.phi == pytest.approx(TWO_PI - 0.3)
-    assert validate_params(p) == []
 
 
 def test_base_configuration_is_valid(base_params):
-    assert validate_params(base_params(math.pi / 2)) == []
+    p = base_params(math.pi / 2)
+    assert (p.kappa1, p.J2, p.J3) == (1.0, 0.01 + 0j, 4.476j)
 
 
 def test_negative_rate_reported(base_params):
-    p = base_params(math.pi / 2, kappa1=-1.0)
-    assert "kappa1 nonnegative" in validate_params(p)
-    with pytest.raises(InvalidParams):
-        ensure_valid(p)
+    with pytest.raises(InvalidParams, match="kappa1 nonnegative"):
+        base_params(math.pi / 2, kappa1=-1.0)
 
 
 def test_nonfinite_fields_reported(base_params):
-    p = base_params(0.0, G2=math.inf, J3=complex(math.nan, 0.0))
-    violations = validate_params(p)
-    assert "G2 finite" in violations
-    assert "J3 finite" in violations
+    # every violation is named in the one message
+    with pytest.raises(InvalidParams) as exc:
+        base_params(0.0, G2=math.inf, J3=complex(math.nan, 0.0))
+    assert "G2 finite" in str(exc.value)
+    assert "J3 finite" in str(exc.value)
+    # phases are checked before they are wrapped
+    with pytest.raises(InvalidParams) as exc:
+        base_params(math.inf, phi=math.nan)
+    assert "theta finite" in str(exc.value)
+    assert "phi finite" in str(exc.value)
 
 
 def test_negative_real_j2_rejected(base_params):
-    p = base_params(math.pi / 2, J2=-0.01)
-    assert "J2 nonnegative when real" in validate_params(p)
+    with pytest.raises(InvalidParams, match="J2 nonnegative when real"):
+        base_params(math.pi / 2, J2=-0.01)
     # complex values in the J2 slot are legitimate (designed configurations)
-    assert validate_params(base_params(math.pi / 2, J2=1.5j)) == []
+    assert base_params(math.pi / 2, J2=1.5j).J2 == 1.5j
 
 
 def test_rate_unit_validation():

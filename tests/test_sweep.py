@@ -15,6 +15,7 @@ from nonrecip import (
     ModelParams,
     RateUnit,
     InvalidParameterPath,
+    InvalidParams,
     SweepSpec,
     SweepTable,
     UnknownFigure,
@@ -62,6 +63,25 @@ def test_spec_validation(base_params):
         SweepSpec(fixed=p, axis1=Axis("y", 0, 1, 2), observables=("T12", "T12"))
     with pytest.raises(ValueError):
         SweepSpec(fixed=p, axis1=Axis("y", 0, 1, 2), observables=("T99",))
+
+
+@pytest.mark.parametrize("axis, named", [
+    (Axis("kappa1", -1.0, 1.0, 3), "kappa1 nonnegative"),
+    (Axis("kappa1", 0.0, 1.0, 3), "kappa1=0.0"),
+    (Axis("J2", -1.0, 1.0, 3), "J2 nonnegative when real"),
+], ids=["negative-rate", "closed-port", "negative-real-j2"])
+def test_sweep_axis_endpoints_obey_params_rule(base_params, monkeypatch,
+                                               axis, named):
+    # the endpoints are checked as parameter sets before the kernel runs
+    def no_kernel(v):
+        raise AssertionError("the kernel ran on an invalid axis")
+
+    monkeypatch.setattr(sweep_mod, "transmission_arrays", no_kernel)
+    p = base_params(HALF_PI)
+    for spec in (SweepSpec(fixed=p, axis1=axis),
+                 SweepSpec(fixed=p, axis1=Axis("y", -1.0, 1.0, 3), axis2=axis)):
+        with pytest.raises(InvalidParams, match=named):
+            sweep(spec)
 
 
 def test_single_point_sweep_equals_transmission_pair(base_params):
