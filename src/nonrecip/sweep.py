@@ -36,7 +36,7 @@ from .params import (
     _write_json,
     model_params_to_dict,
 )
-from .transmission import _require_open_ports, isolation_db, transmission_arrays
+from .transmission import _require_open_ports, transmission_arrays
 
 SCHEMA_VERSION = 1
 
@@ -110,14 +110,25 @@ class SweepSpec:
 
 @dataclass
 class SweepTable:
-    """Columnar sweep result: per-column float arrays plus a status column."""
+    """Columnar sweep result: per-column float arrays plus the pole mask.
+
+    ``singular`` is a bool array, true at the rows whose response matrix
+    is singular; the "status" column of ``columns`` is written from it.
+    """
 
     columns: tuple[str, ...]
     data: dict[str, np.ndarray]
-    status: np.ndarray
+    singular: np.ndarray
+
+    @property
+    def status(self) -> np.ndarray:
+        """The status column as a new ``<U8`` array of "ok" and "singular"."""
+        status = np.full(len(self.singular), "ok", dtype="<U8")
+        status[self.singular] = "singular"
+        return status
 
     def __len__(self) -> int:
-        return len(self.status)
+        return len(self.singular)
 
 
 def sweep(spec: SweepSpec) -> SweepTable:
@@ -147,20 +158,15 @@ def sweep(spec: SweepSpec) -> SweepTable:
         g2, g1 = np.meshgrid(grid2, grid1, indexing="ij")
         axis_cols = [(spec.axis1.name, g1.ravel()),
                      (spec.axis2.name, g2.ravel())]
-    t12, t21, singular = (a.ravel() for a in transmission_arrays(vals))
+    t12, t21, singular, *db = (a.ravel() for a in transmission_arrays(
+        vals, with_isolation_db="isolation_db" in spec.observables))
 
+    observed = dict(zip(("T12", "T21", "isolation_db"), (t12, t21, *db)))
     data: dict[str, np.ndarray] = {name: arr for name, arr in axis_cols}
     for obs in spec.observables:
-        if obs == "T12":
-            data[obs] = t12
-        elif obs == "T21":
-            data[obs] = t21
-        else:
-            data[obs] = isolation_db(t12, t21)
-    status = np.full(len(singular), "ok", dtype="<U8")
-    status[singular] = "singular"
+        data[obs] = observed[obs]
     columns = tuple(name for name, _ in axis_cols) + spec.observables + ("status",)
-    return SweepTable(columns=columns, data=data, status=status)
+    return SweepTable(columns=columns, data=data, singular=singular)
 
 
 # rows formatted or encoded per block, so emission never holds a whole
@@ -176,10 +182,10 @@ _JSON_ROW_OPEN = "    [\n      "
 _JSON_ROW_CLOSE = "\n    ]"
 
 
-def _status_cells(status: np.ndarray) -> list[str]:
+def _status_cells(singular: np.ndarray) -> list[str]:
     # every row shares one of the two status strings
-    cells = ["ok"] * len(status)
-    for i in np.flatnonzero(status == "singular").tolist():
+    cells = ["ok"] * len(singular)
+    for i in np.flatnonzero(singular).tolist():
         cells[i] = "singular"
     return cells
 
@@ -200,7 +206,7 @@ def write_csv(table: SweepTable, path: str) -> None:
             cells = [_blank_nan([f"{v:.16e}" for v in col[block].tolist()],
                                 col[block], "")
                      for col in cols]
-            cells.append(_status_cells(table.status[block]))
+            cells.append(_status_cells(table.singular[block]))
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
@@ -208,7 +214,7 @@ def table_to_json(table: SweepTable) -> dict:
     """The table as a JSON-ready payload; NaN cells become None."""
     cols = [_blank_nan(table.data[c].tolist(), table.data[c], None)
             for c in table.columns if c != "status"]
-    cols.append(_status_cells(table.status))
+    cols.append(_status_cells(table.singular))
     return {"schema_version": SCHEMA_VERSION,
             "columns": list(table.columns),
             "rows": [list(row) for row in zip(*cols)]}
@@ -394,7 +400,7 @@ def _spectrum_landmarks(table: SweepTable) -> dict:
         "T21_below_half_band": threshold_band(ys, t21, 0.5, below=True),
         "T12_above_half_band": threshold_band(ys, t12, 0.5, below=False),
         "T21_above_half_band": threshold_band(ys, t21, 0.5, below=False),
-        "singular_points": int(np.sum(table.status == "singular")),
+        "singular_points": int(np.count_nonzero(table.singular)),
     }
 
 
@@ -412,7 +418,7 @@ def _phasemap_landmarks(table: SweepTable, points: int) -> dict:
                                 "T21": float(t21[i_half, i_half])},
         "theta_phi_3pi_over_2": {"T12": float(t12[i_three, i_three]),
                                  "T21": float(t21[i_three, i_three])},
-        "singular_points": int(np.sum(table.status == "singular")),
+        "singular_points": int(np.count_nonzero(table.singular)),
     }
 
 

@@ -14,16 +14,20 @@ cofactors and determinant of `response.transfer_coefficients`,
     T12 = sqrt(kappa1 kappa2) |i chi1 - chi2| / |D|,
     T21 = sqrt(kappa1 kappa2) |i tau1 - tau2| / |D|,
 
-broadcasting over scalars and arrays of any shape. It computes the pole
-threshold of `response.pole_thresholds` once per point. Where |D| lies
-below LU_GUARD_BAND times that threshold, it builds those points'
-matrices and decides as the LU solve does: numeric det against the same
-threshold, then the inverse. Pole flags are therefore those of the LU
-rule. `transmission_arrays` cuts the broadcast shape along its first
-axis into a fixed partition of about _CHUNK points, whatever the thread
-count, and the blocks go to a thread pool sized by the NONRECIP_THREADS
-environment variable (0 or unset = auto), so results are the same bytes
-for any number of threads.
+broadcasting over scalars and arrays of any shape. Where |D| lies below
+LU_GUARD_BAND times the pole threshold of `response.pole_thresholds`, it
+builds those points' matrices and decides as the LU solve does: numeric
+det against the same threshold, then the inverse. Pole flags are
+therefore those of the LU rule. On an array block it first takes one
+threshold at the block's largest magnitudes, which bounds every point's
+threshold from above; when the block's smallest |D| clears the band at
+that bound, no point is in the band and the per-point thresholds are
+never computed. `transmission_arrays` cuts the broadcast shape along its
+first axis into a fixed partition of about _CHUNK points, whatever the
+thread count, and the blocks go to a thread pool sized by the
+NONRECIP_THREADS environment variable (0 or unset = the CPUs this
+process may run on), so results are the same bytes for any number of
+threads.
 """
 
 from __future__ import annotations
@@ -82,7 +86,10 @@ def output_fields(p: ModelParams, y: float, Ep1: float, Ep2: float) -> tuple[com
 
 
 def thread_count() -> int:
-    """Worker count from NONRECIP_THREADS (0 or unset = auto)."""
+    """Worker count from NONRECIP_THREADS.
+
+    0 or unset takes the CPUs this process may run on, at most 32.
+    """
     raw = os.environ.get("NONRECIP_THREADS", "0").strip()
     try:
         n = int(raw)
@@ -92,6 +99,9 @@ def thread_count() -> int:
     if n < 0:
         raise ValueError("NONRECIP_THREADS must be nonnegative")
     if n == 0:
+        # taskset or a cpuset can allow fewer CPUs than the host has
+        if hasattr(os, "sched_getaffinity"):
+            return min(32, len(os.sched_getaffinity(0)))
         return min(32, os.cpu_count() or 1)
     return n
 
@@ -116,6 +126,22 @@ def _lu_transmission(v: Mapping[str, object], thresholds):
     return t12, t21, singular
 
 
+def _threshold_bound(v: Mapping[str, object]) -> float:
+    """A pole threshold no smaller than that of any point of ``v``.
+
+    The threshold is a product of row norms built from squares of |y| and
+    of each |parameter| by additions, square roots and products, each
+    monotone under IEEE rounding, and it does not depend on theta or phi;
+    so the threshold at the largest magnitudes bounds every point's from
+    above. Array values become 1-element arrays and scalars stay scalars,
+    so the bound takes the same operations as the points' thresholds.
+    Every array of ``v`` must be nonempty.
+    """
+    peak = {k: np.abs(x).max(keepdims=True) if isinstance(x, np.ndarray)
+            else x for k, x in v.items()}
+    return float(np.max(pole_thresholds(peak)))
+
+
 def _kernel(v: Mapping[str, object]):
     """T12, T21 and pole flags at the points of ``v``.
 
@@ -125,10 +151,9 @@ def _kernel(v: Mapping[str, object]):
     """
     tau1, tau2, chi1, chi2, D = transfer_coefficients(v)
     abs_d = abs(D)
-    thresholds = pole_thresholds(v)
-    band = abs_d < LU_GUARD_BAND * thresholds
     if isinstance(abs_d, float):
-        if band:
+        thresholds = pole_thresholds(v)
+        if abs_d < LU_GUARD_BAND * thresholds:
             t12, t21, singular = _lu_transmission(v, thresholds)
             return float(t12[0]), float(t21[0]), bool(singular[0])
         pref = math.sqrt(abs(v["kappa1"] * v["kappa2"]))
@@ -140,6 +165,13 @@ def _kernel(v: Mapping[str, object]):
         t12 = pref * np.abs(1j * chi1 - chi2) / abs_d
         t21 = pref * np.abs(1j * tau1 - tau2) / abs_d
     singular = np.zeros(abs_d.shape, dtype=bool)
+    # no point is in the band when the smallest |D| clears it at the bound;
+    # a NaN |D| or bound fails this test and leaves the block to the exact
+    # per-point test below
+    if abs_d.size and abs_d.min() >= LU_GUARD_BAND * _threshold_bound(v):
+        return t12, t21, singular
+    thresholds = pole_thresholds(v)
+    band = abs_d < LU_GUARD_BAND * thresholds
     if np.any(band):
         sub = {k: np.broadcast_to(x, band.shape)[band]
                if isinstance(x, np.ndarray) else x for k, x in v.items()}
@@ -148,8 +180,9 @@ def _kernel(v: Mapping[str, object]):
     return t12, t21, singular
 
 
-def transmission_arrays(v: Mapping[str, object]
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def transmission_arrays(v: Mapping[str, object], *,
+                        with_isolation_db: bool = False
+                        ) -> tuple[np.ndarray, ...]:
     """The kernel over parameter and detuning arrays, in blocks of rows.
 
     ``v`` maps each ModelParams field name, and ``"y"``, to a scalar or an
@@ -160,12 +193,15 @@ def transmission_arrays(v: Mapping[str, object]
 
     The broadcast shape is cut along its first axis into blocks of
     ``max(1, _CHUNK // points per row)`` rows, whatever the thread count;
-    a leading axis of length 1 is skipped.
+    a leading axis of length 1 is skipped. With ``with_isolation_db``,
+    each block's `isolation_db` is taken in the same task as its
+    transmissions.
 
     Returns
     -------
     (T12, T21, singular) : three arrays in the broadcast shape
-        Transmission amplitudes, NaN at poles, and the pole mask.
+        Transmission amplitudes, NaN at poles, and the pole mask; with
+        ``with_isolation_db``, a fourth array holds the isolation in dB.
     """
     shape = np.broadcast_shapes(*(np.shape(x) for x in v.values()
                                   if isinstance(x, np.ndarray)))
@@ -173,18 +209,21 @@ def transmission_arrays(v: Mapping[str, object]
         # a single row would be a single block: cut the row instead
         row = transmission_arrays({
             k: x[0] if isinstance(x, np.ndarray) and x.ndim == len(shape)
-            else x for k, x in v.items()})
+            else x for k, x in v.items()}, with_isolation_db=with_isolation_db)
         return tuple(a[np.newaxis] for a in row)
-    t12 = np.empty(shape)
-    t21 = np.empty(shape)
-    singular = np.empty(shape, dtype=bool)
+    out = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
+    if with_isolation_db:
+        out += (np.empty(shape),)
 
     def run(s: slice) -> None:
         # only arrays that span the first axis are cut; the others
         # broadcast along it
         sub = {k: x[s] if isinstance(x, np.ndarray) and x.ndim == len(shape)
                and x.shape[0] > 1 else x for k, x in v.items()}
-        t12[s], t21[s], singular[s] = _kernel(sub)
+        t12, t21, singular = _kernel(sub)
+        out[0][s], out[1][s], out[2][s] = t12, t21, singular
+        if with_isolation_db:
+            out[3][s] = isolation_db(t12, t21)
 
     rows = max(1, _CHUNK // max(1, math.prod(shape[1:])))
     chunks = [slice(i, i + rows) for i in range(0, shape[0], rows)]
@@ -195,7 +234,7 @@ def transmission_arrays(v: Mapping[str, object]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, chunks))
-    return t12, t21, singular
+    return out
 
 
 def _require_open_ports(p: ModelParams) -> None:

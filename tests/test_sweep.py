@@ -36,7 +36,7 @@ from nonrecip.sweep import (
     table_to_json,
     threshold_band,
 )
-from nonrecip.transmission import thread_count
+from nonrecip.transmission import isolation_db, thread_count
 
 # the module whose chunk size test_threads_do_not_change_bytes patches
 transmission_mod = importlib.import_module("nonrecip.transmission")
@@ -186,6 +186,51 @@ def test_thread_count_env(monkeypatch):
         thread_count()
 
 
+def test_thread_count_follows_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("NONRECIP_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert thread_count() == 1
+    # without affinity, the CPU count, still capped
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert thread_count() == 32
+
+
+def test_sweep_singular_mask_and_status_view(base_params):
+    p = base_params(0.0, G1=0.0, G2=0.0, J1=0.0, J2=0.0, J3=0.0, gamma=0.0)
+    table = sweep(SweepSpec(fixed=p, axis1=Axis("y", -1.0, 1.0, 3)))
+    assert table.singular.dtype == bool
+    assert table.singular.tolist() == [False, True, False]
+    status = np.full(len(table), "ok", dtype="<U8")
+    status[table.singular] = "singular"
+    assert table.status.dtype == status.dtype
+    assert np.array_equal(table.status, status)
+    with pytest.raises(AttributeError):
+        table.status = status
+
+
+def test_isolation_db_in_blocks_matches_whole_table(base_params,
+                                                    monkeypatch):
+    # 16-point blocks on two threads; the middle row of the first
+    # spec is a pole
+    monkeypatch.setattr(transmission_mod, "_CHUNK", 16)
+    monkeypatch.setenv("NONRECIP_THREADS", "2")
+    obs = ("isolation_db", "T12", "T21")
+    pole = base_params(0.0, G1=0.0, G2=0.0, J1=0.0, J2=0.0, J3=0.0,
+                       gamma=0.0)
+    p = base_params(HALF_PI)
+    for spec in (SweepSpec(fixed=pole, axis1=Axis("y", -1.0, 1.0, 101),
+                           observables=obs),
+                 SweepSpec(fixed=p, axis1=Axis("y", -2.0, 2.0, 7),
+                           axis2=Axis("phi", 0.0, 6.0, 9), observables=obs)):
+        table = sweep(spec)
+        want = isolation_db(table.data["T12"], table.data["T21"])
+        assert np.array_equal(table.data["isolation_db"], want,
+                              equal_nan=True)
+    assert table.columns[-4:] == obs + ("status",)
+
+
 def test_table_json_round_trip(base_params):
     p = base_params(0.0, G1=0.0, G2=0.0, J1=0.0, J2=0.0, J3=0.0, gamma=0.0)
     table = sweep(SweepSpec(fixed=p, axis1=Axis("y", -1.0, 1.0, 3)))
@@ -251,7 +296,7 @@ def test_write_json_empty_table_matches_stdlib(tmp_path):
     empty = np.array([])
     table = SweepTable(columns=("y", "T12", "status"),
                        data={"y": empty, "T12": empty},
-                       status=np.array([], dtype="<U8"))
+                       singular=np.array([], dtype=bool))
     write_json(table, str(tmp_path / "t.json"))
     assert (tmp_path / "t.json").read_bytes() == \
         _stdlib_json_bytes(table, tmp_path / "ref.json")

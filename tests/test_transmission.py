@@ -22,7 +22,11 @@ from nonrecip import (
     transmission_grid,
     transmission_pair,
 )
-from nonrecip.response import pole_thresholds, transfer_coefficients
+from nonrecip.response import (
+    pole_thresholds,
+    system_matrices,
+    transfer_coefficients,
+)
 from nonrecip.transmission import (
     ISOLATION_DB_CAP,
     LU_GUARD_BAND,
@@ -277,6 +281,78 @@ def test_exact_pole_flagged_where_lu_raises(base_params):
                        table.status == "singular")
     with pytest.raises(SingularMatrix):
         transmission_pair(p, 0.0)
+
+
+def test_guard_band_point_in_a_large_block_comes_from_lu(base_params):
+    # the point of test_guard_band_point_comes_from_lu at y = 0, inside a
+    # block of _CHUNK points whose other points all clear the band
+    p = base_params(0.0, G1=0.0, G2=0.0, J2=0.0, f=1.0,
+                    J3=1j * (1.0 + 1e-7))
+    ys = np.arange(-20000, 20001) * 5e-5
+    v = dict(vars(p), y=ys)
+    band = np.abs(transfer_coefficients(v)[4]) < (LU_GUARD_BAND
+                                                  * pole_thresholds(v))
+    assert np.flatnonzero(band).tolist() == [20000] and ys[20000] == 0.0
+    assert 20000 < transmission_mod._CHUNK < len(ys)
+    t12, t21, singular = transmission_grid(p, ys)
+    assert not singular.any()
+    # the LU value exactly: the closed form is 2e-10 off it here
+    pref = math.sqrt(p.kappa1 * p.kappa2)
+    assert t12[20000] == pref * abs(solve_response(p, 0.0, 1.0, 0.0).da2)
+    assert t21[20000] == pref * abs(solve_response(p, 0.0, 0.0, 1.0).da1)
+    inv = np.linalg.inv(system_matrices(v))
+    np.testing.assert_allclose(t12, pref * np.abs(inv[:, 1, 0]),
+                               rtol=LU_RTOL, atol=LU_ATOL)
+    np.testing.assert_allclose(t21, pref * np.abs(inv[:, 0, 1]),
+                               rtol=LU_RTOL, atol=LU_ATOL)
+
+
+def test_block_bound_keeps_every_band_and_pole_decision(base_params,
+                                                         monkeypatch):
+    # blocks of two (J1, y) planes; the bound takes magnitudes, so the
+    # axes cross zero
+    monkeypatch.setattr(transmission_mod, "_CHUNK", 250)
+    lu = transmission_mod._lu_transmission
+
+    def marked(v, thresholds):
+        # T12 = -1 marks the points that went to LU
+        t12, t21, singular = lu(v, thresholds)
+        return np.full_like(t12, -1.0), t21, singular
+
+    monkeypatch.setattr(transmission_mod, "_lu_transmission", marked)
+    rng = np.random.default_rng(4099)
+    cases = [random_params(rng) for _ in range(20)]
+    cases.append(base_params(0.0, G1=0.0, G2=0.0, f=1.0,
+                             J3=1j * (1.0 + 1e-7)))  # band points at y = 0
+    cases.append(base_params(0.0, G1=0.0, G2=0.0, J3=0.0,
+                             gamma=0.0))  # poles at y = 0
+    grid = dict(y=np.linspace(-6.0, 6.0, 25),
+                J1=np.linspace(-3.0, 3.0, 5)[:, np.newaxis],
+                J2=np.linspace(-2.0, 2.0, 5)[:, np.newaxis, np.newaxis])
+    decided = 0
+    for p in cases:
+        v = dict(vars(p), **grid)
+        thresholds = pole_thresholds(v)
+        assert np.all(thresholds <= transmission_mod._threshold_bound(v))
+        band = np.abs(transfer_coefficients(v)[4]) < (LU_GUARD_BAND
+                                                      * thresholds)
+        pole = band & (np.abs(np.linalg.det(system_matrices(v)))
+                       < thresholds)
+        t12, _, singular = transmission_arrays(v)
+        assert np.array_equal(t12 == -1.0, band)
+        assert np.array_equal(singular, pole)
+        decided += int(band.sum()) + int(pole.sum())
+    assert decided > 0
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (2, 1, 0)])
+def test_transmission_arrays_zero_size(base_params, shape):
+    v = dict(vars(base_params(HALF_PI)), y=np.empty(shape))
+    t12, t21, singular = transmission_arrays(v)
+    assert t12.shape == t21.shape == singular.shape == shape
+    assert singular.dtype == bool
+    *_, db = transmission_arrays(v, with_isolation_db=True)
+    assert db.shape == shape
 
 
 def test_isolation_db_elementwise():
