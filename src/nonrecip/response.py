@@ -13,9 +13,11 @@ every point, over scalars or arrays, and falls back to LU on
 `transfer_coefficients` writes the cofactors and the determinant as
 polynomials in y whose coefficients hold only the parameters, and
 evaluates them by Horner's rule, so an array of detunings costs a few
-operations per point and a phase axis only what depends on it. The LU
-solve (`build_system_matrix`, `solve_response`) stays the independent
-reference that `verify` and the tests compare the closed form against.
+operations per point and a phase axis only what depends on it. LU is
+the independent reference the closed form is compared against: the
+scalar solve (`build_system_matrix`, `solve_response`) in the tests, and
+`np.linalg.det` and `np.linalg.inv` on stacks of `system_matrices` in
+`verify`.
 
 A1 is written out once, in `system_matrices`, for scalars and arrays
 alike. There is one pole rule: |det A1| below `pole_thresholds`, a

@@ -306,9 +306,25 @@ def test_verify_rejects_draws_below_one(capsys, draws):
     assert captured.err == "error: draws must be at least 1\n"
 
 
+@pytest.mark.parametrize("seed", ["-1", "-20240817"])
+def test_verify_rejects_negative_seed(capsys, seed):
+    rc = cli_main(["verify", "--seed", seed])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be a nonnegative integer\n"
+
+
 def test_bad_thread_env_is_exit_1(tmp_path, params_file, monkeypatch, capsys):
     monkeypatch.setenv("NONRECIP_THREADS", "many")
     rc = cli_main(["spectrum", "--params", params_file,
                    "--out", str(tmp_path), "--points", "3"])
     assert rc == 1
     assert "NONRECIP_THREADS" in capsys.readouterr().err
+
+
+def test_bad_thread_env_fails_verify(monkeypatch, capsys):
+    monkeypatch.setenv("NONRECIP_THREADS", "-2")
+    assert cli_main(["verify", "--draws", "3"]) == 1
+    assert capsys.readouterr().err == (
+        "error: NONRECIP_THREADS must be nonnegative\n")

@@ -1,12 +1,23 @@
-"""The seeded parameter draw behind `verify`."""
+"""The seeded parameter draw behind `verify`, and the batched checks."""
 
 import cmath
+import importlib
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
+from nonrecip.cli import cli_main
 from nonrecip.params import ModelParams, RateUnit
-from nonrecip.verify import random_params
+from nonrecip.verify import random_params, run_verification
+
+# the module whose names the batched checks read, patched below
+verify = importlib.import_module("nonrecip.verify")
+
+FIELDS = ("kappa1", "kappa2", "gamma", "f", "G1", "G2", "theta", "J1", "J2",
+          "phi", "J3")
 
 
 def _per_field_draw(rng):
@@ -32,3 +43,167 @@ def test_random_params_stream_is_pinned():
             assert random_params(ours) == _per_field_draw(ref)
         # the generator is left where the per-field draws leave it
         assert ours.uniform(-5.0, 5.0) == ref.uniform(-5.0, 5.0)
+
+
+def test_block_draw_is_the_sequential_draw():
+    for seed in range(200):
+        ours = np.random.default_rng(seed)
+        ref = np.random.default_rng(seed)
+        v = verify._draw_values(ours.random((7, 12)))
+        q = verify._negated_phases(v)
+        for i in range(7):
+            p = random_params(ref)
+            y = ref.uniform(-5.0, 5.0)
+            for name in FIELDS:
+                assert v[name][i] == getattr(p, name)
+            assert v["y"][i] == y
+            r = replace(p, theta=-p.theta, phi=-p.phi)
+            assert (q["theta"][i], q["phi"][i]) == (r.theta, r.phi)
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def _sequential_accepted(draws, rng, pole_kappa1, aligned):
+    # the one-draw-at-a-time loops of the closed-form, duality and
+    # reciprocity checks, with the pole rule keyed on kappa1
+    accepted = []
+    while len(accepted) < draws:
+        p = random_params(rng)
+        if aligned:
+            ang = 0.0 if len(accepted) % 2 == 0 else math.pi
+            p = replace(p, theta=ang, phi=ang)
+        y = float(rng.uniform(-5.0, 5.0))
+        if p.kappa1 in pole_kappa1:
+            continue  # pole; redraw
+        accepted.append((p.kappa1, p.theta, y))
+    return accepted
+
+
+@pytest.mark.parametrize("block", [verify._BLOCK, 7])
+@pytest.mark.parametrize("poles", [(0,), (4, 5), (6, 13)])
+@pytest.mark.parametrize("evaluate, aligned", [
+    (verify._closed_form_errors, False),
+    (verify._duality_errors, False),
+    (verify._reciprocity_errors, True),
+])
+def test_batched_redraw_is_the_sequential_redraw(monkeypatch, block, poles,
+                                                 evaluate, aligned):
+    draws, seed = 20, 4
+    rng = np.random.default_rng(seed)
+    pole_kappa1 = []
+    for i in range(max(poles) + 1):
+        k1 = random_params(rng).kappa1
+        rng.uniform(-5.0, 5.0)
+        if i in poles:
+            pole_kappa1.append(k1)
+    real_arrays = verify.transmission_arrays
+    real_thresholds = verify.pole_thresholds
+    seen = {}
+
+    def arrays(v, **kwargs):
+        seen["theta"] = v["theta"]
+        t12, t21, pole = real_arrays(v, **kwargs)
+        return t12, t21, pole | np.isin(v["kappa1"], pole_kappa1)
+
+    def thresholds(v):
+        return np.where(np.isin(v["kappa1"], pole_kappa1), np.inf,
+                        real_thresholds(v))
+
+    def tagged(v, done):
+        # the errors replaced by what identifies each draw and its phase
+        _, pole = evaluate(v, done)
+        theta = seen["theta"] if aligned else v["theta"]
+        return list(zip(v["kappa1"].tolist(), theta.tolist(),
+                        v["y"].tolist())), pole
+
+    monkeypatch.setattr(verify, "_BLOCK", block)
+    monkeypatch.setattr(verify, "transmission_arrays", arrays)
+    monkeypatch.setattr(verify, "pole_thresholds", thresholds)
+    batched = [t for tags in verify._accepted_errors(
+        draws, np.random.default_rng(seed), tagged) for t in tags]
+    assert batched == _sequential_accepted(
+        draws, np.random.default_rng(seed), pole_kappa1, aligned)
+
+
+def test_block_size_does_not_change_results(monkeypatch):
+    default = run_verification()
+    monkeypatch.setattr(verify, "_BLOCK", 7)
+    assert run_verification() == default
+
+
+def _scaled(index):
+    # multiplies output ``index`` of the patched function by 1 + 1e-9
+    def fault(real):
+        def fake(v, **kwargs):
+            out = list(real(v, **kwargs))
+            out[index] = out[index] * (1.0 + 1e-9)
+            return tuple(out)
+        return fake
+    return fault
+
+
+def _negated_build_entry(real):
+    # the transpose check builds A1 and then its negated-phase build
+    calls = []
+
+    def fake(v):
+        m = real(v)
+        calls.append(v)
+        if len(calls) % 2 == 0:
+            m[..., 0, 2] *= 1.0 + 1e-9
+        return m
+    return fake
+
+
+@pytest.mark.parametrize("check, target, fault", [
+    (verify.check_closed_form, "transfer_coefficients", _scaled(2)),  # chi1
+    (verify.check_determinant, "transfer_coefficients", _scaled(4)),  # D
+    (verify.check_duality, "transmission_arrays", _scaled(0)),  # T12
+    (verify.check_reciprocity, "transmission_arrays", _scaled(0)),
+    (verify.check_transpose_structure, "system_matrices",
+     _negated_build_entry),
+])
+def test_each_batched_check_catches_a_small_fault(monkeypatch, check, target,
+                                                  fault):
+    assert check(200, np.random.default_rng(11)).passed
+    monkeypatch.setattr(verify, target, fault(getattr(verify, target)))
+    result = check(200, np.random.default_rng(11))
+    assert not result.passed, result
+
+
+def test_nan_error_fails_the_check(monkeypatch, capsys):
+    real = verify.transfer_coefficients
+
+    def nan_d(v):
+        *cofactors, D = real(v)
+        D = D.copy()
+        D[3] = complex("nan+nanj")
+        return (*cofactors, D)
+
+    monkeypatch.setattr(verify, "transfer_coefficients", nan_d)
+    failed = [r.name for r in run_verification() if not r.passed]
+    assert failed == ["closed_form_equivalence", "determinant_identity"]
+    assert cli_main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert ("FAIL determinant_identity: worst relative error nan over 200 "
+            "draws\n") in out
+
+
+def _nan_design(*args):
+    return SimpleNamespace(chosen_candidate=SimpleNamespace(
+        T12_at_resonance=math.nan, T21_at_resonance=1.0))
+
+
+def _nan_conversion(p, reference):
+    return SimpleNamespace(**dict.fromkeys(FIELDS, math.nan))
+
+
+@pytest.mark.parametrize("check, target, fake", [
+    (verify.check_root_consistency, "j3_roots", lambda r: [complex("nan")]),
+    (verify.check_design_validation, "design_isolator", _nan_design),
+    (verify.check_unit_round_trip, "convert_unit", _nan_conversion),
+])
+def test_nan_error_fails_a_scalar_check(monkeypatch, check, target, fake):
+    monkeypatch.setattr(verify, target, fake)
+    result = check(5, np.random.default_rng(1))
+    assert not result.passed
+    assert "nan" in result.detail
