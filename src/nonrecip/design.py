@@ -279,7 +279,8 @@ def design_isolator(
     of the quartic in the order of :func:`j3_roots`, binds the literal J2
     quotient per candidate, and accepts a candidate only if
     `transmission_pair` at y = 0 returns {<= 1e-6, within 1e-6 of 1} in
-    some order.
+    some order. The rates are taken as Python floats, so numpy scalars
+    give the design, and the report, that the same floats give.
 
     Raises
     ------
@@ -290,6 +291,9 @@ def design_isolator(
                     ("gamma", gamma), ("f", f)):
         if not (math.isfinite(v) and v > 0.0):
             raise InvalidParams(f"{name} must be finite and positive, got {v}")
+    # numpy scalars would carry numpy's per-operation cost into every
+    # candidate, and np.bool_ verdicts into the JSON report
+    kappa1, kappa2, gamma, f = map(float, (kappa1, kappa2, gamma, f))
     if unit is None:
         unit = RateUnit("absolute", 1.0)
     G1 = math.sqrt(gamma * kappa1)

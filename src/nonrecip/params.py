@@ -18,11 +18,15 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 TWO_PI = 2.0 * math.pi
 
 _REFERENCES = ("gamma", "kappa2", "absolute")
+
+_INF = math.inf
+# the real rate-valued fields of ModelParams
+_RATE_FIELDS = ("kappa1", "kappa2", "gamma", "f", "G1", "G2", "J1")
 
 
 class InvalidParams(ValueError):
@@ -97,7 +101,9 @@ class ModelParams:
 
     Construction raises InvalidParams, naming every violation, for a
     negative or non-finite rate, a non-finite phase or coupling, or a
-    negative real J2.
+    negative real J2. A valid set stores the rates and phases as Python
+    floats and J2, J3 as complex, whatever numeric type they came in as
+    (numpy scalars included); a str raises TypeError.
     """
 
     kappa1: float
@@ -114,9 +120,34 @@ class ModelParams:
     unit: RateUnit = field(default_factory=RateUnit)
 
     def __post_init__(self) -> None:
+        k1, k2, g, f, G1, G2, J1 = (self.kappa1, self.kappa2, self.gamma,
+                                    self.f, self.G1, self.G2, self.J1)
+        theta, phi = self.theta, self.phi
         J2, J3 = complex(self.J2), complex(self.J3)
+        # the valid case in one test: a NaN fails every comparison, and a
+        # str raises TypeError instead of being parsed by float()
+        if not (0.0 <= k1 < _INF and 0.0 <= k2 < _INF and 0.0 <= g < _INF
+                and 0.0 <= f < _INF and 0.0 <= G1 < _INF
+                and 0.0 <= G2 < _INF and 0.0 <= J1 < _INF
+                and -_INF < theta < _INF and -_INF < phi < _INF
+                and cmath.isfinite(J2) and cmath.isfinite(J3)
+                and (J2.real >= 0.0 or J2.imag != 0.0)):
+            raise InvalidParams("invalid parameters: "
+                                + "; ".join(self._violations(J2, J3)))
+        # a numpy scalar would keep every later scalar operation at numpy
+        # speed: store the rates as Python floats
+        if not (type(k1) is type(k2) is type(g) is type(f) is type(G1)
+                is type(G2) is type(J1) is float):
+            for name in _RATE_FIELDS:
+                object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "theta", wrap_phase(theta))
+        object.__setattr__(self, "phi", wrap_phase(phi))
+        object.__setattr__(self, "J2", J2)
+        object.__setattr__(self, "J3", J3)
+
+    def _violations(self, J2: complex, J3: complex) -> list[str]:
         violations: list[str] = []
-        for name in ("kappa1", "kappa2", "gamma", "f", "G1", "G2", "J1"):
+        for name in _RATE_FIELDS:
             v = getattr(self, name)
             if not math.isfinite(v):
                 violations.append(f"{name} finite")
@@ -133,16 +164,7 @@ class ModelParams:
         # negative real value is a sign error the phase phi should absorb
         if J2.imag == 0.0 and J2.real < 0.0:
             violations.append("J2 nonnegative when real")
-        if violations:
-            raise InvalidParams("invalid parameters: " + "; ".join(violations))
-        object.__setattr__(self, "theta", wrap_phase(self.theta))
-        object.__setattr__(self, "phi", wrap_phase(self.phi))
-        object.__setattr__(self, "J2", J2)
-        object.__setattr__(self, "J3", J3)
-
-
-_RATE_FIELDS = ("kappa1", "kappa2", "gamma", "f", "G1", "G2", "J1")
-_COMPLEX_RATE_FIELDS = ("J2", "J3")
+        return violations
 
 
 def convert_unit(p: ModelParams, reference: str) -> ModelParams:
@@ -166,13 +188,10 @@ def convert_unit(p: ModelParams, reference: str) -> ModelParams:
         scale = 1.0 / p.unit.value
     if not (scale > 0.0) or not math.isfinite(scale):
         raise InvalidParams(f"cannot rescale to {reference}: reference rate is {scale}")
-    new_value = p.unit.value * scale
-    updates: dict[str, object] = {
-        name: getattr(p, name) / scale for name in _RATE_FIELDS
-    }
-    updates.update({name: getattr(p, name) / scale for name in _COMPLEX_RATE_FIELDS})
-    updates["unit"] = RateUnit(reference, new_value)
-    return replace(p, **updates)
+    return ModelParams(
+        p.kappa1 / scale, p.kappa2 / scale, p.gamma / scale, p.f / scale,
+        p.G1 / scale, p.G2 / scale, p.theta, p.J1 / scale, p.J2 / scale,
+        p.phi, p.J3 / scale, RateUnit(reference, p.unit.value * scale))
 
 
 @dataclass(frozen=True)
@@ -245,10 +264,15 @@ class TransmissionPoint:
     T21: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.T12) and math.isfinite(self.T21)):
-            raise ValueError("transmission amplitudes must be finite")
-        if self.T12 < 0.0 or self.T21 < 0.0:
+        y, T12, T21 = self.y, self.T12, self.T21
+        if not (0.0 <= T12 < _INF and 0.0 <= T21 < _INF):
+            if not (math.isfinite(T12) and math.isfinite(T21)):
+                raise ValueError("transmission amplitudes must be finite")
             raise ValueError("transmission amplitudes must be nonnegative")
+        if not (type(y) is type(T12) is type(T21) is float):
+            object.__setattr__(self, "y", float(y))
+            object.__setattr__(self, "T12", float(T12))
+            object.__setattr__(self, "T21", float(T21))
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,10 @@ class SolverConfig:
             raise ValueError("damping must lie in (0, 1]")
 
 
+# frozen, so one instance serves every call that passes no config
+_DEFAULT_CONFIG = SolverConfig()
+
+
 class NonConvergence(RuntimeError):
     """Iteration budget exhausted; ``best_residual`` is the closest approach."""
 
@@ -81,8 +85,17 @@ def _pack(a1: complex, a2: complex, rho: complex, beta: complex) -> np.ndarray:
 
 
 def _unpack(x: np.ndarray) -> tuple[complex, complex, complex, complex]:
-    return (complex(x[0], x[1]), complex(x[2], x[3]),
-            complex(x[4], x[5]), complex(x[6], x[7]))
+    r1, i1, r2, i2, r3, i3, r4, i4 = x.tolist()
+    return complex(r1, i1), complex(r2, i2), complex(r3, i3), complex(r4, i4)
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)`` of a real vector as a float, bit for bit.
+
+    numpy computes it as the square root of ``v.dot(v)``; so does this,
+    without numpy's per-call overhead.
+    """
+    return math.sqrt(v.dot(v))
 
 
 def _residual_vec(p: BareParams, d: Drives, x: np.ndarray) -> np.ndarray:
@@ -152,7 +165,7 @@ def _newton(p: BareParams, d: Drives, cfg: SolverConfig,
             x0: np.ndarray) -> tuple[np.ndarray, float, int]:
     x = np.array(x0, dtype=float)
     fx = _residual_vec(p, d, x)
-    n = float(np.linalg.norm(fx))
+    n = _norm(fx)
     best = n
     for it in range(cfg.max_iter):
         if n < cfg.tol:
@@ -162,14 +175,14 @@ def _newton(p: BareParams, d: Drives, cfg: SolverConfig,
             step = np.linalg.solve(jac, fx)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(f"Newton step unsolvable: {exc}") from exc
-        if not np.all(np.isfinite(step)):
+        if not all(map(math.isfinite, step.tolist())):
             raise SingularJacobian("Newton step is not finite")
         lam = cfg.damping
         improved = False
         for _ in range(60):
             xn = x - lam * step
             fn = _residual_vec(p, d, xn)
-            nn = float(np.linalg.norm(fn))
+            nn = _norm(fn)
             if nn < n or nn < cfg.tol:
                 improved = True
                 break
@@ -212,7 +225,7 @@ def solve_steady_state(p: BareParams, d: Drives,
         finite.
     """
     if cfg is None:
-        cfg = SolverConfig()
+        cfg = _DEFAULT_CONFIG
     zero = np.zeros(8)
     x0 = zero if initial is None else _pack(
         initial.alpha1, initial.alpha2, initial.rho, initial.beta)

@@ -5,6 +5,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from nonrecip import (
@@ -285,3 +286,13 @@ def test_design_report_serializes_missing_transmissions_as_null(monkeypatch):
         assert c["T21_at_resonance"] is None
     # NaN never reaches the JSON text
     json.dumps(rep, allow_nan=False)
+
+
+def test_numpy_scalar_design_report_is_the_float_report():
+    # numpy-scalar rates are taken as Python floats: the report serializes
+    # without NaN and is the float-built report, byte for byte
+    rates = (10.0, 1.0, 0.01, 1.0)
+    ours = design_to_dict(design_isolator(*map(np.float64, rates)))
+    ref = design_to_dict(design_isolator(*rates))
+    assert (json.dumps(ours, allow_nan=False, indent=2, sort_keys=True)
+            == json.dumps(ref, allow_nan=False, indent=2, sort_keys=True))

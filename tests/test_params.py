@@ -1,7 +1,9 @@
 """Parameter containers: validation, phase canonicalization, serialization."""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from nonrecip.params import (
@@ -22,6 +24,8 @@ from nonrecip.params import (
     save_params,
     wrap_phase,
 )
+from nonrecip.transmission import transmission_pair
+from nonrecip.verify import random_params
 
 TWO_PI = 2.0 * math.pi
 
@@ -179,3 +183,58 @@ def test_model_params_coerces_complex_slots(base_params):
     p = base_params(0.0, J2=0.01, J3=2)
     assert isinstance(p.J2, complex) and isinstance(p.J3, complex)
     assert p.J3 == 2.0 + 0.0j
+
+
+RATES = ("kappa1", "kappa2", "gamma", "f", "G1", "G2", "J1")
+
+
+@pytest.mark.parametrize("kind", [np.float64, int], ids=["float64", "int"])
+def test_rates_are_stored_as_python_floats(base_params, kind):
+    p = base_params(kind(1), **{name: kind(2) for name in RATES})
+    for name in RATES + ("theta", "phi"):
+        assert type(getattr(p, name)) is float
+    assert p == base_params(1.0, **{name: 2.0 for name in RATES})
+
+
+def test_numpy_scalar_params_give_the_float_transmissions():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        p = random_params(rng)
+        y = float(rng.uniform(-5.0, 5.0))
+        q = replace(p, **{name: np.float64(getattr(p, name)) for name in RATES})
+        ours, ref = transmission_pair(q, y), transmission_pair(p, y)
+        assert type(ours.T12) is float and type(ours.T21) is float
+        assert (ours.T12.hex(), ours.T21.hex()) == (ref.T12.hex(), ref.T21.hex())
+
+
+@pytest.mark.parametrize("name", RATES + ("theta", "phi"))
+def test_str_field_raises_type_error(base_params, name):
+    # a str is rejected, not parsed as a number
+    with pytest.raises(TypeError):
+        base_params(0.0, **{name: "1.0"})
+
+
+def _replace_built(p, reference):
+    # convert_unit as built field by field through dataclasses.replace:
+    # the reference its direct construction must reproduce exactly
+    if reference == p.unit.reference:
+        return p
+    scale = {"gamma": p.gamma, "kappa2": p.kappa2}.get(reference,
+                                                      1.0 / p.unit.value)
+    updates = {name: getattr(p, name) / scale for name in RATES + ("J2", "J3")}
+    return replace(p, unit=RateUnit(reference, p.unit.value * scale),
+                   **updates)
+
+
+def test_convert_unit_is_the_replace_built_conversion():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        p = random_params(rng)
+        for route in (("kappa2", "absolute"), ("kappa2", "gamma"),
+                      ("absolute", "kappa2")):
+            ours = ref = p
+            for reference in route:
+                ours = convert_unit(ours, reference)
+                ref = _replace_built(ref, reference)
+                # repr shows every field's type and bits
+                assert repr(ours) == repr(ref)

@@ -270,6 +270,83 @@ def test_drive_ramp_rescues_direct_failure(monkeypatch):
     assert np.linalg.norm(steady_residual(b, d, s)) < 1e-12
 
 
+def _reference_newton(p, d, cfg, x0):
+    # Newton with np.linalg.norm and np.all(np.isfinite(...)): the
+    # iteration whose iterates steady._newton must reproduce bit for bit
+    x = np.array(x0, dtype=float)
+    fx = steady_mod._residual_vec(p, d, x)
+    n = float(np.linalg.norm(fx))
+    best = n
+    for it in range(cfg.max_iter):
+        if n < cfg.tol:
+            return x, n, it
+        jac = steady_mod._jacobian(p, x)
+        try:
+            step = np.linalg.solve(jac, fx)
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobian(f"Newton step unsolvable: {exc}") from exc
+        if not np.all(np.isfinite(step)):
+            raise SingularJacobian("Newton step is not finite")
+        lam = cfg.damping
+        improved = False
+        for _ in range(60):
+            xn = x - lam * step
+            fn = steady_mod._residual_vec(p, d, xn)
+            nn = float(np.linalg.norm(fn))
+            if nn < n or nn < cfg.tol:
+                improved = True
+                break
+            lam *= 0.5
+        if not improved:
+            raise NonConvergence("line search stalled", best)
+        x, fx, n = xn, fn, nn
+        best = min(best, n)
+    if n < cfg.tol:
+        return x, n, cfg.max_iter
+    raise NonConvergence("iteration budget exhausted", best)
+
+
+def _outcome(b, d):
+    # repr shows every field's type and bits, and an exception's message
+    try:
+        return repr(solve_steady_state(b, d))
+    except (NonConvergence, SingularJacobian) as exc:
+        return repr(exc)
+
+
+def test_newton_iterates_are_the_reference_iterates(monkeypatch):
+    rng = np.random.default_rng(2024)
+    cases = [(_bare(), Drives(E1=e * cmath.exp(1j * a), E2=1j * e))
+             for e, a in zip(10.0 ** rng.uniform(1.0, math.log10(200.0), 40),
+                             rng.uniform(0.0, 2.0 * math.pi, 40))]
+    cases += [(_bare(g1=0.02, g2=0.02), Drives(E1=e, E2=-e))
+              for e in 10.0 ** rng.uniform(1.0, math.log10(200.0), 10)]
+    # the ramp-rescued point of test_drive_ramp_rescues_direct_failure
+    cases.append((BareParams(
+        Delta1=1.4, Delta2=1.4, Delta_en=1.4, omega_m=1.4, g1=0.0082,
+        g2=0.0053, J1=1.0, J2=0.23, J3=-0.59 - 0.073j, kappa1=0.25,
+        kappa2=0.73, gamma=0.3, f=0.25), Drives(E1=-60.0 - 18.0j,
+                                                 E2=1.1 - 0.37j)))
+    ours = [_outcome(b, d) for b, d in cases]
+    monkeypatch.setattr(steady_mod, "_newton", _reference_newton)
+    assert ours == [_outcome(b, d) for b, d in cases]
+    assert sum("iterations=" in o for o in ours) == len(cases)
+
+
+def test_norm_and_unpack_are_numpy_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for k in range(400):
+        v = rng.normal(size=8) * 10.0 ** rng.uniform(-200.0, 200.0, 8)
+        if k % 4:
+            v[rng.integers(8)] = (math.inf, -math.inf, math.nan)[k % 4 - 1]
+        # squares past 1e308 overflow to inf in both, with numpy's warning
+        with np.errstate(over="ignore"):
+            assert (np.float64(steady_mod._norm(v)).tobytes()
+                    == np.linalg.norm(v).tobytes())
+        assert repr(steady_mod._unpack(v)) == repr(tuple(
+            complex(v[i], v[i + 1]) for i in range(0, 8, 2)))
+
+
 def test_singular_newton_step_raises():
     # cavity 1 decoupled, undamped and on resonance: its linear block of the
     # Jacobian is zero, so the very first Newton step is unsolvable

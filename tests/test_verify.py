@@ -62,6 +62,29 @@ def test_block_draw_is_the_sequential_draw():
         assert ours.bit_generator.state == ref.bit_generator.state
 
 
+def test_root_consistency_draws_are_pinned(monkeypatch):
+    # the rates of check_root_consistency are those of one
+    # float(10.0 ** rng.uniform(-2, 2)) call per rate, in draw order
+    seen = []
+    real = verify.r_coefficients
+
+    def recorded(*args):
+        seen.append(args[:4])
+        return real(*args)
+
+    monkeypatch.setattr(verify, "r_coefficients", recorded)
+    for seed in range(200):
+        ours = np.random.default_rng(seed)
+        ref = np.random.default_rng(seed)
+        seen.clear()
+        assert verify.check_root_consistency(9, ours).passed
+        want = [tuple(float(10.0 ** ref.uniform(-2.0, 2.0)) for _ in range(4))
+                for _ in range(9)]
+        # repr shows every rate's type and bits
+        assert repr(seen) == repr(want)
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+
 def _sequential_accepted(draws, rng, pole_kappa1, aligned):
     # the one-draw-at-a-time loops of the closed-form, duality and
     # reciprocity checks, with the pole rule keyed on kappa1
