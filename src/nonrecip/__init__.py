@@ -41,12 +41,9 @@ from .params import (
     wrap_phase,
 )
 from .response import (
-    ClosedFormCoefficients,
     ResponseSolution,
     SingularMatrix,
     build_system_matrix,
-    closed_form_coefficients,
-    response_closed_form,
     solve_response,
 )
 from .steady import (
@@ -87,7 +84,7 @@ from .transmission import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Axis", "BareParams", "ClosedFormCoefficients", "DegenerateQuadratic",
+    "Axis", "BareParams", "DegenerateQuadratic",
     "DesignCandidate", "Direction", "DivisionByZero", "Drives",
     "InvalidParameterPath", "InvalidParams", "IsolationMetrics",
     "IsolatorDesign", "ModelParams", "NoValidDesign", "NonConvergence",
@@ -95,13 +92,13 @@ __all__ = [
     "SingularJacobian", "SingularMatrix", "SolverConfig", "SteadyState",
     "SweepSpec", "SweepTable",
     "TransmissionPoint", "UnknownFigure", "ZeroAmplitude", "ZeroJ3",
-    "build_system_matrix", "closed_form_coefficients", "convert_unit",
+    "build_system_matrix", "convert_unit",
     "design_isolator", "design_to_dict", "effective_couplings",
     "figure_ids", "figure_preset",
     "isolation_metrics", "j2_literal", "j3_roots", "linearized_params",
     "load_params", "model_params_from_dict", "model_params_to_dict",
     "nonreal_residue", "output_fields", "phasemap_spec", "r_coefficients",
-    "reproduce_figure", "response_closed_form", "save_params",
+    "reproduce_figure", "save_params",
     "solve_response", "solve_steady_state", "spectrum_spec",
     "steady_residual", "sweep", "transmission_grid", "transmission_pair",
     "wrap_phase", "write_csv", "write_json",

@@ -3,8 +3,9 @@
 The positive-frequency fluctuation amplitudes X = (da1, da2, dd, db) at probe
 detuning y obey the 4x4 complex linear system A1(y) X = B with drive vector
 B = (Ep1, Ep2, 0, 0). This module builds A1 and solves the system by LU
-with partial pivoting, and it evaluates the closed-form cofactors and
-determinant of A1.
+with partial pivoting, and it evaluates the one closed form of the
+response, `transfer_coefficients`: the cofactors of the two inter-cavity
+elements of A1^-1 and the determinant.
 
 The closed form is the production path for transmission: the kernel in
 `nonrecip.transmission` reads T12 and T21 from `transfer_coefficients` at
@@ -21,8 +22,8 @@ scalar solve (`build_system_matrix`, `solve_response`) in the tests, and
 
 A1 is written out once, in `system_matrices`, for scalars and arrays
 alike. There is one pole rule: |det A1| below `pole_thresholds`, a
-relative cutoff computed from the parameters. `solve_response`,
-`response_closed_form` and the LU band of the kernel all apply it.
+relative cutoff computed from the parameters. `solve_response` and the
+LU band of the kernel both apply it.
 
 Only the +y (e^{-i y t}) sideband is represented; the -y component vanishes
 identically under the rotating-wave approximation used throughout.
@@ -57,33 +58,13 @@ class SingularMatrix(ArithmeticError):
 
 @dataclass(frozen=True)
 class ResponseSolution:
-    """Fluctuation amplitudes at one probe detuning.
-
-    ``dd`` and ``db`` are None when produced by the closed form, which only
-    expresses the two cavity components.
-    """
+    """Fluctuation amplitudes at one probe detuning, from the LU solve."""
 
     da1: complex
     da2: complex
-    dd: complex | None
-    db: complex | None
+    dd: complex
+    db: complex
     y: float
-    method: str
-
-
-@dataclass(frozen=True)
-class ClosedFormCoefficients:
-    """The eight closed-form numerator coefficients and the determinant."""
-
-    tau1: complex
-    tau2: complex
-    tau3: complex
-    tau4: complex
-    chi1: complex
-    chi2: complex
-    chi3: complex
-    chi4: complex
-    D: complex
 
 
 def system_matrices(v: Mapping[str, object]) -> np.ndarray:
@@ -169,8 +150,7 @@ def solve_response(p: ModelParams, y: float, Ep1: float, Ep2: float) -> Response
     b = np.array([Ep1, Ep2, 0.0, 0.0], dtype=complex)
     x = np.linalg.solve(m, b)
     return ResponseSolution(da1=complex(x[0]), da2=complex(x[1]),
-                            dd=complex(x[2]), db=complex(x[3]),
-                            y=float(y), method="matrix_solve")
+                            dd=complex(x[2]), db=complex(x[3]), y=float(y))
 
 
 def transfer_coefficients(v: Mapping[str, object]):
@@ -233,49 +213,8 @@ def transfer_coefficients(v: Mapping[str, object]):
     return tau1, tau2, chi1, chi2, D
 
 
-def closed_form_coefficients(p: ModelParams, y: float) -> ClosedFormCoefficients:
-    """Evaluate the closed-form numerators tau1..4, chi1..4 and determinant D.
-
-    tau1, tau2, chi1, chi2 and D come from :func:`transfer_coefficients`.
-    """
-    k1, k2, g, f = p.kappa1, p.kappa2, p.gamma, p.f
-    G1, G2 = p.G1, p.G2
-    J2, J3 = p.J2, p.J3
-    eph = cmath.exp(1j * p.phi)
-    tau1, tau2, chi1, chi2, D = transfer_coefficients(dict(vars(p), y=y))
-    tau3 = -G2**2 * y + y**3 - J3**2 * y - g * f * y - g * y * k2 - f * y * k2
-    tau4 = G2**2 * f - g * y**2 - f * y**2 - y**2 * k2 + J3**2 * k2 + g * f * k2
-    chi3 = (-G1**2 * y + y**3 - J2**2 * y - G1 * J2 * J3 * eph - J3**2 * y
-            - g * f * y - J2 * G1 * J3 / eph - g * y * k1 - f * y * k1)
-    chi4 = (-g * y**2 - f * y**2 - y**2 * k1 + J3**2 * k1 + g * f * k1
-            + J2**2 * g + G1**2 * f)
-    return ClosedFormCoefficients(tau1, tau2, tau3, tau4,
-                                  chi1, chi2, chi3, chi4, complex(D))
-
-
-def response_closed_form(p: ModelParams, y: float, Ep1: float,
-                         Ep2: float) -> ResponseSolution:
-    """Closed-form cavity amplitudes da1, da2.
-
-    da1 = ((i tau3 + tau4) Ep1 + (i tau1 - tau2) Ep2) / D and
-    da2 = ((i chi1 - chi2) Ep1 + (i chi3 + chi4) Ep2) / D. The ensemble and
-    mechanical components are not expressed by the closed form and are
-    returned as None. Raises SingularMatrix at a pole, by the rule of
-    :func:`solve_response`.
-    """
-    c = closed_form_coefficients(p, y)
-    if abs(c.D) < pole_thresholds(dict(vars(p), y=y)):
-        raise SingularMatrix(
-            f"closed-form determinant is singular at y={y} (|D|={abs(c.D):.3e})")
-    da1 = ((1j * c.tau3 + c.tau4) * Ep1 + (1j * c.tau1 - c.tau2) * Ep2) / c.D
-    da2 = ((1j * c.chi1 - c.chi2) * Ep1 + (1j * c.chi3 + c.chi4) * Ep2) / c.D
-    return ResponseSolution(da1=da1, da2=da2, dd=None, db=None,
-                            y=float(y), method="closed_form")
-
-
 __all__ = [
-    "ClosedFormCoefficients", "ResponseSolution", "SINGULARITY_RTOL",
-    "SingularMatrix", "build_system_matrix", "closed_form_coefficients",
-    "pole_thresholds", "response_closed_form", "solve_response",
+    "ResponseSolution", "SINGULARITY_RTOL", "SingularMatrix",
+    "build_system_matrix", "pole_thresholds", "solve_response",
     "system_matrices", "transfer_coefficients",
 ]

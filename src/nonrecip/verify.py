@@ -165,9 +165,9 @@ def _worst_accepted(draws: int, rng: np.random.Generator, evaluate) -> float:
 
 
 def _closed_form_errors(v, done):
-    # the kernel's inverse elements against LU; a pole of the LU solve or
-    # of the closed form is redrawn, as solve_response and
-    # response_closed_form rule
+    # the kernel's inverse elements against LU; a draw is redrawn when
+    # either the LU determinant or the kernel's D falls below the pole
+    # threshold of solve_response
     m = system_matrices(v)
     tau1, tau2, chi1, chi2, D = transfer_coefficients(v)
     thresholds = pole_thresholds(v)

@@ -1,4 +1,9 @@
-"""Response matrix assembly, the LU solve, and the closed-form cross-check."""
+"""Response matrix assembly, the LU solve, and the kernel's closed form.
+
+The closed form is `transfer_coefficients`: the cofactors of the two
+inter-cavity elements of A1^-1 and the determinant, checked here against
+the LU solve and a term-by-term expansion.
+"""
 
 import cmath
 import math
@@ -6,13 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from nonrecip import (
-    SingularMatrix,
-    build_system_matrix,
-    closed_form_coefficients,
-    response_closed_form,
-    solve_response,
-)
+from nonrecip import SingularMatrix, build_system_matrix, solve_response
 from nonrecip.response import (
     SINGULARITY_RTOL,
     pole_thresholds,
@@ -97,7 +96,6 @@ def test_solve_response_single_cavity(base_params):
     p = base_params(0.0, G1=0.0, G2=0.0, J1=0.0, J2=0.0, J3=0.0)
     y = 0.8
     sol = solve_response(p, y, 1.0, 0.0)
-    assert sol.method == "matrix_solve"
     assert sol.da1 == pytest.approx(1.0 / (p.kappa1 - 1j * y))
     assert sol.da2 == 0 and sol.dd == 0 and sol.db == 0
 
@@ -124,37 +122,42 @@ def test_solve_residual_small(base_params, rng):
 def test_closed_form_uncoupled_reductions(base_params):
     p = base_params(0.0, G1=0.0, G2=0.0, J1=0.0, J2=0.0, J3=0.0, f=3.0)
     y = 0.45
-    c = closed_form_coefficients(p, y)
-    assert c.tau1 == 0 and c.tau2 == 0
-    assert c.D == pytest.approx(
+    tau1, tau2, chi1, chi2, D = transfer_coefficients(dict(vars(p), y=y))
+    assert tau1 == 0 and tau2 == 0 and chi1 == 0 and chi2 == 0
+    assert D == pytest.approx(
         (p.kappa1 - 1j * y) * (p.kappa2 - 1j * y)
         * (p.f - 1j * y) * (p.gamma - 1j * y))
-    sol = response_closed_form(p, y, 1.0, 0.0)
-    assert sol.method == "closed_form"
+    # no path between the cavities: the LU solve agrees with the zero
+    # inter-cavity element and leaves cavity 1 a lone cavity
+    sol = solve_response(p, y, 1.0, 0.0)
+    assert sol.da2 == (1j * chi1 - chi2) / D == 0
     assert sol.da1 == pytest.approx(1.0 / (p.kappa1 - 1j * y))
-    # the closed form only covers the two cavity components
-    assert sol.dd is None and sol.db is None
 
 
-def test_chi3_term_deletion(base_params):
-    # with J3 = J2 = 0 the chi3 coefficient collapses to five terms
+def test_cofactor_term_deletion(base_params):
+    # with J3 = J2 = 0 the ensemble drops out of tau1 and chi1, leaving
+    # (J1 y + G1 G2 e^{-+i theta}) y - J1 gamma f
     p = base_params(0.9, 0.3, J2=0.0, J3=0.0, kappa1=1.7, f=3.0,
                     G1=0.8, G2=0.4)
     y = 0.65
-    c = closed_form_coefficients(p, y)
-    expect = (-p.G1 ** 2 * y + y ** 3 - p.gamma * p.f * y
-              - p.gamma * y * p.kappa1 - p.f * y * p.kappa1)
-    assert c.chi3 == pytest.approx(expect, rel=1e-13)
+    tau1, _, chi1, _, _ = transfer_coefficients(dict(vars(p), y=y))
+    for got, sign in ((tau1, -1), (chi1, 1)):
+        expect = ((p.J1 * y + p.G1 * p.G2 * cmath.exp(sign * 1j * p.theta)) * y
+                  - p.J1 * p.gamma * p.f)
+        assert got == pytest.approx(expect, rel=1e-13)
 
 
 def test_closed_form_matches_solve(base_params, rng):
+    # [A1^-1]_(2,1) is da2 under a drive of port 1 alone, and
+    # [A1^-1]_(1,2) is da1 under a drive of port 2 alone
     for _ in range(100):
         p = random_params(rng)
         y = float(rng.normal())
-        sol = solve_response(p, y, 1.0, 0.7)
-        cf = response_closed_form(p, y, 1.0, 0.7)
-        assert abs(cf.da1 - sol.da1) <= 1e-10 * abs(sol.da1)
-        assert abs(cf.da2 - sol.da2) <= 1e-10 * abs(sol.da2)
+        tau1, tau2, chi1, chi2, D = transfer_coefficients(dict(vars(p), y=y))
+        lu21 = solve_response(p, y, 1.0, 0.0).da2
+        lu12 = solve_response(p, y, 0.0, 1.0).da1
+        assert abs((1j * chi1 - chi2) / D - lu21) <= 1e-10 * abs(lu21)
+        assert abs((1j * tau1 - tau2) / D - lu12) <= 1e-10 * abs(lu12)
 
 
 def test_determinant_formula_matches_numeric(base_params, rng):
@@ -162,16 +165,17 @@ def test_determinant_formula_matches_numeric(base_params, rng):
         p = random_params(rng)
         y = float(rng.normal())
         num = np.linalg.det(build_system_matrix(p, y))
-        assert abs(closed_form_coefficients(p, y).D - num) <= 1e-10 * abs(num)
+        D = transfer_coefficients(dict(vars(p), y=y))[4]
+        assert abs(D - num) <= 1e-10 * abs(num)
 
 
 def test_singular_pole_detected(base_params):
     p = base_params(0.0, G1=0.0, G2=0.0, J1=0.0, J2=0.0, J3=0.0, kappa1=0.0)
     with pytest.raises(SingularMatrix):
         solve_response(p, 0.0, 1.0, 0.0)
-    # the closed form applies the same pole rule and raises the same error
-    with pytest.raises(SingularMatrix):
-        response_closed_form(p, 0.0, 1.0, 0.0)
+    # the kernel's D falls under the same pole rule at the same point
+    v = dict(vars(p), y=0.0)
+    assert abs(transfer_coefficients(v)[4]) < pole_thresholds(v)
 
 
 def test_far_detuned_response_decays(base_params):
