@@ -4,11 +4,14 @@ The mean amplitudes (alpha1, alpha2, rho, beta) satisfy four coupled
 complex equations in which the cavity detunings are shifted by the
 mechanical displacement, Delta_j_eff = Delta_j + 2 g_j Re(beta), making the
 system nonlinear through |alpha_j|^2 and Re(beta). A damped Newton
-iteration on the eight real components solves it; the zero state is the
-exact weak-drive limit and serves as the initial guess, with a drive-ramp
-homotopy as the automatic retry. Under strong drive the system can be
-multistable; the returned branch is the one continuously connected to zero
-drive.
+iteration on the four complex amplitudes solves it. Its step is found by
+block elimination in Python complex arithmetic, since the cavity and
+ensemble rows of the Jacobian are complex-linear once Re(delta beta) is
+fixed (`_step`); the real 8x8 Jacobian `_jacobian` is kept as the
+reference. The zero state is the exact weak-drive limit and serves as the
+initial guess, with a drive-ramp homotopy as the automatic retry. Under
+strong drive the system can be multistable; the returned branch is the one
+continuously connected to zero drive.
 
 `effective_couplings` and `linearized_params` convert a converged state
 into the parameter set consumed by the linear response machinery.
@@ -89,17 +92,11 @@ def _unpack(x: np.ndarray) -> tuple[complex, complex, complex, complex]:
     return complex(r1, i1), complex(r2, i2), complex(r3, i3), complex(r4, i4)
 
 
-def _norm(v: np.ndarray) -> float:
-    """``np.linalg.norm(v)`` of a real vector as a float, bit for bit.
-
-    numpy computes it as the square root of ``v.dot(v)``; so does this,
-    without numpy's per-call overhead.
-    """
-    return math.sqrt(v.dot(v))
+Amplitudes = tuple[complex, complex, complex, complex]
 
 
-def _residual_vec(p: BareParams, d: Drives, x: np.ndarray) -> np.ndarray:
-    a1, a2, rho, beta = _unpack(x)
+def _residual(p: BareParams, d: Drives, a1: complex, a2: complex,
+              rho: complex, beta: complex) -> Amplitudes:
     D1 = p.Delta1 + 2.0 * p.g1 * beta.real
     D2 = p.Delta2 + 2.0 * p.g2 * beta.real
     r1 = (1j * D1 + p.kappa1) * a1 + 1j * p.J1 * a2 + 1j * p.J2 * rho - d.E1
@@ -110,8 +107,11 @@ def _residual_vec(p: BareParams, d: Drives, x: np.ndarray) -> np.ndarray:
           + 1j * p.g1 * (a1.real ** 2 + a1.imag ** 2)
           + 1j * p.g2 * (a2.real ** 2 + a2.imag ** 2)
           + 2j * p.J3 * rho.real)
-    return np.array([r1.real, r1.imag, r2.real, r2.imag,
-                     r3.real, r3.imag, r4.real, r4.imag])
+    return r1, r2, r3, r4
+
+
+def _residual_vec(p: BareParams, d: Drives, x: np.ndarray) -> np.ndarray:
+    return _pack(*_residual(p, d, *_unpack(x)))
 
 
 def steady_residual(p: BareParams, d: Drives, s: SteadyState) -> np.ndarray:
@@ -124,6 +124,7 @@ def steady_residual(p: BareParams, d: Drives, s: SteadyState) -> np.ndarray:
 
 
 def _jacobian(p: BareParams, x: np.ndarray) -> np.ndarray:
+    """Real 8x8 Jacobian of ``_residual_vec``; the reference for ``_step``."""
     a1, a2, _, beta = _unpack(x)
     c1 = 1j * (p.Delta1 + 2.0 * p.g1 * beta.real) + p.kappa1
     c2 = 1j * (p.Delta2 + 2.0 * p.g2 * beta.real) + p.kappa2
@@ -161,43 +162,109 @@ def _jacobian(p: BareParams, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _step(p: BareParams, u: Amplitudes, f: Amplitudes) -> Amplitudes:
+    """Newton step J^-1 f at ``u`` by block elimination.
+
+    With b = Re(delta beta) held fixed, the cavity and ensemble rows are
+    complex-linear in du = (d alpha1, d alpha2, d rho): M du + b h = f[:3]
+    with h = 2i (g1 alpha1, g2 alpha2, J3). M is solved by its adjugate,
+    once for f[:3] and once for h, giving du = (p1, p2, p3) - b (q1, q2,
+    q3); the mechanical row then gives delta beta = a + b g, and
+    b = Re a / (1 - Re g). Since omega_m > 0, cm != 0 and J is singular
+    exactly when det M = 0 or Re g = 1.
+    """
+    a1, a2, _, beta = u
+    f1, f2, f3, f4 = f
+    J1, J2, J3 = p.J1, p.J2, p.J3
+    J2c = J2.conjugate()
+    j1sq = J1 * J1
+    j2sq = J2.real * J2.real + J2.imag * J2.imag
+    c1 = 1j * (p.Delta1 + 2.0 * p.g1 * beta.real) + p.kappa1
+    c2 = 1j * (p.Delta2 + 2.0 * p.g2 * beta.real) + p.kappa2
+    ce = 1j * p.Delta_en + p.f
+    cm = 1j * p.omega_m + p.gamma
+    # adjugate of M = [[c1, iJ1, iJ2], [iJ1, c2, 0], [iJ2*, 0, ce]]
+    m00 = c2 * ce
+    m01 = -1j * J1 * ce
+    m02 = -1j * J2 * c2
+    m11 = c1 * ce + j2sq
+    m12 = -J1 * J2
+    m20 = -1j * J2c * c2
+    m21 = -J1 * J2c
+    m22 = c1 * c2 + j1sq
+    det = c1 * m00 + j1sq * ce + j2sq * c2
+    if det == 0:
+        raise SingularJacobian("Newton step unsolvable: det M = 0")
+    h1 = 2j * p.g1 * a1
+    h2 = 2j * p.g2 * a2
+    h3 = 2j * J3
+    p1 = (m00 * f1 + m01 * f2 + m02 * f3) / det
+    p2 = (m01 * f1 + m11 * f2 + m12 * f3) / det
+    p3 = (m20 * f1 + m21 * f2 + m22 * f3) / det
+    q1 = (m00 * h1 + m01 * h2 + m02 * h3) / det
+    q2 = (m01 * h1 + m11 * h2 + m12 * h3) / det
+    q3 = (m20 * h1 + m21 * h2 + m22 * h3) / det
+    # mechanical row: cm d beta + L(du) = f4 with L real-linear in du
+    g1, g2 = 2.0 * p.g1, 2.0 * p.g2
+    lp = 1j * (g1 * (a1.real * p1.real + a1.imag * p1.imag)
+               + g2 * (a2.real * p2.real + a2.imag * p2.imag)) + 2j * J3 * p3.real
+    lq = 1j * (g1 * (a1.real * q1.real + a1.imag * q1.imag)
+               + g2 * (a2.real * q2.real + a2.imag * q2.imag)) + 2j * J3 * q3.real
+    a = (f4 - lp) / cm
+    g = lq / cm
+    den = 1.0 - g.real
+    if den == 0.0:
+        raise SingularJacobian("Newton step unsolvable: 1 - Re g = 0")
+    b = a.real / den
+    step = (p1 - b * q1, p2 - b * q2, p3 - b * q3, a + b * g)
+    if not all(map(cmath.isfinite, step)):
+        raise SingularJacobian("Newton step is not finite")
+    return step
+
+
+def _search_norm(r: Amplitudes) -> float:
+    """Euclidean norm of the eight real residual components, in Python floats."""
+    r1, r2, r3, r4 = r
+    return math.sqrt(r1.real * r1.real + r1.imag * r1.imag
+                     + r2.real * r2.real + r2.imag * r2.imag
+                     + r3.real * r3.real + r3.imag * r3.imag
+                     + r4.real * r4.real + r4.imag * r4.imag)
+
+
 def _newton(p: BareParams, d: Drives, cfg: SolverConfig,
-            x0: np.ndarray) -> tuple[np.ndarray, float, int]:
-    x = np.array(x0, dtype=float)
-    fx = _residual_vec(p, d, x)
-    n = _norm(fx)
+            u: Amplitudes) -> tuple[Amplitudes, float, int]:
+    fu = _residual(p, d, *u)
+    n = _search_norm(fu)
     best = n
-    for it in range(cfg.max_iter):
+    for it in range(cfg.max_iter + 1):
+        # the line search compares Python-float norms; convergence is decided
+        # on np.linalg.norm of the packed residual, which is the norm of
+        # steady_residual at the returned state, the norm callers test
         if n < cfg.tol:
-            return x, n, it
-        jac = _jacobian(p, x)
-        try:
-            step = np.linalg.solve(jac, fx)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(f"Newton step unsolvable: {exc}") from exc
-        if not all(map(math.isfinite, step.tolist())):
-            raise SingularJacobian("Newton step is not finite")
+            exact = float(np.linalg.norm(_pack(*fu)))
+            if exact < cfg.tol:
+                return u, exact, it
+        if it == cfg.max_iter:
+            break
+        s1, s2, s3, s4 = _step(p, u, fu)
+        a1, a2, rho, beta = u
         lam = cfg.damping
-        improved = False
         for _ in range(60):
-            xn = x - lam * step
-            fn = _residual_vec(p, d, xn)
-            nn = _norm(fn)
+            un = (a1 - lam * s1, a2 - lam * s2, rho - lam * s3, beta - lam * s4)
+            fn = _residual(p, d, *un)
+            nn = _search_norm(fn)
             if nn < n or nn < cfg.tol:
-                improved = True
                 break
             lam *= 0.5
-        if not improved:
+        else:
             raise NonConvergence("line search stalled", best)
-        x, fx, n = xn, fn, nn
+        u, fu, n = un, fn, nn
         best = min(best, n)
-    if n < cfg.tol:
-        return x, n, cfg.max_iter
     raise NonConvergence("iteration budget exhausted", best)
 
 
-def _state(p: BareParams, x: np.ndarray, n: float, its: int) -> SteadyState:
-    a1, a2, rho, beta = _unpack(x)
+def _state(p: BareParams, u: Amplitudes, n: float, its: int) -> SteadyState:
+    a1, a2, rho, beta = u
     return SteadyState(
         alpha1=a1, alpha2=a2, rho=rho, beta=beta,
         Delta1_eff=p.Delta1 + 2.0 * p.g1 * beta.real,
@@ -226,25 +293,26 @@ def solve_steady_state(p: BareParams, d: Drives,
     """
     if cfg is None:
         cfg = _DEFAULT_CONFIG
-    zero = np.zeros(8)
-    x0 = zero if initial is None else _pack(
-        initial.alpha1, initial.alpha2, initial.rho, initial.beta)
+    zero = (0j, 0j, 0j, 0j)
+    u0 = zero if initial is None else (
+        complex(initial.alpha1), complex(initial.alpha2),
+        complex(initial.rho), complex(initial.beta))
     try:
-        x, n, its = _newton(p, d, cfg, x0)
-        return _state(p, x, n, its)
+        u, n, its = _newton(p, d, cfg, u0)
+        return _state(p, u, n, its)
     except NonConvergence as err:
         best = err.best_residual
-    x, total = zero, 0
+    u, total = zero, 0
     try:
         for k in range(1, 11):
             s = k / 10.0
             dk = replace(d, E1=d.E1 * s, E2=d.E2 * s)
-            x, n, its = _newton(p, dk, cfg, x)
+            u, n, its = _newton(p, dk, cfg, u)
             total += its
     except NonConvergence as err:
         raise NonConvergence("drive-ramp homotopy failed",
                              min(best, err.best_residual)) from err
-    return _state(p, x, n, total)
+    return _state(p, u, n, total)
 
 
 def effective_couplings(p: BareParams, s: SteadyState) -> tuple[float, float, float]:
