@@ -104,8 +104,8 @@ def _residual(p: BareParams, d: Drives, a1: complex, a2: complex,
     r3 = ((1j * p.Delta_en + p.f) * rho + 1j * p.J2.conjugate() * a1
           + 2j * p.J3 * beta.real)
     r4 = ((1j * p.omega_m + p.gamma) * beta
-          + 1j * p.g1 * (a1.real ** 2 + a1.imag ** 2)
-          + 1j * p.g2 * (a2.real ** 2 + a2.imag ** 2)
+          + 1j * p.g1 * (a1.real * a1.real + a1.imag * a1.imag)
+          + 1j * p.g2 * (a2.real * a2.real + a2.imag * a2.imag)
           + 2j * p.J3 * rho.real)
     return r1, r2, r3, r4
 

@@ -25,6 +25,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -169,24 +170,25 @@ def sweep(spec: SweepSpec) -> SweepTable:
     return SweepTable(columns=columns, data=data, singular=singular)
 
 
-# rows formatted or encoded per block, so emission never holds a whole
-# table of strings in memory
+# rows formatted per block, so emission never holds a whole table of
+# strings in memory
 _ROWS_PER_BLOCK = 1024
 
-# a block of rows encoded with separators=(_JSON_CELL_SEP, ...) reads
-# "[[a,<sep>b],<sep>[c,<sep>d]]"; rows hold only numbers, null and the
-# two status strings, so _JSON_ROW_SEP occurs only between rows
-_JSON_CELL_SEP = ",\n      "
-_JSON_ROW_SEP = "]" + _JSON_CELL_SEP + "["
-_JSON_ROW_OPEN = "    [\n      "
-_JSON_ROW_CLOSE = "\n    ]"
+# a format: how it spells a list of floats, a non-finite float (by its str)
+# and each status, then its cell separator, row opener, closer and separator
+_CSV = (lambda vs: list(map(float.__format__, vs, repeat(".16e"))),
+        {"nan": "", "inf": "inf", "-inf": "-inf"}, ("ok", "singular"),
+        ",", "", "\n", "")
+_JSON = (lambda vs: list(map(repr, vs)),
+         {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"},
+         ('"ok"', '"singular"'), ",\n      ", "\n    [\n      ", "\n    ]", ",")
 
 
-def _status_cells(singular: np.ndarray) -> list[str]:
+def _status_cells(singular: np.ndarray, ok="ok", bad="singular") -> list[str]:
     # every row shares one of the two status strings
-    cells = ["ok"] * len(singular)
+    cells = [ok] * len(singular)
     for i in np.flatnonzero(singular).tolist():
-        cells[i] = "singular"
+        cells[i] = bad
     return cells
 
 
@@ -196,18 +198,36 @@ def _blank_nan(cells: list, col: np.ndarray, blank) -> list:
     return cells
 
 
+def _write_rows(fh, table: SweepTable, dialect: tuple) -> None:
+    """Write the rows of ``table`` in ``dialect``, status last, per block."""
+    numbers, nonfinite, status, cell_sep, row_open, row_close, row_sep = dialect
+    for start in range(0, len(table), _ROWS_PER_BLOCK):
+        block = slice(start, start + _ROWS_PER_BLOCK)
+        cells = []
+        for name in (c for c in table.columns if c != "status"):
+            values, inv = table.data[name][block], None
+            if name not in _OBSERVABLES:
+                # an axis repeats few values: format each once, keyed on its
+                # bits, since np.unique on floats merges -0.0 and 0.0
+                bits, inv = np.unique(values.view(f"u{values.itemsize}"),
+                                      return_inverse=True)
+                values = bits.view(values.dtype)
+            col = numbers(values.tolist())
+            for i in np.flatnonzero(~np.isfinite(values)).tolist():
+                col[i] = nonfinite[col[i]]
+            cells.append(col if inv is None
+                         else list(map(col.__getitem__, inv.tolist())))
+        cells.append(_status_cells(table.singular[block], *status))
+        rows = map(cell_sep.join, zip(*cells))
+        fh.write((row_sep if start else "") + row_open
+                 + (row_close + row_sep + row_open).join(rows) + row_close)
+
+
 def write_csv(table: SweepTable, path: str) -> None:
     """Emit a sweep table deterministically: %.16e cells, LF endings."""
-    cols = [table.data[c] for c in table.columns if c != "status"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(table.columns) + "\n")
-        for start in range(0, len(table), _ROWS_PER_BLOCK):
-            block = slice(start, start + _ROWS_PER_BLOCK)
-            cells = [_blank_nan([f"{v:.16e}" for v in col[block].tolist()],
-                                col[block], "")
-                     for col in cols]
-            cells.append(_status_cells(table.singular[block]))
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        _write_rows(fh, table, _CSV)
 
 
 def table_to_json(table: SweepTable) -> dict:
@@ -221,26 +241,16 @@ def table_to_json(table: SweepTable) -> dict:
 
 
 def write_json(table: SweepTable, path: str) -> None:
-    """Emit ``table_to_json(table)`` as indent-2 JSON with sorted keys.
-
-    The bytes are those of ``json.dump(payload, fh, indent=2,
-    sort_keys=True)`` plus a final newline, but the rows are encoded per
-    block by the C encoder, which ``json.dump`` with an indent never uses.
-    """
-    payload = table_to_json(table)
-    rows = payload["rows"]
-    head, tail = json.dumps(dict(payload, rows=[]), indent=2,
+    """Emit the bytes of ``json.dump(table_to_json(table), fh, indent=2,
+    sort_keys=True)`` plus a final newline, formatting the rows per block."""
+    empty = SweepTable(table.columns, {c: v[:0] for c, v in table.data.items()},
+                       table.singular[:0])
+    head, tail = json.dumps(table_to_json(empty), indent=2,
                             sort_keys=True).split('"rows": []')
-    encode = json.JSONEncoder(separators=(_JSON_CELL_SEP, ": ")).encode
-    between_rows = _JSON_ROW_CLOSE + ",\n" + _JSON_ROW_OPEN
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head + '"rows": [')
-        for start in range(0, len(rows), _ROWS_PER_BLOCK):
-            text = encode(rows[start:start + _ROWS_PER_BLOCK])
-            fh.write(("\n" if start == 0 else ",\n") + _JSON_ROW_OPEN
-                     + text[2:-2].replace(_JSON_ROW_SEP, between_rows)
-                     + _JSON_ROW_CLOSE)
-        fh.write(("\n  ]" if rows else "]") + tail + "\n")
+        _write_rows(fh, table, _JSON)
+        fh.write(("\n  ]" if len(table) else "]") + tail + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,21 @@ def test_steady_nonconvergence_is_exit_2(tmp_path, capsys):
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
+def test_steady_overflowing_step_is_exit_2(tmp_path, capsys):
+    # a nearly singular cavity 1 makes a finite but huge Newton step; the
+    # solver reports that, not an errno-style OverflowError text
+    payload = _steady_payload(bare={"Delta1": 1e-200, "J1": 0.0, "J2": 0.0,
+                                    "kappa1": 0.0}, drives={"E1": 30.0})
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload))
+    rc = cli_main(["steady", "--params", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "out of range" not in err
+    assert "Newton" in err or "homotopy" in err or "line search" in err
+
+
 @pytest.mark.parametrize("command, payload, named", [
     ("spectrum", {"kappa2": 1.0, "gamma": 1.0, "f": 10.0, "G1": 0.5,
                   "G2": 0.5, "theta": 0.0, "J1": 0.5, "J2": 0.01, "phi": 0.0,

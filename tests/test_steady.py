@@ -396,3 +396,18 @@ def test_singular_newton_step_raises():
     b = _bare(kappa1=0.0, Delta1=0.0, J1=0.0, J2=0.0, g1=0.0)
     with pytest.raises(SingularJacobian):
         solve_steady_state(b, Drives(E1=30.0))
+
+
+def test_huge_trial_step_is_rejected_not_overflowed():
+    # kappa1 = 0 with Delta1 = 1e-200 leaves cavity 1 nearly singular, so a
+    # Newton step is finite but so large that squaring a trial amplitude
+    # overflows; the line search must reject that trial, not raise
+    # OverflowError from the residual
+    b = _bare(Delta1=1e-200, J1=0.0, J2=0.0, kappa1=0.0)
+    d = Drives(E1=30.0)
+    cfg = SolverConfig()
+    try:
+        s = solve_steady_state(b, d, cfg)
+    except (NonConvergence, SingularJacobian):
+        return
+    assert np.linalg.norm(steady_residual(b, d, s)) < cfg.tol

@@ -27,7 +27,9 @@ from nonrecip import (
     write_csv,
     write_json,
 )
+from nonrecip.cli import cli_main
 from nonrecip.design import j2_literal, j3_roots, r_coefficients
+from nonrecip.params import model_params_to_dict
 from nonrecip.sweep import (
     PHASEMAP_POINTS,
     SPECTRUM_POINTS,
@@ -257,12 +259,13 @@ def _per_cell_csv_bytes(table, path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(table.columns) + "\n")
         cols = [table.data[name] for name in names]
+        status = table.status
         for i in range(len(table)):
             cells = []
             for col in cols:
                 v = float(col[i])
                 cells.append("" if math.isnan(v) else f"{v:.16e}")
-            cells.append(str(table.status[i]))
+            cells.append(str(status[i]))
             fh.write(",".join(cells) + "\n")
     return path.read_bytes()
 
@@ -320,6 +323,104 @@ def test_write_csv_matches_per_cell_writer(base_params, tmp_path):
     write_csv(singular, str(tmp_path / "s.csv"))
     assert (tmp_path / "s.csv").read_bytes() == \
         _per_cell_csv_bytes(singular, tmp_path / "s_ref.csv")
+
+
+def _assert_writers_match_references(table, tmp_path):
+    write_csv(table, str(tmp_path / "t.csv"))
+    write_json(table, str(tmp_path / "t.json"))
+    assert (tmp_path / "t.csv").read_bytes() == \
+        _per_cell_csv_bytes(table, tmp_path / "ref.csv")
+    assert (tmp_path / "t.json").read_bytes() == \
+        _stdlib_json_bytes(table, tmp_path / "ref.json")
+
+
+@pytest.mark.parametrize("offset", [None, -1, 0, 1])
+def test_write_csv_block_edges_match_per_cell_writer(base_params, tmp_path,
+                                                     offset):
+    rows = 1 if offset is None else sweep_mod._ROWS_PER_BLOCK + offset
+    table = sweep(SweepSpec(fixed=base_params(HALF_PI),
+                            axis1=Axis("y", -2.0, 2.0, rows),
+                            observables=("T12", "T21", "isolation_db")))
+    write_csv(table, str(tmp_path / "t.csv"))
+    got = (tmp_path / "t.csv").read_bytes()
+    assert got == _per_cell_csv_bytes(table, tmp_path / "ref.csv")
+    assert got.count(b"\n") == rows + 1
+
+
+def test_write_csv_empty_table_matches_per_cell_writer(tmp_path):
+    empty = np.array([])
+    table = SweepTable(columns=("y", "T12", "status"),
+                       data={"y": empty, "T12": empty},
+                       singular=np.array([], dtype=bool))
+    write_csv(table, str(tmp_path / "t.csv"))
+    got = (tmp_path / "t.csv").read_bytes()
+    assert got == b"y,T12,status\n"
+    assert got == _per_cell_csv_bytes(table, tmp_path / "ref.csv")
+
+
+def test_writers_two_axis_map_with_singular_rows(base_params, tmp_path):
+    # undamped mechanics, nothing coupled: every y = 0 row is a pole
+    p = base_params(0.0, G1=0.0, G2=0.0, J1=0.0, J2=0.0, J3=0.0, gamma=0.0)
+    table = sweep(SweepSpec(fixed=p, axis1=Axis("y", -1.0, 1.0, 5),
+                            axis2=Axis("kappa1", 0.5, 1.5, 3),
+                            observables=("T12", "isolation_db", "T21")))
+    assert table.singular.tolist() == [False, False, True, False, False] * 3
+    _assert_writers_match_references(table, tmp_path)
+    rows = (tmp_path / "t.csv").read_text().splitlines()
+    assert rows[3].endswith(",,,,singular")
+    assert json.loads((tmp_path / "t.json").read_text())["rows"][2][2:] == \
+        [None, None, None, "singular"]
+
+
+def test_writers_keep_signed_zero_axis_values(tmp_path):
+    # axis values repeat out of order across blocks; -0.0 and 0.0 have
+    # distinct spellings and must not be merged as equal floats
+    pattern = [0.0, -0.0, 1.5, -0.0, 2.5, 0.0, -1.0, 1.5, 0.0]
+    axis = np.array(pattern * 300)
+    t12 = np.linspace(0.0, 1.0, len(axis))
+    table = SweepTable(columns=("y", "T12", "status"),
+                       data={"y": axis, "T12": t12},
+                       singular=np.zeros(len(axis), dtype=bool))
+    _assert_writers_match_references(table, tmp_path)
+    csv_rows = (tmp_path / "t.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in csv_rows[:3]] == [
+        "0.0000000000000000e+00", "-0.0000000000000000e+00",
+        "1.5000000000000000e+00"]
+    json_rows = json.loads((tmp_path / "t.json").read_text())["rows"]
+    signs = [math.copysign(1.0, r[0]) for r in json_rows[:len(pattern)]]
+    assert signs == [math.copysign(1.0, v) for v in pattern]
+
+
+def test_writers_spell_infinite_cells(tmp_path):
+    t12 = np.array([math.inf, 0.5, -math.inf, math.nan])
+    table = SweepTable(columns=("y", "T12", "status"),
+                       data={"y": np.array([0.0, 1.0, 2.0, 3.0]), "T12": t12},
+                       singular=np.isnan(t12))
+    _assert_writers_match_references(table, tmp_path)
+    assert (tmp_path / "t.csv").read_text().splitlines()[1:] == [
+        "0.0000000000000000e+00,inf,ok",
+        "1.0000000000000000e+00,5.0000000000000000e-01,ok",
+        "2.0000000000000000e+00,-inf,ok",
+        "3.0000000000000000e+00,,singular"]
+    text = (tmp_path / "t.json").read_text()
+    assert "Infinity" in text and "-Infinity" in text and "null" in text
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_phasemap_command_at_default_size_matches_references(
+        base_params, tmp_path, fmt):
+    # the benchmarked command: the default 201 x 201 map
+    p = base_params(HALF_PI)
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(model_params_to_dict(p)))
+    out = tmp_path / "out"
+    assert cli_main(["phasemap", "--params", str(params), "--out", str(out),
+                     "--format", fmt]) == 0
+    table = sweep(phasemap_spec(p))
+    assert len(table) == PHASEMAP_POINTS ** 2
+    reference = _stdlib_json_bytes if fmt == "json" else _per_cell_csv_bytes
+    assert (out / f"phasemap.{fmt}").read_bytes() == \
+        reference(table, tmp_path / f"ref.{fmt}")
 
 
 def test_figure_id_catalog():
