@@ -14,15 +14,14 @@ import sys
 
 from .design import NoValidDesign, design_isolator, design_to_dict
 from .params import (
+    BareParams,
+    Drives,
+    ModelParams,
     RateUnit,
+    _from_dict,
+    _to_dict,
     _write_json,
-    bare_params_from_dict,
-    bare_params_to_dict,
     convert_unit,
-    drives_from_dict,
-    drives_to_dict,
-    model_params_from_dict,
-    steady_state_to_dict,
 )
 from .steady import SolverConfig, solve_steady_state
 from .sweep import (
@@ -64,7 +63,7 @@ def _load_json(path: str) -> dict:
 def _load_model_params(path: str, unit: str | None):
     d = _load_json(path)
     try:
-        p = model_params_from_dict(d)
+        p = _from_dict(ModelParams, d)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad params file {path}: {exc}") from None
     if unit:
@@ -108,17 +107,17 @@ def _cmd_steady(args) -> int:
     if "bare" not in d:
         raise CliError(f"params file {args.params} needs a 'bare' section")
     try:
-        bare = bare_params_from_dict(d["bare"])
-        drives = drives_from_dict(d.get("drives", {}))
-        cfg = SolverConfig(**d["solver"]) if "solver" in d else SolverConfig()
+        bare = _from_dict(BareParams, d["bare"])
+        drives = _from_dict(Drives, d.get("drives", {}))
+        cfg = _from_dict(SolverConfig, d.get("solver", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad params file {args.params}: {exc}") from None
     state = solve_steady_state(bare, drives, cfg)
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "bare": bare_params_to_dict(bare),
-        "drives": drives_to_dict(drives),
-        "steady_state": steady_state_to_dict(state),
+        "bare": _to_dict(bare),
+        "drives": _to_dict(drives),
+        "steady_state": _to_dict(state),
     }
     return _emit_report(payload, args.out, "steady.json")
 

@@ -28,12 +28,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .params import (
-    InvalidParams,
-    ModelParams,
-    RateUnit,
-    model_params_to_dict,
-)
+from .params import InvalidParams, ModelParams, RateUnit, _to_dict
 from .response import SingularMatrix
 from .transmission import isolation_metrics, transmission_pair
 
@@ -352,48 +347,23 @@ def design_isolator(
 # JSON report encoding
 # ---------------------------------------------------------------------------
 
-def _num(v: float):
-    return None if math.isnan(v) else v
-
-
-def _cnum(z: complex):
-    if math.isnan(z.real) or math.isnan(z.imag):
-        return None
-    return {"re": z.real, "im": z.imag}
-
-
-def r_coefficients_to_dict(r: RCoefficients) -> dict:
-    return {name: getattr(r, name) for name in (
-        "R1", "R2", "R2p", "R3", "R4", "R5", "R6", "R7", "R8", "R9",
-        "kappa1", "kappa2", "gamma", "f", "G1", "G2", "J1",
-    )}
+r_coefficients_to_dict = _to_dict
 
 
 def design_to_dict(d: IsolatorDesign) -> dict:
-    out = {
-        "kappa1": d.kappa1, "kappa2": d.kappa2, "gamma": d.gamma, "f": d.f,
-        "G1": d.G1, "G2": d.G2, "J1": d.J1, "theta": d.theta, "phi": d.phi,
-        "unit": {"reference": d.unit.reference, "value": d.unit.value},
-        "r_coefficients": r_coefficients_to_dict(d.r),
-        "root_candidates": [
-            {
-                "J3": _cnum(c.J3),
-                "J2": _cnum(c.J2),
-                "J2_mag": _num(c.J2_mag),
-                "J2_residue": _num(c.J2_residue),
-                "J2_nonreal": (not math.isnan(c.J2_residue)
-                               and c.J2_residue > J2_RESIDUE_TOL),
-                "T12_at_resonance": _num(c.T12_at_resonance),
-                "T21_at_resonance": _num(c.T21_at_resonance),
-                "valid": c.valid,
-                "direction": c.direction,
-            }
-            for c in d.root_candidates
-        ],
-        "chosen": d.chosen,
-    }
+    """The JSON report of a design: `_to_dict` of its fields, plus three.
+
+    ``r`` is written under the key ``r_coefficients``, each candidate gets
+    its derived ``J2_nonreal`` verdict, and the chosen candidate's
+    parameter set is added as ``model_params`` when there is one.
+    """
+    out = _to_dict(d)
+    out["r_coefficients"] = out.pop("r")
+    for rec, c in zip(out["root_candidates"], d.root_candidates):
+        rec["J2_nonreal"] = (not math.isnan(c.J2_residue)
+                             and c.J2_residue > J2_RESIDUE_TOL)
     if d.chosen is not None:
-        out["model_params"] = model_params_to_dict(d.to_model_params())
+        out["model_params"] = _to_dict(d.to_model_params())
     return out
 
 

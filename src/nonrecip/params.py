@@ -18,7 +18,8 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import partial
 
 TWO_PI = 2.0 * math.pi
 
@@ -276,99 +277,80 @@ class TransmissionPoint:
 
 
 # ---------------------------------------------------------------------------
-# JSON-compatible serialization. Complex values round-trip as {re, im} pairs.
+# JSON codec: one encoder and one decoder driven by the dataclass fields.
 # ---------------------------------------------------------------------------
 
-def _encode_value(v):
+def _encode(v):
+    if is_dataclass(v):
+        return _to_dict(v)
+    if isinstance(v, tuple):
+        return [_encode(x) for x in v]
     if isinstance(v, complex):
-        return {"re": v.real, "im": v.imag}
-    if isinstance(v, RateUnit):
-        return {"reference": v.reference, "value": v.value}
+        return None if cmath.isnan(v) else {"re": v.real, "im": v.imag}
+    if isinstance(v, float) and math.isnan(v):
+        return None
     return v
+
+
+def _to_dict(obj) -> dict:
+    """The JSON form of dataclass ``obj``, one key per field.
+
+    A complex value becomes ``{"re", "im"}``, a NaN (or a complex with a
+    NaN part) becomes None, and nested dataclasses and tuples are encoded
+    the same way.
+    """
+    return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)}
 
 
 def _decode_complex(v) -> complex:
     if isinstance(v, dict):
+        unknown = v.keys() - {"re", "im"}
+        if unknown:
+            raise ValueError(f"unknown key {min(unknown)!r} in a complex "
+                             "value; use 're' and 'im'")
         return complex(v.get("re", 0.0), v.get("im", 0.0))
     return complex(v)
 
 
-def model_params_to_dict(p: ModelParams) -> dict:
-    return {name: _encode_value(getattr(p, name)) for name in (
-        "kappa1", "kappa2", "gamma", "f", "G1", "G2", "theta",
-        "J1", "J2", "phi", "J3", "unit",
-    )}
+def _from_dict(cls, d):
+    """Build dataclass ``cls`` from the JSON form `_to_dict` writes.
+
+    Each field is decoded by its annotated type; a missing field takes its
+    default, or raises KeyError naming it when it has none. A ``d`` that is
+    not a JSON object raises TypeError, and a key that is not a field of
+    ``cls``, or a field that does not decode, raises ValueError or
+    TypeError naming it.
+    """
+    if not isinstance(d, dict):
+        raise TypeError(f"{cls.__name__} must be a JSON object, "
+                        f"not {type(d).__name__}")
+    fs = fields(cls)
+    unknown = d.keys() - {f.name for f in fs}
+    if unknown:
+        raise ValueError(f"unknown key {min(unknown)!r} for {cls.__name__}")
+    kwargs = {}
+    for f in fs:
+        if f.name in d:
+            decode = _DECODERS.get(f.type)
+            try:
+                kwargs[f.name] = d[f.name] if decode is None else decode(d[f.name])
+            except (TypeError, ValueError) as exc:
+                raise type(exc)(f"{f.name}: {exc}") from None
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise KeyError(f.name)
+    return cls(**kwargs)
 
 
-def model_params_from_dict(d: dict) -> ModelParams:
-    unit = d.get("unit", {"reference": "gamma", "value": 1.0})
-    if isinstance(unit, dict):
-        unit = RateUnit(unit.get("reference", "gamma"), unit.get("value", 1.0))
-    return ModelParams(
-        kappa1=float(d["kappa1"]),
-        kappa2=float(d["kappa2"]),
-        gamma=float(d["gamma"]),
-        f=float(d["f"]),
-        G1=float(d["G1"]),
-        G2=float(d["G2"]),
-        theta=float(d["theta"]),
-        J1=float(d["J1"]),
-        J2=_decode_complex(d["J2"]),
-        phi=float(d["phi"]),
-        J3=_decode_complex(d["J3"]),
-        unit=unit,
-    )
+# decoders by annotation, which is a str (annotations are postponed); a
+# field of another type reaches the class unchanged, and the class checks it
+_DECODERS = {"float": float, "complex": _decode_complex,
+             "RateUnit": partial(_from_dict, RateUnit)}
 
-
-def bare_params_to_dict(p: BareParams) -> dict:
-    return {name: _encode_value(getattr(p, name)) for name in (
-        "Delta1", "Delta2", "Delta_en", "omega_m", "g1", "g2",
-        "J1", "J2", "J3", "kappa1", "kappa2", "gamma", "f",
-    )}
-
-
-def bare_params_from_dict(d: dict) -> BareParams:
-    return BareParams(
-        Delta1=float(d["Delta1"]),
-        Delta2=float(d["Delta2"]),
-        Delta_en=float(d["Delta_en"]),
-        omega_m=float(d["omega_m"]),
-        g1=float(d["g1"]),
-        g2=float(d["g2"]),
-        J1=float(d["J1"]),
-        J2=_decode_complex(d["J2"]),
-        J3=_decode_complex(d["J3"]),
-        kappa1=float(d["kappa1"]),
-        kappa2=float(d["kappa2"]),
-        gamma=float(d["gamma"]),
-        f=float(d["f"]),
-    )
-
-
-def drives_to_dict(d: Drives) -> dict:
-    return {
-        "E1": _encode_value(d.E1), "E2": _encode_value(d.E2),
-        "Ep1": d.Ep1, "Ep2": d.Ep2, "delta": d.delta,
-    }
-
-
-def drives_from_dict(d: dict) -> Drives:
-    return Drives(
-        E1=_decode_complex(d.get("E1", 0.0)),
-        E2=_decode_complex(d.get("E2", 0.0)),
-        Ep1=float(d.get("Ep1", 0.0)),
-        Ep2=float(d.get("Ep2", 0.0)),
-        delta=float(d.get("delta", 0.0)),
-    )
-
-
-def steady_state_to_dict(s: SteadyState) -> dict:
-    return {
-        "alpha1": _encode_value(s.alpha1), "alpha2": _encode_value(s.alpha2),
-        "rho": _encode_value(s.rho), "beta": _encode_value(s.beta),
-        "Delta1_eff": s.Delta1_eff, "Delta2_eff": s.Delta2_eff,
-        "residual_norm": s.residual_norm, "iterations": s.iterations,
-    }
+model_params_to_dict = bare_params_to_dict = drives_to_dict = _to_dict
+steady_state_to_dict = _to_dict
+model_params_from_dict = partial(_from_dict, ModelParams)
+bare_params_from_dict = partial(_from_dict, BareParams)
+drives_from_dict = partial(_from_dict, Drives)
 
 
 def _write_json(payload: dict, path: str) -> None:

@@ -43,7 +43,6 @@ class SolverConfig:
 
     tol: float = 1e-12
     max_iter: int = 200
-    damping: float = 1.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tol) and self.tol > 0.0):
@@ -54,8 +53,6 @@ class SolverConfig:
             raise ValueError("max_iter must be an integer")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping must lie in (0, 1]")
 
 
 # frozen, so one instance serves every call that passes no config
@@ -248,7 +245,7 @@ def _newton(p: BareParams, d: Drives, cfg: SolverConfig,
             break
         s1, s2, s3, s4 = _step(p, u, fu)
         a1, a2, rho, beta = u
-        lam = cfg.damping
+        lam = 1.0
         for _ in range(60):
             un = (a1 - lam * s1, a2 - lam * s2, rho - lam * s3, beta - lam * s4)
             fn = _residual(p, d, *un)
@@ -274,14 +271,12 @@ def _state(p: BareParams, u: Amplitudes, n: float, its: int) -> SteadyState:
 
 
 def solve_steady_state(p: BareParams, d: Drives,
-                       cfg: SolverConfig | None = None,
-                       initial: SteadyState | None = None) -> SteadyState:
+                       cfg: SolverConfig | None = None) -> SteadyState:
     """Solve the mean-field equations for the branch connected to zero drive.
 
-    Newton iteration from the zero state (or from ``initial`` when a nearby
-    converged state is available); on non-convergence the drives are ramped
-    from zero in 10 homotopy steps, re-seeding each solve with the previous
-    step's state.
+    Newton iteration from the zero state; on non-convergence the drives are
+    ramped from zero in 10 homotopy steps, re-seeding each solve with the
+    previous step's state.
 
     Raises
     ------
@@ -294,11 +289,8 @@ def solve_steady_state(p: BareParams, d: Drives,
     if cfg is None:
         cfg = _DEFAULT_CONFIG
     zero = (0j, 0j, 0j, 0j)
-    u0 = zero if initial is None else (
-        complex(initial.alpha1), complex(initial.alpha2),
-        complex(initial.rho), complex(initial.beta))
     try:
-        u, n, its = _newton(p, d, cfg, u0)
+        u, n, its = _newton(p, d, cfg, zero)
         return _state(p, u, n, its)
     except NonConvergence as err:
         best = err.best_residual

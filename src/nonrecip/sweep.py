@@ -34,8 +34,8 @@ from .params import (
     InvalidParams,
     ModelParams,
     RateUnit,
+    _to_dict,
     _write_json,
-    model_params_to_dict,
 )
 from .transmission import _require_open_ports, transmission_arrays
 
@@ -450,13 +450,10 @@ def reproduce_figure(fid: str, out_dir: str = ".") -> dict:
         "schema_version": SCHEMA_VERSION,
         "figure": fid,
         "csv": csv_name,
-        "params": model_params_to_dict(spec.fixed),
+        "params": _to_dict(spec.fixed),
         "grid": {
-            "axis1": {"name": spec.axis1.name, "start": spec.axis1.start,
-                      "stop": spec.axis1.stop, "points": spec.axis1.points},
-            "axis2": None if spec.axis2 is None else {
-                "name": spec.axis2.name, "start": spec.axis2.start,
-                "stop": spec.axis2.stop, "points": spec.axis2.points},
+            "axis1": _to_dict(spec.axis1),
+            "axis2": None if spec.axis2 is None else _to_dict(spec.axis2),
             "y": spec.y,
         },
         "landmarks": landmarks,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,8 +59,7 @@ _DRAWS = (_LOG_RATE,) * 5 + (_PHASE, _LOG_RATE, _LOG_RATE, _PHASE,
 _Y_LOW, _Y_SPAN = -5.0, 10.0
 _GAMMA_UNIT = RateUnit("gamma", 1.0)
 # the fields of _draw_fields, in ModelParams order
-_FIELDS = ("kappa1", "kappa2", "gamma", "f", "G1", "G2", "theta", "J1", "J2",
-           "phi", "J3")
+_FIELDS = tuple(f.name for f in fields(ModelParams) if f.name != "unit")
 
 
 def _draw_fields(u: list[float]) -> tuple:

@@ -224,15 +224,27 @@ def test_steady_overflowing_step_is_exit_2(tmp_path, capsys):
      "max_iter must be an integer"),
     ("spectrum", _model_payload(theta=math.inf), "theta finite"),
     ("phasemap", _model_payload(kappa1=-1.0), "kappa1 nonnegative"),
+    ("steady", _steady_payload(solver={"damping": 0.5}), "'damping'"),
+    ("steady", {**_steady_payload(drives=None), "drives": {"e1": 100.0}},
+     "unknown key 'e1' for Drives"),
+    ("steady", {**_steady_payload(drives=None), "drives": []},
+     "Drives must be a JSON object, not list"),
+    ("spectrum", _model_payload(J3={"Re": 0.0, "Im": 4.476}),
+     "J3: unknown key 'Im' in a complex value"),
+    ("spectrum --unit kappa2", _model_payload(unit="gamma"),
+     "unit: RateUnit must be a JSON object, not str"),
 ], ids=["spectrum-missing-field", "steady-no-bare", "steady-unknown-solver-key",
         "steady-nan-rate", "steady-float-max-iter", "steady-bool-max-iter",
-        "spectrum-infinite-theta", "phasemap-negative-rate"])
+        "spectrum-infinite-theta", "phasemap-negative-rate",
+        "steady-damping-is-not-a-solver-key", "steady-unknown-drive-key",
+        "steady-drives-not-an-object", "spectrum-unknown-complex-key",
+        "spectrum-unit-not-an-object"])
 def test_bad_input_file_is_exit_1(tmp_path, capsys, command, payload, named):
     path = tmp_path / "input.json"
     # NaN and Infinity are written as the bare literals
     path.write_text(json.dumps(payload))
     out = tmp_path / "out"
-    rc = cli_main([command, "--params", str(path), "--out", str(out)])
+    rc = cli_main([*command.split(), "--params", str(path), "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -286,6 +298,48 @@ def test_figure_subcommand(tmp_path, capsys):
     assert (tmp_path / "fig3c.csv").exists()
     assert (tmp_path / "fig3c_summary.json").exists()
     capsys.readouterr()
+
+
+_RATES = {"kappa1", "kappa2", "gamma", "f", "G1", "G2", "J1"}
+_MODEL_KEYS = _RATES | {"theta", "phi", "J2", "J3", "unit"}
+
+
+def test_report_key_sets(tmp_path, steady_file, capsys):
+    # the reports are written from the dataclass fields: a renamed or
+    # dropped field changes a key set here
+    assert cli_main(["design", "--kappa1", "10", "--kappa2", "1", "--gamma",
+                     "0.01", "--f", "1", "--out", str(tmp_path)]) == 0
+    assert cli_main(["steady", "--params", steady_file,
+                     "--out", str(tmp_path)]) == 0
+    assert cli_main(["figure", "fig2", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    design = json.loads((tmp_path / "design.json").read_text())
+    assert set(design) == _RATES | {
+        "schema_version", "theta", "phi", "unit", "r_coefficients",
+        "root_candidates", "chosen", "model_params"}
+    assert set(design["r_coefficients"]) == _RATES | {
+        "R1", "R2", "R2p", "R3", "R4", "R5", "R6", "R7", "R8", "R9"}
+    for c in design["root_candidates"]:
+        assert set(c) == {"J3", "J2", "J2_mag", "J2_residue", "J2_nonreal",
+                          "T12_at_resonance", "T21_at_resonance", "valid",
+                          "direction"}
+    assert set(design["model_params"]) == _MODEL_KEYS
+    assert set(design["unit"]) == {"reference", "value"}
+    steady = json.loads((tmp_path / "steady.json").read_text())
+    assert set(steady) == {"schema_version", "bare", "drives", "steady_state"}
+    assert set(steady["bare"]) == {
+        "Delta1", "Delta2", "Delta_en", "omega_m", "g1", "g2", "J1", "J2",
+        "J3", "kappa1", "kappa2", "gamma", "f"}
+    assert set(steady["drives"]) == {"E1", "E2", "Ep1", "Ep2", "delta"}
+    assert set(steady["steady_state"]) == {
+        "alpha1", "alpha2", "rho", "beta", "Delta1_eff", "Delta2_eff",
+        "residual_norm", "iterations"}
+    summary = json.loads((tmp_path / "fig2_summary.json").read_text())
+    assert set(summary["params"]) == _MODEL_KEYS
+    assert set(summary["grid"]) == {"axis1", "axis2", "y"}
+    for axis in ("axis1", "axis2"):
+        assert set(summary["grid"][axis]) == {"name", "start", "stop",
+                                              "points"}
 
 
 def test_figure_unknown_id(tmp_path, capsys):

@@ -12,6 +12,7 @@ from nonrecip.params import (
     InvalidParams,
     ModelParams,
     RateUnit,
+    SteadyState,
     TransmissionPoint,
     bare_params_from_dict,
     bare_params_to_dict,
@@ -22,6 +23,7 @@ from nonrecip.params import (
     model_params_from_dict,
     model_params_to_dict,
     save_params,
+    steady_state_to_dict,
     wrap_phase,
 )
 from nonrecip.transmission import transmission_pair
@@ -125,6 +127,39 @@ def test_model_params_json_round_trip(tmp_path, base_params):
     path = tmp_path / "params.json"
     save_params(str(path), p)
     assert load_params(str(path)) == p
+
+
+@pytest.mark.parametrize("change, error, match", [
+    # tests/test_cli.py takes the other malformed inputs through the CLI
+    ({"kapa1": 1.0}, ValueError, "unknown key 'kapa1' for ModelParams"),
+    ({"unit": {"reference": "gamma", "scale": 2.0}}, ValueError,
+     "unit: unknown key 'scale' for RateUnit"),
+    ({"theta": [0.0]}, TypeError, "theta: "),
+], ids=["unknown-key", "unknown-unit-key", "undecodable-float"])
+def test_from_dict_rejects_malformed_input(base_params, change, error, match):
+    d = {**model_params_to_dict(base_params(0.3)), **change}
+    with pytest.raises(error, match=match):
+        model_params_from_dict(d)
+
+
+def test_from_dict_requires_fields_without_default(base_params):
+    d = model_params_to_dict(base_params(0.3))
+    del d["unit"]
+    assert model_params_from_dict(d).unit == RateUnit()
+    del d["J3"]
+    with pytest.raises(KeyError, match="J3"):
+        model_params_from_dict(d)
+
+
+def test_to_dict_writes_nan_as_null():
+    s = SteadyState(alpha1=complex(math.nan, 0.0), alpha2=1j, rho=0j,
+                    beta=2.0 + 0j, Delta1_eff=math.nan, Delta2_eff=1.0,
+                    residual_norm=0.0)
+    assert steady_state_to_dict(s) == {
+        "alpha1": None, "alpha2": {"re": 0.0, "im": 1.0},
+        "rho": {"re": 0.0, "im": 0.0}, "beta": {"re": 2.0, "im": 0.0},
+        "Delta1_eff": None, "Delta2_eff": 1.0, "residual_norm": 0.0,
+        "iterations": 0}
 
 
 def test_bare_params_round_trip():

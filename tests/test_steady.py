@@ -138,23 +138,11 @@ def test_drive_linearity():
     assert s2.rho == pytest.approx(c * s1.rho, rel=1e-12, abs=1e-15)
 
 
-def test_continuity_under_drive_halving():
-    b = _bare()
-    cfg = SolverConfig()
-    s_full = solve_steady_state(b, Drives(E1=80.0, E2=50.0j), cfg)
-    s_half = solve_steady_state(b, Drives(E1=40.0, E2=25.0j), cfg,
-                                initial=s_full)
-    assert s_half.residual_norm < cfg.tol
-    assert s_half.iterations <= cfg.max_iter
-
-
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        SolverConfig(damping=1.5)
     for bad in (2.5, 3.0, True):
         with pytest.raises(ValueError, match="max_iter must be an integer"):
             SolverConfig(max_iter=bad)
@@ -288,7 +276,7 @@ def _reference_newton(p, d, cfg, u0):
             raise SingularJacobian(f"Newton step unsolvable: {exc}") from exc
         if not np.all(np.isfinite(step)):
             raise SingularJacobian("Newton step is not finite")
-        lam = cfg.damping
+        lam = 1.0
         improved = False
         for _ in range(60):
             xn = x - lam * step
