@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import partial
 
@@ -26,6 +27,7 @@ TWO_PI = 2.0 * math.pi
 _REFERENCES = ("gamma", "kappa2", "absolute")
 
 _INF = math.inf
+_MAX = sys.float_info.max
 # the real rate-valued fields of ModelParams
 _RATE_FIELDS = ("kappa1", "kappa2", "gamma", "f", "G1", "G2", "J1")
 
@@ -214,8 +216,30 @@ class BareParams:
     f: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "J2", complex(self.J2))
-        object.__setattr__(self, "J3", complex(self.J3))
+        J2, J3 = complex(self.J2), complex(self.J3)
+        object.__setattr__(self, "J2", J2)
+        object.__setattr__(self, "J3", J3)
+        # the valid case in one test, which passes only what the named
+        # checks pass (a NaN fails every comparison, and an int beyond the
+        # float range fails the bound); they decide whatever it does not,
+        # a str, a complex or an array included
+        try:
+            valid = (-_MAX <= self.Delta1 <= _MAX
+                     and -_MAX <= self.Delta2 <= _MAX
+                     and -_MAX <= self.Delta_en <= _MAX
+                     and 0.0 < self.omega_m <= _MAX
+                     and -_MAX <= self.g1 <= _MAX and -_MAX <= self.g2 <= _MAX
+                     and -_MAX <= self.J1 <= _MAX
+                     and cmath.isfinite(J2) and cmath.isfinite(J3)
+                     and 0.0 <= self.kappa1 <= _MAX
+                     and 0.0 <= self.kappa2 <= _MAX
+                     and 0.0 <= self.gamma <= _MAX and 0.0 <= self.f <= _MAX)
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            self._check()
+
+    def _check(self) -> None:
         _require_finite(self)
         if not self.omega_m > 0.0:
             raise ValueError("omega_m must be positive")
@@ -235,8 +259,20 @@ class Drives:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "E1", complex(self.E1))
-        object.__setattr__(self, "E2", complex(self.E2))
+        E1, E2 = complex(self.E1), complex(self.E2)
+        object.__setattr__(self, "E1", E1)
+        object.__setattr__(self, "E2", E2)
+        # one test on the valid path, as in BareParams
+        try:
+            valid = (cmath.isfinite(E1) and cmath.isfinite(E2)
+                     and 0.0 <= self.Ep1 <= _MAX and 0.0 <= self.Ep2 <= _MAX
+                     and -_MAX <= self.delta <= _MAX)
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            self._check()
+
+    def _check(self) -> None:
         _require_finite(self)
         if self.Ep1 < 0.0 or self.Ep2 < 0.0:
             raise ValueError("probe amplitudes must be nonnegative")
@@ -302,14 +338,25 @@ def _to_dict(obj) -> dict:
     return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)}
 
 
+def _number(v):
+    # float() and complex() would parse a str and read a bool as 0 or 1
+    if isinstance(v, (bool, str)):
+        raise TypeError(f"expected a number, not {type(v).__name__}")
+    return v
+
+
+def _decode_float(v) -> float:
+    return float(_number(v))
+
+
 def _decode_complex(v) -> complex:
     if isinstance(v, dict):
         unknown = v.keys() - {"re", "im"}
         if unknown:
             raise ValueError(f"unknown key {min(unknown)!r} in a complex "
                              "value; use 're' and 'im'")
-        return complex(v.get("re", 0.0), v.get("im", 0.0))
-    return complex(v)
+        return complex(_number(v.get("re", 0.0)), _number(v.get("im", 0.0)))
+    return complex(_number(v))
 
 
 def _from_dict(cls, d):
@@ -319,7 +366,7 @@ def _from_dict(cls, d):
     default, or raises KeyError naming it when it has none. A ``d`` that is
     not a JSON object raises TypeError, and a key that is not a field of
     ``cls``, or a field that does not decode, raises ValueError or
-    TypeError naming it.
+    TypeError naming it; a str or a bool in a number field does not decode.
     """
     if not isinstance(d, dict):
         raise TypeError(f"{cls.__name__} must be a JSON object, "
@@ -343,7 +390,7 @@ def _from_dict(cls, d):
 
 # decoders by annotation, which is a str (annotations are postponed); a
 # field of another type reaches the class unchanged, and the class checks it
-_DECODERS = {"float": float, "complex": _decode_complex,
+_DECODERS = {"float": _decode_float, "complex": _decode_complex,
              "RateUnit": partial(_from_dict, RateUnit)}
 
 model_params_to_dict = bare_params_to_dict = drives_to_dict = _to_dict

@@ -8,7 +8,8 @@ iteration on the four complex amplitudes solves it. Its step is found by
 block elimination in Python complex arithmetic, since the cavity and
 ensemble rows of the Jacobian are complex-linear once Re(delta beta) is
 fixed (`_step`); the real 8x8 Jacobian `_jacobian` is kept as the
-reference. The zero state is the exact weak-drive limit and serves as the
+reference. The terms that only the parameters fix are computed once per
+solve (`_Terms`). The zero state is the exact weak-drive limit and serves as the
 initial guess, with a drive-ramp homotopy as the automatic retry. Under
 strong drive the system can be multistable; the returned branch is the one
 continuously connected to zero drive.
@@ -92,23 +93,62 @@ def _unpack(x: np.ndarray) -> tuple[complex, complex, complex, complex]:
 Amplitudes = tuple[complex, complex, complex, complex]
 
 
-def _residual(p: BareParams, d: Drives, a1: complex, a2: complex,
+class _Terms:
+    """The terms of the equations that the parameters ``p`` alone fix.
+
+    `solve_steady_state` builds one per solve, and `_residual` and `_step`
+    share it across every Newton iteration, line-search trial and drive-ramp
+    step; the drives, which the ramp scales, stay outside. Each term is the
+    expression the equations would otherwise evaluate at every call, so the
+    iterates keep every bit.
+    """
+
+    __slots__ = ("p", "Delta1", "Delta2", "kappa1", "kappa2", "g1x2", "g2x2",
+                 "ig1", "ig2", "i2g1", "i2g2", "iJ1", "iJ2", "iJ2c", "i2J3",
+                 "ce", "cm", "j1sq", "j2sq", "j1sq_ce", "m01", "m12", "m21",
+                 "mJ2", "mJ2c")
+
+    def __init__(self, p: BareParams) -> None:
+        J1, J2, J3 = p.J1, p.J2, p.J3
+        J2c = J2.conjugate()
+        self.p = p
+        self.Delta1, self.Delta2 = p.Delta1, p.Delta2
+        self.kappa1, self.kappa2 = p.kappa1, p.kappa2
+        self.g1x2, self.g2x2 = 2.0 * p.g1, 2.0 * p.g2
+        self.ig1, self.ig2 = 1j * p.g1, 1j * p.g2
+        self.i2g1, self.i2g2 = 2j * p.g1, 2j * p.g2
+        self.iJ1, self.iJ2, self.iJ2c = 1j * J1, 1j * J2, 1j * J2c
+        self.i2J3 = 2j * J3
+        self.ce = ce = 1j * p.Delta_en + p.f
+        self.cm = 1j * p.omega_m + p.gamma
+        self.j1sq = j1sq = J1 * J1
+        self.j2sq = J2.real * J2.real + J2.imag * J2.imag
+        self.j1sq_ce = j1sq * ce
+        # the adjugate entries of M (see `_step`) that beta leaves alone,
+        # and the factors -iJ2 and -iJ2* of the two that are multiples of c2
+        self.m01 = -1j * J1 * ce
+        self.m12 = -J1 * J2
+        self.m21 = -J1 * J2c
+        self.mJ2 = -1j * J2
+        self.mJ2c = -1j * J2c
+
+
+def _residual(t: _Terms, d: Drives, a1: complex, a2: complex,
               rho: complex, beta: complex) -> Amplitudes:
-    D1 = p.Delta1 + 2.0 * p.g1 * beta.real
-    D2 = p.Delta2 + 2.0 * p.g2 * beta.real
-    r1 = (1j * D1 + p.kappa1) * a1 + 1j * p.J1 * a2 + 1j * p.J2 * rho - d.E1
-    r2 = (1j * D2 + p.kappa2) * a2 + 1j * p.J1 * a1 - d.E2
-    r3 = ((1j * p.Delta_en + p.f) * rho + 1j * p.J2.conjugate() * a1
-          + 2j * p.J3 * beta.real)
-    r4 = ((1j * p.omega_m + p.gamma) * beta
-          + 1j * p.g1 * (a1.real * a1.real + a1.imag * a1.imag)
-          + 1j * p.g2 * (a2.real * a2.real + a2.imag * a2.imag)
-          + 2j * p.J3 * rho.real)
+    D1 = t.Delta1 + t.g1x2 * beta.real
+    D2 = t.Delta2 + t.g2x2 * beta.real
+    r1 = (1j * D1 + t.kappa1) * a1 + t.iJ1 * a2 + t.iJ2 * rho - d.E1
+    r2 = (1j * D2 + t.kappa2) * a2 + t.iJ1 * a1 - d.E2
+    r3 = t.ce * rho + t.iJ2c * a1 + t.i2J3 * beta.real
+    r4 = (t.cm * beta
+          + t.ig1 * (a1.real * a1.real + a1.imag * a1.imag)
+          + t.ig2 * (a2.real * a2.real + a2.imag * a2.imag)
+          + t.i2J3 * rho.real)
     return r1, r2, r3, r4
 
 
 def _residual_vec(p: BareParams, d: Drives, x: np.ndarray) -> np.ndarray:
-    return _pack(*_residual(p, d, *_unpack(x)))
+    return _pack(*_residual(_Terms(p), d, *_unpack(x)))
 
 
 def steady_residual(p: BareParams, d: Drives, s: SteadyState) -> np.ndarray:
@@ -159,7 +199,7 @@ def _jacobian(p: BareParams, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _step(p: BareParams, u: Amplitudes, f: Amplitudes) -> Amplitudes:
+def _step(t: _Terms, u: Amplitudes, f: Amplitudes) -> Amplitudes:
     """Newton step J^-1 f at ``u`` by block elimination.
 
     With b = Re(delta beta) held fixed, the cavity and ensemble rows are
@@ -172,29 +212,24 @@ def _step(p: BareParams, u: Amplitudes, f: Amplitudes) -> Amplitudes:
     """
     a1, a2, _, beta = u
     f1, f2, f3, f4 = f
-    J1, J2, J3 = p.J1, p.J2, p.J3
-    J2c = J2.conjugate()
-    j1sq = J1 * J1
-    j2sq = J2.real * J2.real + J2.imag * J2.imag
-    c1 = 1j * (p.Delta1 + 2.0 * p.g1 * beta.real) + p.kappa1
-    c2 = 1j * (p.Delta2 + 2.0 * p.g2 * beta.real) + p.kappa2
-    ce = 1j * p.Delta_en + p.f
-    cm = 1j * p.omega_m + p.gamma
+    j1sq, j2sq, ce = t.j1sq, t.j2sq, t.ce
+    c1 = 1j * (t.Delta1 + t.g1x2 * beta.real) + t.kappa1
+    c2 = 1j * (t.Delta2 + t.g2x2 * beta.real) + t.kappa2
     # adjugate of M = [[c1, iJ1, iJ2], [iJ1, c2, 0], [iJ2*, 0, ce]]
     m00 = c2 * ce
-    m01 = -1j * J1 * ce
-    m02 = -1j * J2 * c2
+    m01 = t.m01
+    m02 = t.mJ2 * c2
     m11 = c1 * ce + j2sq
-    m12 = -J1 * J2
-    m20 = -1j * J2c * c2
-    m21 = -J1 * J2c
+    m12 = t.m12
+    m20 = t.mJ2c * c2
+    m21 = t.m21
     m22 = c1 * c2 + j1sq
-    det = c1 * m00 + j1sq * ce + j2sq * c2
+    det = c1 * m00 + t.j1sq_ce + j2sq * c2
     if det == 0:
         raise SingularJacobian("Newton step unsolvable: det M = 0")
-    h1 = 2j * p.g1 * a1
-    h2 = 2j * p.g2 * a2
-    h3 = 2j * J3
+    h1 = t.i2g1 * a1
+    h2 = t.i2g2 * a2
+    h3 = t.i2J3
     p1 = (m00 * f1 + m01 * f2 + m02 * f3) / det
     p2 = (m01 * f1 + m11 * f2 + m12 * f3) / det
     p3 = (m20 * f1 + m21 * f2 + m22 * f3) / det
@@ -202,13 +237,13 @@ def _step(p: BareParams, u: Amplitudes, f: Amplitudes) -> Amplitudes:
     q2 = (m01 * h1 + m11 * h2 + m12 * h3) / det
     q3 = (m20 * h1 + m21 * h2 + m22 * h3) / det
     # mechanical row: cm d beta + L(du) = f4 with L real-linear in du
-    g1, g2 = 2.0 * p.g1, 2.0 * p.g2
+    g1, g2 = t.g1x2, t.g2x2
     lp = 1j * (g1 * (a1.real * p1.real + a1.imag * p1.imag)
-               + g2 * (a2.real * p2.real + a2.imag * p2.imag)) + 2j * J3 * p3.real
+               + g2 * (a2.real * p2.real + a2.imag * p2.imag)) + h3 * p3.real
     lq = 1j * (g1 * (a1.real * q1.real + a1.imag * q1.imag)
-               + g2 * (a2.real * q2.real + a2.imag * q2.imag)) + 2j * J3 * q3.real
-    a = (f4 - lp) / cm
-    g = lq / cm
+               + g2 * (a2.real * q2.real + a2.imag * q2.imag)) + h3 * q3.real
+    a = (f4 - lp) / t.cm
+    g = lq / t.cm
     den = 1.0 - g.real
     if den == 0.0:
         raise SingularJacobian("Newton step unsolvable: 1 - Re g = 0")
@@ -228,29 +263,32 @@ def _search_norm(r: Amplitudes) -> float:
                      + r4.real * r4.real + r4.imag * r4.imag)
 
 
-def _newton(p: BareParams, d: Drives, cfg: SolverConfig,
+def _newton(t: _Terms, d: Drives, cfg: SolverConfig,
             u: Amplitudes) -> tuple[Amplitudes, float, int]:
-    fu = _residual(p, d, *u)
+    tol = cfg.tol
+    fu = _residual(t, d, *u)
     n = _search_norm(fu)
     best = n
     for it in range(cfg.max_iter + 1):
         # the line search compares Python-float norms; convergence is decided
-        # on np.linalg.norm of the packed residual, which is the norm of
-        # steady_residual at the returned state, the norm callers test
-        if n < cfg.tol:
-            exact = float(np.linalg.norm(_pack(*fu)))
-            if exact < cfg.tol:
+        # on the packed residual's norm as np.linalg.norm computes it,
+        # sqrt(v . v), which is the norm of steady_residual at the returned
+        # state, the norm callers test
+        if n < tol:
+            v = _pack(*fu)
+            exact = math.sqrt(v.dot(v))
+            if exact < tol:
                 return u, exact, it
         if it == cfg.max_iter:
             break
-        s1, s2, s3, s4 = _step(p, u, fu)
+        s1, s2, s3, s4 = _step(t, u, fu)
         a1, a2, rho, beta = u
         lam = 1.0
         for _ in range(60):
             un = (a1 - lam * s1, a2 - lam * s2, rho - lam * s3, beta - lam * s4)
-            fn = _residual(p, d, *un)
+            fn = _residual(t, d, *un)
             nn = _search_norm(fn)
-            if nn < n or nn < cfg.tol:
+            if nn < n or nn < tol:
                 break
             lam *= 0.5
         else:
@@ -260,12 +298,12 @@ def _newton(p: BareParams, d: Drives, cfg: SolverConfig,
     raise NonConvergence("iteration budget exhausted", best)
 
 
-def _state(p: BareParams, u: Amplitudes, n: float, its: int) -> SteadyState:
+def _state(t: _Terms, u: Amplitudes, n: float, its: int) -> SteadyState:
     a1, a2, rho, beta = u
     return SteadyState(
         alpha1=a1, alpha2=a2, rho=rho, beta=beta,
-        Delta1_eff=p.Delta1 + 2.0 * p.g1 * beta.real,
-        Delta2_eff=p.Delta2 + 2.0 * p.g2 * beta.real,
+        Delta1_eff=t.Delta1 + t.g1x2 * beta.real,
+        Delta2_eff=t.Delta2 + t.g2x2 * beta.real,
         residual_norm=n, iterations=its,
     )
 
@@ -288,10 +326,11 @@ def solve_steady_state(p: BareParams, d: Drives,
     """
     if cfg is None:
         cfg = _DEFAULT_CONFIG
+    t = _Terms(p)
     zero = (0j, 0j, 0j, 0j)
     try:
-        u, n, its = _newton(p, d, cfg, zero)
-        return _state(p, u, n, its)
+        u, n, its = _newton(t, d, cfg, zero)
+        return _state(t, u, n, its)
     except NonConvergence as err:
         best = err.best_residual
     u, total = zero, 0
@@ -299,12 +338,12 @@ def solve_steady_state(p: BareParams, d: Drives,
         for k in range(1, 11):
             s = k / 10.0
             dk = replace(d, E1=d.E1 * s, E2=d.E2 * s)
-            u, n, its = _newton(p, dk, cfg, u)
+            u, n, its = _newton(t, dk, cfg, u)
             total += its
     except NonConvergence as err:
         raise NonConvergence("drive-ramp homotopy failed",
                              min(best, err.best_residual)) from err
-    return _state(p, u, n, total)
+    return _state(t, u, n, total)
 
 
 def effective_couplings(p: BareParams, s: SteadyState) -> tuple[float, float, float]:
@@ -333,6 +372,9 @@ def effective_couplings(p: BareParams, s: SteadyState) -> tuple[float, float, fl
 
 ALIGNMENT_RTOL = 1e-6
 
+# frozen, so one instance serves every call that passes no unit
+_ABSOLUTE = RateUnit("absolute", 1.0)
+
 
 def linearized_params(p: BareParams, s: SteadyState,
                       unit: RateUnit | None = None) -> ModelParams:
@@ -360,7 +402,7 @@ def linearized_params(p: BareParams, s: SteadyState,
         kappa1=p.kappa1, kappa2=p.kappa2, gamma=p.gamma, f=p.f,
         G1=G1, G2=G2, theta=theta, J1=p.J1,
         J2=abs(p.J2), phi=wrap_phase(cmath.phase(p.J2)) if p.J2 != 0 else 0.0,
-        J3=p.J3, unit=unit if unit is not None else RateUnit("absolute", 1.0),
+        J3=p.J3, unit=unit if unit is not None else _ABSOLUTE,
     )
 
 

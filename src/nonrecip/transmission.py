@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -232,6 +231,9 @@ def transmission_arrays(v: Mapping[str, object], *,
         for s in chunks:
             run(s)
     else:
+        # imported here, so that a process that never starts a pool does
+        # not pay for concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, chunks))
     return out

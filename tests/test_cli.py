@@ -233,12 +233,24 @@ def test_steady_overflowing_step_is_exit_2(tmp_path, capsys):
      "J3: unknown key 'Im' in a complex value"),
     ("spectrum --unit kappa2", _model_payload(unit="gamma"),
      "unit: RateUnit must be a JSON object, not str"),
+    ("spectrum", _model_payload(kappa2=True),
+     "kappa2: expected a number, not bool"),
+    ("steady", {**_steady_payload(drives=None), "drives": {"E1": "100"}},
+     "E1: expected a number, not str"),
+    ("steady", {**_steady_payload(drives=None), "drives": {"E1": {"re": True}}},
+     "E1: expected a number, not bool"),
+    ("steady", _steady_payload(bare={"g1": "0.004"}),
+     "g1: expected a number, not str"),
+    ("steady", _steady_payload(solver={"tol": True}),
+     "tol: expected a number, not bool"),
 ], ids=["spectrum-missing-field", "steady-no-bare", "steady-unknown-solver-key",
         "steady-nan-rate", "steady-float-max-iter", "steady-bool-max-iter",
         "spectrum-infinite-theta", "phasemap-negative-rate",
         "steady-damping-is-not-a-solver-key", "steady-unknown-drive-key",
         "steady-drives-not-an-object", "spectrum-unknown-complex-key",
-        "spectrum-unit-not-an-object"])
+        "spectrum-unit-not-an-object", "spectrum-bool-rate",
+        "steady-str-drive", "steady-bool-complex-part", "steady-str-rate",
+        "steady-bool-tol"])
 def test_bad_input_file_is_exit_1(tmp_path, capsys, command, payload, named):
     path = tmp_path / "input.json"
     # NaN and Infinity are written as the bare literals

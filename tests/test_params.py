@@ -197,6 +197,104 @@ def test_non_finite_field_rejected(cls, base, field, value):
         cls(**{**base, field: value})
 
 
+_BARE_FIELDS = tuple(_BARE)
+_DRIVE_FIELDS = ("E1", "E2", "Ep1", "Ep2", "delta")
+
+
+def _message(cls, **kwargs):
+    with pytest.raises(ValueError) as exc_info:
+        cls(**kwargs)
+    return str(exc_info.value)
+
+
+@pytest.mark.parametrize("cls, base, names", [
+    (BareParams, _BARE, _BARE_FIELDS),
+    (Drives, {}, _DRIVE_FIELDS),
+], ids=["BareParams", "Drives"])
+def test_first_non_finite_field_is_named(cls, base, names):
+    # every field from the k-th on is bad, and so are the sign checks that
+    # come after the finiteness check: the k-th field is the one named
+    for k, name in enumerate(names):
+        bad = {n: (math.nan if n in ("kappa1", "Ep1") else
+                   complex(math.inf, 0.0) if n in ("J2", "E2") else
+                   -math.inf) for n in names[k:]}
+        kwargs = {**base, "omega_m": -1.0, "kappa1": -1.0, "Ep2": -1.0, **bad}
+        kwargs = {n: v for n, v in kwargs.items() if n in names}
+        assert _message(cls, **kwargs) == f"{name} must be finite"
+
+
+@pytest.mark.parametrize("omega_m", [0.0, -0.0, -1.0, -1e-300])
+def test_omega_m_must_be_positive_before_rates(omega_m):
+    assert _message(BareParams, **{**_BARE, "omega_m": omega_m,
+                                   "gamma": -1.0}) == "omega_m must be positive"
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_first_negative_rate_is_named(k):
+    rates = ("kappa1", "kappa2", "gamma", "f")
+    kwargs = {**_BARE, **{n: -1e-300 for n in rates[k:]}}
+    assert _message(BareParams, **kwargs) == f"{rates[k]} must be nonnegative"
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(Ep1=-0.1), dict(Ep2=-1.0), dict(Ep1=-1.0, Ep2=-1.0),
+])
+def test_negative_probe_amplitude_message(kwargs):
+    assert _message(Drives, **kwargs) == "probe amplitudes must be nonnegative"
+
+
+def test_signed_zero_and_edge_values_are_valid():
+    b = BareParams(**{**_BARE, "kappa1": -0.0, "kappa2": 0.0, "gamma": -0.0,
+                      "f": 0.0, "omega_m": 5e-324, "Delta1": -1e308,
+                      "g1": -1.0, "J1": -2.0})
+    assert b.kappa1 == 0.0 and b.omega_m == 5e-324
+    d = Drives(E1=-1e308 + 1e308j, Ep1=-0.0, delta=-1e308)
+    assert d.Ep1 == 0.0 and d.E1 == complex(-1e308, 1e308)
+
+
+@pytest.mark.parametrize("cls, base, field", [
+    (BareParams, _BARE, "Delta1"), (BareParams, _BARE, "kappa2"),
+    (Drives, {}, "Ep1"), (Drives, {}, "delta"),
+])
+def test_values_off_the_float_range_take_the_named_checks(cls, base, field):
+    # an int beyond the float range passes an order comparison with inf,
+    # so the valid-case test must not take it; a str is not a number
+    with pytest.raises(OverflowError):
+        cls(**{**base, field: 10 ** 400})
+    with pytest.raises(TypeError):
+        cls(**{**base, field: "1.0"})
+
+
+@pytest.mark.parametrize("decode, d, name, kind", [
+    (model_params_from_dict, {"kappa2": True}, "kappa2", "bool"),
+    (model_params_from_dict, {"theta": "0.5"}, "theta", "str"),
+    (model_params_from_dict, {"J3": "4.476j"}, "J3", "str"),
+    (model_params_from_dict, {"J2": {"re": True}}, "J2", "bool"),
+    (model_params_from_dict, {"unit": {"reference": "gamma", "value": True}},
+     "unit: value", "bool"),
+    (bare_params_from_dict, {"g1": "0.004"}, "g1", "str"),
+    (drives_from_dict, {"E1": "100"}, "E1", "str"),
+    (drives_from_dict, {"E1": False}, "E1", "bool"),
+    (drives_from_dict, {"E2": {"re": 0.0, "im": "1"}}, "E2", "str"),
+    (drives_from_dict, {"Ep1": True}, "Ep1", "bool"),
+], ids=["kappa2-bool", "theta-str", "J3-str", "J2-re-bool", "unit-value-bool",
+        "g1-str", "E1-str", "E1-bool", "E2-im-str", "Ep1-bool"])
+def test_number_fields_reject_str_and_bool(base_params, decode, d, name, kind):
+    if decode is model_params_from_dict:
+        d = {**model_params_to_dict(base_params(0.3)), **d}
+    elif decode is bare_params_from_dict:
+        d = {**bare_params_to_dict(BareParams(**_BARE)), **d}
+    with pytest.raises(TypeError) as exc_info:
+        decode(d)
+    assert str(exc_info.value) == f"{name}: expected a number, not {kind}"
+
+
+def test_number_fields_take_ints_and_floats():
+    assert drives_from_dict({"E1": 100, "E2": {"re": 1, "im": -2.5},
+                             "Ep1": 2}) == Drives(E1=100.0, E2=1 - 2.5j,
+                                                  Ep1=2.0)
+
+
 def test_drives_round_trip_and_constraints():
     d = Drives(E1=1.0 + 2.0j, E2=-0.5j, Ep1=1.0, Ep2=0.25, delta=10.3)
     assert drives_from_dict(drives_to_dict(d)) == d

@@ -236,15 +236,20 @@ def test_homotopy_handles_strong_drive():
     assert np.linalg.norm(steady_residual(b, d, s)) < 1e-10
 
 
+# a detuned, complex-coupled point where direct Newton from zero drive
+# stalls but the 10-step drive ramp converges
+_RAMP_BARE = BareParams(
+    Delta1=1.4, Delta2=1.4, Delta_en=1.4, omega_m=1.4, g1=0.0082, g2=0.0053,
+    J1=1.0, J2=0.23, J3=-0.59 - 0.073j, kappa1=0.25, kappa2=0.73, gamma=0.3,
+    f=0.25)
+_RAMP_DRIVES = Drives(E1=-60.0 - 18.0j, E2=1.1 - 0.37j)
+
+
 def test_drive_ramp_rescues_direct_failure(monkeypatch):
-    # detuned, complex-coupled point where direct Newton from zero drive
-    # stalls but the 10-step drive ramp converges
-    b = BareParams(Delta1=1.4, Delta2=1.4, Delta_en=1.4, omega_m=1.4,
-                   g1=0.0082, g2=0.0053, J1=1.0, J2=0.23, J3=-0.59 - 0.073j,
-                   kappa1=0.25, kappa2=0.73, gamma=0.3, f=0.25)
-    d = Drives(E1=-60.0 - 18.0j, E2=1.1 - 0.37j)
+    b, d = _RAMP_BARE, _RAMP_DRIVES
     with pytest.raises(NonConvergence, match="line search stalled"):
-        steady_mod._newton(b, d, SolverConfig(), (0j, 0j, 0j, 0j))
+        steady_mod._newton(steady_mod._Terms(b), d, SolverConfig(),
+                           (0j, 0j, 0j, 0j))
     calls = []
     newton = steady_mod._newton
 
@@ -258,10 +263,51 @@ def test_drive_ramp_rescues_direct_failure(monkeypatch):
     assert np.linalg.norm(steady_residual(b, d, s)) < 1e-12
 
 
-def _reference_newton(p, d, cfg, u0):
+def test_residual_norm_is_numpy_norm_exactly():
+    # convergence is decided on the norm steady_residual gives for the
+    # returned state, so the reported residual_norm is that norm to the bit
+    rng = np.random.default_rng(18)
+    cases = [(_bare(), Drives(E1=e * cmath.exp(1j * a), E2=1j * e))
+             for e, a in zip(10.0 ** rng.uniform(1.0, math.log10(1500.0), 30),
+                             rng.uniform(0.0, 2.0 * math.pi, 30))]
+    cases += [(_bare(g1=0.02, g2=0.02), Drives(E1=e, E2=-e))
+              for e in 10.0 ** rng.uniform(1.0, math.log10(400.0), 10)]
+    cases.append((_RAMP_BARE, _RAMP_DRIVES))
+    for b, d in cases:
+        s = solve_steady_state(b, d)
+        assert s.residual_norm == float(np.linalg.norm(steady_residual(b, d, s)))
+
+
+@pytest.mark.parametrize("b, d, expected", [
+    # the steady point of tests/test_cli.py
+    (_bare(), Drives(E1=100.0, E2=100.0j),
+     "((0.5111203428396652-10.02379131941032j), "
+     "(9.826698831617676+1.4839577009331981j), "
+     "(-0.04231155929652378+0.04180043895368413j), "
+     "(-0.08276162525781679+0.029601145356466414j), 3)"),
+    (_RAMP_BARE, _RAMP_DRIVES,
+     "((-50.99002756579344-29.067113962597183j), "
+     "(13.407718971500639+57.22483477139657j), "
+     "(-48.489044086108315-11.166115142564507j), "
+     "(-69.83381088671632-20.021102644704797j), 47)"),
+    (_bare(), Drives(E1=1500.0, E2=1500.0j),
+     "((7.919517464251005-152.69649379287102j), "
+     "(149.59474769945828+22.944803441180206j), "
+     "(-8.627209625544118+8.619290108079866j), "
+     "(-19.094954468086584+5.813582609978436j), 4)"),
+], ids=["cli-point", "ramp-rescued", "drive-1500"])
+def test_iterates_are_pinned_bit_for_bit(b, d, expected):
+    # reprs recorded from the solver before its fixed terms were hoisted
+    # out of the iteration; any reordering of its arithmetic shows here
+    s = solve_steady_state(b, d)
+    assert repr((s.alpha1, s.alpha2, s.rho, s.beta, s.iterations)) == expected
+
+
+def _reference_newton(t, d, cfg, u0):
     # Newton on the eight real components with the real Jacobian, LAPACK's
     # solve, np.linalg.norm and np.all(np.isfinite(...)): the iteration
     # whose outcomes steady._newton must reproduce
+    p = t.p
     x = steady_mod._pack(*u0)
     fx = steady_mod._residual_vec(p, d, x)
     n = float(np.linalg.norm(fx))
@@ -309,12 +355,8 @@ def test_newton_iterates_are_the_reference_iterates(monkeypatch):
                              rng.uniform(0.0, 2.0 * math.pi, 40))]
     cases += [(_bare(g1=0.02, g2=0.02), Drives(E1=e, E2=-e))
               for e in 10.0 ** rng.uniform(1.0, math.log10(200.0), 10)]
-    # the ramp-rescued point of test_drive_ramp_rescues_direct_failure
-    cases.append((BareParams(
-        Delta1=1.4, Delta2=1.4, Delta_en=1.4, omega_m=1.4, g1=0.0082,
-        g2=0.0053, J1=1.0, J2=0.23, J3=-0.59 - 0.073j, kappa1=0.25,
-        kappa2=0.73, gamma=0.3, f=0.25), Drives(E1=-60.0 - 18.0j,
-                                                 E2=1.1 - 0.37j)))
+    # the ramp-rescued point
+    cases.append((_RAMP_BARE, _RAMP_DRIVES))
     ours = [_outcome(b, d) for b, d in cases]
     monkeypatch.setattr(steady_mod, "_newton", _reference_newton)
     refs = [_outcome(b, d) for b, d in cases]
@@ -361,8 +403,9 @@ def test_elimination_step_matches_lapack():
         assert (c2 == 0) == (k % 3 == 1) and (ce == 0) == (k % 3 == 2)
         fx = steady_mod._residual_vec(p, d, x)
         ref = np.linalg.solve(steady_mod._jacobian(p, x), fx)
+        t = steady_mod._Terms(p)
         step = steady_mod._pack(*steady_mod._step(
-            p, u, steady_mod._residual(p, d, *u)))
+            t, u, steady_mod._residual(t, d, *u)))
         worst = max(worst, float(np.linalg.norm(step - ref)
                                  / np.linalg.norm(ref)))
     assert worst <= 1e-10
