@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import partial
 
@@ -27,7 +26,6 @@ TWO_PI = 2.0 * math.pi
 _REFERENCES = ("gamma", "kappa2", "absolute")
 
 _INF = math.inf
-_MAX = sys.float_info.max
 # the real rate-valued fields of ModelParams
 _RATE_FIELDS = ("kappa1", "kappa2", "gamma", "f", "G1", "G2", "J1")
 
@@ -216,30 +214,8 @@ class BareParams:
     f: float
 
     def __post_init__(self) -> None:
-        J2, J3 = complex(self.J2), complex(self.J3)
-        object.__setattr__(self, "J2", J2)
-        object.__setattr__(self, "J3", J3)
-        # the valid case in one test, which passes only what the named
-        # checks pass (a NaN fails every comparison, and an int beyond the
-        # float range fails the bound); they decide whatever it does not,
-        # a str, a complex or an array included
-        try:
-            valid = (-_MAX <= self.Delta1 <= _MAX
-                     and -_MAX <= self.Delta2 <= _MAX
-                     and -_MAX <= self.Delta_en <= _MAX
-                     and 0.0 < self.omega_m <= _MAX
-                     and -_MAX <= self.g1 <= _MAX and -_MAX <= self.g2 <= _MAX
-                     and -_MAX <= self.J1 <= _MAX
-                     and cmath.isfinite(J2) and cmath.isfinite(J3)
-                     and 0.0 <= self.kappa1 <= _MAX
-                     and 0.0 <= self.kappa2 <= _MAX
-                     and 0.0 <= self.gamma <= _MAX and 0.0 <= self.f <= _MAX)
-        except (TypeError, ValueError):
-            valid = False
-        if not valid:
-            self._check()
-
-    def _check(self) -> None:
+        object.__setattr__(self, "J2", complex(self.J2))
+        object.__setattr__(self, "J3", complex(self.J3))
         _require_finite(self)
         if not self.omega_m > 0.0:
             raise ValueError("omega_m must be positive")
@@ -259,20 +235,8 @@ class Drives:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        E1, E2 = complex(self.E1), complex(self.E2)
-        object.__setattr__(self, "E1", E1)
-        object.__setattr__(self, "E2", E2)
-        # one test on the valid path, as in BareParams
-        try:
-            valid = (cmath.isfinite(E1) and cmath.isfinite(E2)
-                     and 0.0 <= self.Ep1 <= _MAX and 0.0 <= self.Ep2 <= _MAX
-                     and -_MAX <= self.delta <= _MAX)
-        except (TypeError, ValueError):
-            valid = False
-        if not valid:
-            self._check()
-
-    def _check(self) -> None:
+        object.__setattr__(self, "E1", complex(self.E1))
+        object.__setattr__(self, "E2", complex(self.E2))
         _require_finite(self)
         if self.Ep1 < 0.0 or self.Ep2 < 0.0:
             raise ValueError("probe amplitudes must be nonnegative")

@@ -9,8 +9,9 @@ block elimination in Python complex arithmetic, since the cavity and
 ensemble rows of the Jacobian are complex-linear once Re(delta beta) is
 fixed (`_step`); the real 8x8 Jacobian `_jacobian` is kept as the
 reference. The terms that only the parameters fix are computed once per
-solve (`_Terms`). The zero state is the exact weak-drive limit and serves as the
-initial guess, with a drive-ramp homotopy as the automatic retry. Under
+solve (`_Terms`; the residual's alone are `_ResidualTerms`). The zero
+state is the exact weak-drive limit and serves as the initial guess, with
+a drive-ramp homotopy as the automatic retry. Under
 strong drive the system can be multistable; the returned branch is the one
 continuously connected to zero drive.
 
@@ -93,34 +94,46 @@ def _unpack(x: np.ndarray) -> tuple[complex, complex, complex, complex]:
 Amplitudes = tuple[complex, complex, complex, complex]
 
 
-class _Terms:
-    """The terms of the equations that the parameters ``p`` alone fix.
+class _ResidualTerms:
+    """The terms of the residual that the parameters ``p`` alone fix.
 
-    `solve_steady_state` builds one per solve, and `_residual` and `_step`
-    share it across every Newton iteration, line-search trial and drive-ramp
-    step; the drives, which the ramp scales, stay outside. Each term is the
-    expression the equations would otherwise evaluate at every call, so the
-    iterates keep every bit.
+    Each is the expression the equations would otherwise evaluate at every
+    call, so the iterates keep every bit. `steady_residual` builds only
+    these; the solver builds a `_Terms`, which adds the step's.
     """
 
-    __slots__ = ("p", "Delta1", "Delta2", "kappa1", "kappa2", "g1x2", "g2x2",
-                 "ig1", "ig2", "i2g1", "i2g2", "iJ1", "iJ2", "iJ2c", "i2J3",
-                 "ce", "cm", "j1sq", "j2sq", "j1sq_ce", "m01", "m12", "m21",
-                 "mJ2", "mJ2c")
+    __slots__ = ("Delta1", "Delta2", "kappa1", "kappa2", "g1x2", "g2x2",
+                 "ig1", "ig2", "iJ1", "iJ2", "iJ2c", "i2J3", "ce", "cm")
 
     def __init__(self, p: BareParams) -> None:
-        J1, J2, J3 = p.J1, p.J2, p.J3
-        J2c = J2.conjugate()
-        self.p = p
+        J1, J2 = p.J1, p.J2
         self.Delta1, self.Delta2 = p.Delta1, p.Delta2
         self.kappa1, self.kappa2 = p.kappa1, p.kappa2
         self.g1x2, self.g2x2 = 2.0 * p.g1, 2.0 * p.g2
         self.ig1, self.ig2 = 1j * p.g1, 1j * p.g2
-        self.i2g1, self.i2g2 = 2j * p.g1, 2j * p.g2
-        self.iJ1, self.iJ2, self.iJ2c = 1j * J1, 1j * J2, 1j * J2c
-        self.i2J3 = 2j * J3
-        self.ce = ce = 1j * p.Delta_en + p.f
+        self.iJ1, self.iJ2, self.iJ2c = 1j * J1, 1j * J2, 1j * J2.conjugate()
+        self.i2J3 = 2j * p.J3
+        self.ce = 1j * p.Delta_en + p.f
         self.cm = 1j * p.omega_m + p.gamma
+
+
+class _Terms(_ResidualTerms):
+    """The residual's fixed terms and those of the Newton step.
+
+    `solve_steady_state` builds one per solve, and `_residual` and `_step`
+    share it across every Newton iteration, line-search trial and drive-ramp
+    step; the drives, which the ramp scales, stay outside.
+    """
+
+    __slots__ = ("i2g1", "i2g2", "j1sq", "j2sq", "j1sq_ce",
+                 "m01", "m12", "m21", "mJ2", "mJ2c")
+
+    def __init__(self, p: BareParams) -> None:
+        super().__init__(p)
+        J1, J2 = p.J1, p.J2
+        J2c = J2.conjugate()
+        ce = self.ce
+        self.i2g1, self.i2g2 = 2j * p.g1, 2j * p.g2
         self.j1sq = j1sq = J1 * J1
         self.j2sq = J2.real * J2.real + J2.imag * J2.imag
         self.j1sq_ce = j1sq * ce
@@ -133,7 +146,7 @@ class _Terms:
         self.mJ2c = -1j * J2c
 
 
-def _residual(t: _Terms, d: Drives, a1: complex, a2: complex,
+def _residual(t: _ResidualTerms, d: Drives, a1: complex, a2: complex,
               rho: complex, beta: complex) -> Amplitudes:
     D1 = t.Delta1 + t.g1x2 * beta.real
     D2 = t.Delta2 + t.g2x2 * beta.real
@@ -148,7 +161,7 @@ def _residual(t: _Terms, d: Drives, a1: complex, a2: complex,
 
 
 def _residual_vec(p: BareParams, d: Drives, x: np.ndarray) -> np.ndarray:
-    return _pack(*_residual(_Terms(p), d, *_unpack(x)))
+    return _pack(*_residual(_ResidualTerms(p), d, *_unpack(x)))
 
 
 def steady_residual(p: BareParams, d: Drives, s: SteadyState) -> np.ndarray:

@@ -256,9 +256,9 @@ def test_signed_zero_and_edge_values_are_valid():
     (BareParams, _BARE, "Delta1"), (BareParams, _BARE, "kappa2"),
     (Drives, {}, "Ep1"), (Drives, {}, "delta"),
 ])
-def test_values_off_the_float_range_take_the_named_checks(cls, base, field):
-    # an int beyond the float range passes an order comparison with inf,
-    # so the valid-case test must not take it; a str is not a number
+def test_values_off_the_float_range_are_rejected(cls, base, field):
+    # an int beyond the float range is not converted to inf, and a str is
+    # not parsed as a number
     with pytest.raises(OverflowError):
         cls(**{**base, field: 10 ** 400})
     with pytest.raises(TypeError):

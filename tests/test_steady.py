@@ -4,6 +4,7 @@ import cmath
 import importlib
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -303,11 +304,11 @@ def test_iterates_are_pinned_bit_for_bit(b, d, expected):
     assert repr((s.alpha1, s.alpha2, s.rho, s.beta, s.iterations)) == expected
 
 
-def _reference_newton(t, d, cfg, u0):
+def _reference_newton(p, t, d, cfg, u0):
     # Newton on the eight real components with the real Jacobian, LAPACK's
     # solve, np.linalg.norm and np.all(np.isfinite(...)): the iteration
-    # whose outcomes steady._newton must reproduce
-    p = t.p
+    # whose outcomes steady._newton must reproduce; it works from the
+    # parameters p and leaves the solver's terms t unused
     x = steady_mod._pack(*u0)
     fx = steady_mod._residual_vec(p, d, x)
     n = float(np.linalg.norm(fx))
@@ -358,8 +359,11 @@ def test_newton_iterates_are_the_reference_iterates(monkeypatch):
     # the ramp-rescued point
     cases.append((_RAMP_BARE, _RAMP_DRIVES))
     ours = [_outcome(b, d) for b, d in cases]
-    monkeypatch.setattr(steady_mod, "_newton", _reference_newton)
-    refs = [_outcome(b, d) for b, d in cases]
+    refs = []
+    for b, d in cases:
+        monkeypatch.setattr(steady_mod, "_newton",
+                            partial(_reference_newton, b))
+        refs.append(_outcome(b, d))
     # the step is no longer LAPACK's, so the iterates agree to rounding, not
     # bit for bit: same outcome and iteration count, amplitudes to 1e-13
     for (b, d), s, r in zip(cases, ours, refs):
