@@ -347,9 +347,6 @@ def design_isolator(
 # JSON report encoding
 # ---------------------------------------------------------------------------
 
-r_coefficients_to_dict = _to_dict
-
-
 def design_to_dict(d: IsolatorDesign) -> dict:
     """The JSON report of a design: `_to_dict` of its fields, plus three.
 
@@ -371,5 +368,5 @@ __all__ = [
     "DESIGN_TOL", "DegenerateQuadratic", "DesignCandidate", "DivisionByZero",
     "IsolatorDesign", "J2_RESIDUE_TOL", "NoValidDesign", "RCoefficients",
     "ZeroJ3", "design_isolator", "design_to_dict", "j2_literal",
-    "j3_roots", "nonreal_residue", "r_coefficients", "r_coefficients_to_dict",
+    "j3_roots", "nonreal_residue", "r_coefficients",
 ]

@@ -226,20 +226,20 @@ class BareParams:
 
 @dataclass(frozen=True)
 class Drives:
-    """Drive and probe amplitudes. ``delta`` is the probe-drive detuning."""
+    """Pump amplitudes of the two cavities, which fix the operating point.
+
+    The probe enters only the linear response, whose transmission is a
+    ratio at the probe detuning y, so no probe amplitude is held here.
+    """
 
     E1: complex = 0.0
     E2: complex = 0.0
-    Ep1: float = 0.0
-    Ep2: float = 0.0
-    delta: float = 0.0
 
     def __post_init__(self) -> None:
+        # checked before complex(), which would parse a str
+        _require_finite(self)
         object.__setattr__(self, "E1", complex(self.E1))
         object.__setattr__(self, "E2", complex(self.E2))
-        _require_finite(self)
-        if self.Ep1 < 0.0 or self.Ep2 < 0.0:
-            raise ValueError("probe amplitudes must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -330,7 +330,8 @@ def _from_dict(cls, d):
     default, or raises KeyError naming it when it has none. A ``d`` that is
     not a JSON object raises TypeError, and a key that is not a field of
     ``cls``, or a field that does not decode, raises ValueError or
-    TypeError naming it; a str or a bool in a number field does not decode.
+    TypeError naming it; a str or a bool in a number field does not decode,
+    and an int beyond the float range raises ValueError.
     """
     if not isinstance(d, dict):
         raise TypeError(f"{cls.__name__} must be a JSON object, "
@@ -347,6 +348,9 @@ def _from_dict(cls, d):
                 kwargs[f.name] = d[f.name] if decode is None else decode(d[f.name])
             except (TypeError, ValueError) as exc:
                 raise type(exc)(f"{f.name}: {exc}") from None
+            except OverflowError as exc:
+                # an int beyond the float range: bad input, not arithmetic
+                raise ValueError(f"{f.name}: {exc}") from None
         elif f.default is MISSING and f.default_factory is MISSING:
             raise KeyError(f.name)
     return cls(**kwargs)

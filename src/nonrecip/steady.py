@@ -385,18 +385,18 @@ def effective_couplings(p: BareParams, s: SteadyState) -> tuple[float, float, fl
 
 ALIGNMENT_RTOL = 1e-6
 
-# frozen, so one instance serves every call that passes no unit
+# frozen, so one instance serves every call
 _ABSOLUTE = RateUnit("absolute", 1.0)
 
 
-def linearized_params(p: BareParams, s: SteadyState,
-                      unit: RateUnit | None = None) -> ModelParams:
+def linearized_params(p: BareParams, s: SteadyState) -> ModelParams:
     """Linearized model parameters at a converged operating point.
 
     The linear response template drops the explicit detunings, which is
     exact only at the aligned operating point Delta1_eff = Delta2_eff =
     Delta_en = omega_m; states violating the alignment beyond 1e-6
-    relative are rejected with a diagnostic listing each offender.
+    relative are rejected with a diagnostic listing each offender. The
+    rates keep the bare parameters' scale, so the unit is absolute.
     """
     ref = p.omega_m
     bad = [
@@ -415,7 +415,7 @@ def linearized_params(p: BareParams, s: SteadyState,
         kappa1=p.kappa1, kappa2=p.kappa2, gamma=p.gamma, f=p.f,
         G1=G1, G2=G2, theta=theta, J1=p.J1,
         J2=abs(p.J2), phi=wrap_phase(cmath.phase(p.J2)) if p.J2 != 0 else 0.0,
-        J3=p.J3, unit=unit if unit is not None else _ABSOLUTE,
+        J3=p.J3, unit=_ABSOLUTE,
     )
 
 

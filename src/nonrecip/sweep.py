@@ -3,10 +3,11 @@
 Grids are evaluated by the transmission kernel that `transmission_pair`
 uses, over broadcast parameter arrays: the closed-form cofactors and
 determinant at every point, LU only inside the guard band around the
-poles, in fixed blocks dispatched to the NONRECIP_THREADS thread pool (see
-`nonrecip.transmission`). A 2-axis grid reaches the kernel as a row of
-axis1 values against a column of axis2 values, so a quantity that depends
-on one axis alone is computed once per axis value, not once per point.
+poles, in fixed blocks dispatched to a thread pool with one worker per
+CPU this process may run on (see `nonrecip.transmission`). A 2-axis grid
+reaches the kernel as a row of axis1 values against a column of axis2
+values, so a quantity that depends on one axis alone is computed once
+per axis value, not once per point.
 Row order is always axis2 outer, axis1 inner, CSV cells are printed with
 a fixed 17-significant-digit scientific format, and JSON tables have the
 layout of ``json.dump(..., indent=2, sort_keys=True)``, so identical
@@ -462,14 +463,15 @@ def reproduce_figure(fid: str, out_dir: str = ".") -> dict:
     return summary
 
 
-def spectrum_spec(p: ModelParams, points: int = SPECTRUM_POINTS,
-                  half_width: float | None = None) -> SweepSpec:
-    """Default 1-D spectrum: y in [-5 gamma, +5 gamma] of ``p``'s units."""
-    if half_width is None:
-        half_width = 5.0 * p.gamma
+def spectrum_spec(p: ModelParams, points: int = SPECTRUM_POINTS) -> SweepSpec:
+    """Default 1-D spectrum: y in [-5 gamma, +5 gamma] of ``p``'s units.
+
+    A `SweepSpec` with a y `Axis` takes any other window.
+    """
+    half_width = 5.0 * p.gamma
     if not (half_width > 0.0 and math.isfinite(half_width)):
-        raise InvalidParams("spectrum window must be positive; "
-                            "is gamma zero? pass an explicit half width")
+        raise InvalidParams("spectrum window +-5 gamma needs a positive, "
+                            f"finite gamma; got gamma={p.gamma}")
     return SweepSpec(fixed=p, axis1=Axis("y", -half_width, half_width, points))
 
 

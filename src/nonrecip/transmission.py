@@ -24,10 +24,9 @@ threshold from above; when the block's smallest |D| clears the band at
 that bound, no point is in the band and the per-point thresholds are
 never computed. `transmission_arrays` cuts the broadcast shape along its
 first axis into a fixed partition of about _CHUNK points, whatever the
-thread count, and the blocks go to a thread pool sized by the
-NONRECIP_THREADS environment variable (0 or unset = the CPUs this
-process may run on), so results are the same bytes for any number of
-threads.
+thread count, and the blocks go to a thread pool with one worker per CPU
+this process may run on (its affinity, so ``taskset`` sets it), so
+results are the same bytes for any number of threads.
 """
 
 from __future__ import annotations
@@ -85,24 +84,11 @@ def output_fields(p: ModelParams, y: float, Ep1: float, Ep2: float) -> tuple[com
 
 
 def thread_count() -> int:
-    """Worker count from NONRECIP_THREADS.
-
-    0 or unset takes the CPUs this process may run on, at most 32.
-    """
-    raw = os.environ.get("NONRECIP_THREADS", "0").strip()
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"NONRECIP_THREADS must be an integer, got {raw!r}") from exc
-    if n < 0:
-        raise ValueError("NONRECIP_THREADS must be nonnegative")
-    if n == 0:
-        # taskset or a cpuset can allow fewer CPUs than the host has
-        if hasattr(os, "sched_getaffinity"):
-            return min(32, len(os.sched_getaffinity(0)))
-        return min(32, os.cpu_count() or 1)
-    return n
+    """Worker count: the CPUs this process may run on, at most 32."""
+    # taskset or a cpuset can allow fewer CPUs than the host has
+    if hasattr(os, "sched_getaffinity"):
+        return min(32, len(os.sched_getaffinity(0)))
+    return min(32, os.cpu_count() or 1)
 
 
 def _lu_transmission(v: Mapping[str, object], thresholds):

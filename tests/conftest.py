@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,15 @@ def base_params():
         fields.update(overrides)
         return ModelParams(**fields)
     return make
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Pin the CPU affinity the thread pool is sized by to ``n`` CPUs."""
+    def pin(n):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n)), raising=False)
+    return pin
 
 
 @pytest.fixture

@@ -155,13 +155,13 @@ def test_phasemap_subcommand(tmp_path, params_file):
 
 
 def test_phasemap_json_threads_do_not_change_bytes(tmp_path, params_file,
-                                                   monkeypatch):
+                                                   monkeypatch, cpus):
     # shrink the chunk size so the map actually splits across workers
     monkeypatch.setattr(transmission_mod, "_CHUNK", 16)
     written = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("NONRECIP_THREADS", threads)
-        out = tmp_path / threads
+    for threads in (1, 2):
+        cpus(threads)
+        out = tmp_path / str(threads)
         rc = cli_main(["phasemap", "--params", params_file, "--out", str(out),
                        "--points", "21", "--format", "json"])
         assert rc == 0
@@ -243,6 +243,15 @@ def test_steady_overflowing_step_is_exit_2(tmp_path, capsys):
      "g1: expected a number, not str"),
     ("steady", _steady_payload(solver={"tol": True}),
      "tol: expected a number, not bool"),
+    # a 401-digit integer: beyond the float range, bad input, not exit 2
+    ("steady", _steady_payload(bare={"Delta1": 10 ** 400}),
+     "Delta1: int too large to convert to float"),
+    ("steady", {**_steady_payload(drives=None),
+                "drives": {"E1": {"re": 0.0, "im": 10 ** 400}}},
+     "E1: int too large to convert to float"),
+    ("steady", {**_steady_payload(drives=None),
+                "drives": {"E1": 100.0, "Ep1": 1.0}},
+     "unknown key 'Ep1' for Drives"),
 ], ids=["spectrum-missing-field", "steady-no-bare", "steady-unknown-solver-key",
         "steady-nan-rate", "steady-float-max-iter", "steady-bool-max-iter",
         "spectrum-infinite-theta", "phasemap-negative-rate",
@@ -250,7 +259,8 @@ def test_steady_overflowing_step_is_exit_2(tmp_path, capsys):
         "steady-drives-not-an-object", "spectrum-unknown-complex-key",
         "spectrum-unit-not-an-object", "spectrum-bool-rate",
         "steady-str-drive", "steady-bool-complex-part", "steady-str-rate",
-        "steady-bool-tol"])
+        "steady-bool-tol", "steady-huge-int-rate", "steady-huge-int-drive-part",
+        "steady-probe-amplitude-key"])
 def test_bad_input_file_is_exit_1(tmp_path, capsys, command, payload, named):
     path = tmp_path / "input.json"
     # NaN and Infinity are written as the bare literals
@@ -342,7 +352,7 @@ def test_report_key_sets(tmp_path, steady_file, capsys):
     assert set(steady["bare"]) == {
         "Delta1", "Delta2", "Delta_en", "omega_m", "g1", "g2", "J1", "J2",
         "J3", "kappa1", "kappa2", "gamma", "f"}
-    assert set(steady["drives"]) == {"E1", "E2", "Ep1", "Ep2", "delta"}
+    assert set(steady["drives"]) == {"E1", "E2"}
     assert set(steady["steady_state"]) == {
         "alpha1", "alpha2", "rho", "beta", "Delta1_eff", "Delta2_eff",
         "residual_norm", "iterations"}
@@ -394,18 +404,3 @@ def test_verify_rejects_negative_seed(capsys, seed):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: seed must be a nonnegative integer\n"
-
-
-def test_bad_thread_env_is_exit_1(tmp_path, params_file, monkeypatch, capsys):
-    monkeypatch.setenv("NONRECIP_THREADS", "many")
-    rc = cli_main(["spectrum", "--params", params_file,
-                   "--out", str(tmp_path), "--points", "3"])
-    assert rc == 1
-    assert "NONRECIP_THREADS" in capsys.readouterr().err
-
-
-def test_bad_thread_env_fails_verify(monkeypatch, capsys):
-    monkeypatch.setenv("NONRECIP_THREADS", "-2")
-    assert cli_main(["verify", "--draws", "3"]) == 1
-    assert capsys.readouterr().err == (
-        "error: NONRECIP_THREADS must be nonnegative\n")

@@ -1,6 +1,7 @@
 """Sweep engine, figure presets, dataset emission, landmark extraction."""
 
 import cmath
+import concurrent.futures
 import json
 import math
 import os
@@ -144,14 +145,14 @@ def test_csv_format_and_determinism(base_params, tmp_path):
     assert first[0] == "-1.0000000000000000e+00"  # 17 significant digits
 
 
-def test_threads_do_not_change_bytes(base_params, tmp_path, monkeypatch):
+def test_threads_do_not_change_bytes(base_params, monkeypatch, cpus):
     # shrink the chunk size so the grid actually splits across workers
     monkeypatch.setattr(transmission_mod, "_CHUNK", 16)
     p = base_params(HALF_PI)
     spec = SweepSpec(fixed=p, axis1=Axis("y", -2.0, 2.0, 101))
-    monkeypatch.setenv("NONRECIP_THREADS", "1")
+    cpus(1)
     serial = sweep(spec)
-    monkeypatch.setenv("NONRECIP_THREADS", "4")
+    cpus(4)
     threaded = sweep(spec)
     assert np.array_equal(serial.data["T12"], threaded.data["T12"])
     assert np.array_equal(serial.data["T21"], threaded.data["T21"])
@@ -159,44 +160,48 @@ def test_threads_do_not_change_bytes(base_params, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("points1", [7, 40])
 def test_threads_do_not_change_two_axis_bytes(base_params, monkeypatch,
-                                              points1):
+                                              cpus, points1):
     # 16 points per chunk: two rows of 7, or one row of 40 (more than a chunk)
     monkeypatch.setattr(transmission_mod, "_CHUNK", 16)
     p = base_params(HALF_PI)
     spec = SweepSpec(fixed=p, axis1=Axis("y", -2.0, 2.0, points1),
                      axis2=Axis("phi", 0.0, 6.0, 9))
-    monkeypatch.setenv("NONRECIP_THREADS", "1")
+    cpus(1)
     serial = sweep(spec)
-    monkeypatch.setenv("NONRECIP_THREADS", "2")
+    cpus(2)
     threaded = sweep(spec)
     assert np.array_equal(serial.data["T12"], threaded.data["T12"])
     assert np.array_equal(serial.data["T21"], threaded.data["T21"])
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("NONRECIP_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("NONRECIP_THREADS", "0")
-    assert thread_count() >= 1
-    monkeypatch.delenv("NONRECIP_THREADS")
-    assert thread_count() >= 1
-    monkeypatch.setenv("NONRECIP_THREADS", "banana")
-    with pytest.raises(ValueError):
-        thread_count()
-    monkeypatch.setenv("NONRECIP_THREADS", "-2")
-    with pytest.raises(ValueError):
-        thread_count()
-
-
-def test_thread_count_follows_cpu_affinity(monkeypatch):
-    monkeypatch.delenv("NONRECIP_THREADS", raising=False)
+def test_thread_count_follows_cpu_affinity(monkeypatch, cpus):
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                        raising=False)
+    cpus(1)
     assert thread_count() == 1
+    cpus(40)
+    assert thread_count() == 32
     # without affinity, the CPU count, still capped
     monkeypatch.delattr(os, "sched_getaffinity")
     assert thread_count() == 32
+
+
+def test_pool_has_one_worker_per_cpu(base_params, monkeypatch, cpus):
+    # four CPUs and seven 16-point blocks start a pool of four workers,
+    # whatever the CPU count of the host running the test
+    started = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(transmission_mod, "_CHUNK", 16)
+    cpus(4)
+    table = sweep(SweepSpec(fixed=base_params(HALF_PI),
+                            axis1=Axis("y", -2.0, 2.0, 101)))
+    assert started == [4]
+    assert len(table) == 101
 
 
 def test_sweep_singular_mask_and_status_view(base_params):
@@ -213,11 +218,11 @@ def test_sweep_singular_mask_and_status_view(base_params):
 
 
 def test_isolation_db_in_blocks_matches_whole_table(base_params,
-                                                    monkeypatch):
+                                                    monkeypatch, cpus):
     # 16-point blocks on two threads; the middle row of the first
     # spec is a pole
     monkeypatch.setattr(transmission_mod, "_CHUNK", 16)
-    monkeypatch.setenv("NONRECIP_THREADS", "2")
+    cpus(2)
     obs = ("isolation_db", "T12", "T21")
     pole = base_params(0.0, G1=0.0, G2=0.0, J1=0.0, J2=0.0, J3=0.0,
                        gamma=0.0)
@@ -597,10 +602,13 @@ def test_spectrum_spec_defaults(base_params):
     assert spec.axis1.name == "y"
     assert spec.axis1.points == SPECTRUM_POINTS
     assert (spec.axis1.start, spec.axis1.stop) == (-5.0, 5.0)
-    narrow = spectrum_spec(p, points=11, half_width=2.0)
+    narrow = spectrum_spec(base_params(HALF_PI, gamma=0.4), points=11)
+    assert narrow.axis1.points == 11
     assert (narrow.axis1.start, narrow.axis1.stop) == (-2.0, 2.0)
-    with pytest.raises(ValueError):
-        spectrum_spec(p, half_width=-1.0)
+    with pytest.raises(InvalidParams) as exc_info:
+        spectrum_spec(base_params(HALF_PI, gamma=0.0))
+    assert str(exc_info.value) == ("spectrum window +-5 gamma needs a "
+                                   "positive, finite gamma; got gamma=0.0")
 
 
 def test_phasemap_spec_defaults(base_params):

@@ -233,7 +233,7 @@ def test_transmission_arrays_broadcast_shape(base_params):
     ((3, 40), (1, 40)),    # a row longer than a block is one block
     ((1, 40), (16,)),      # a single row is cut into 16-point blocks
 ])
-def test_transmission_arrays_block_partition(base_params, monkeypatch,
+def test_transmission_arrays_block_partition(base_params, monkeypatch, cpus,
                                              shape, block):
     monkeypatch.setattr(transmission_mod, "_CHUNK", 16)
     seen = []
@@ -245,7 +245,7 @@ def test_transmission_arrays_block_partition(base_params, monkeypatch,
         return out
 
     monkeypatch.setattr(transmission_mod, "_kernel", recording)
-    monkeypatch.setenv("NONRECIP_THREADS", "1")
+    cpus(1)
     p = base_params(HALF_PI)
     v = dict(vars(p), y=np.linspace(-2.0, 2.0, shape[1])[np.newaxis, :],
              phi=np.linspace(0.0, 6.0, shape[0])[:, np.newaxis])
