@@ -34,10 +34,8 @@ from .params import (
     SteadyState,
     TransmissionPoint,
     convert_unit,
-    load_params,
     model_params_from_dict,
     model_params_to_dict,
-    save_params,
     wrap_phase,
 )
 from .response import (
@@ -76,7 +74,6 @@ from .transmission import (
     Direction,
     IsolationMetrics,
     isolation_metrics,
-    output_fields,
     transmission_grid,
     transmission_pair,
 )
@@ -96,9 +93,9 @@ __all__ = [
     "design_isolator", "design_to_dict", "effective_couplings",
     "figure_ids", "figure_preset",
     "isolation_metrics", "j2_literal", "j3_roots", "linearized_params",
-    "load_params", "model_params_from_dict", "model_params_to_dict",
-    "nonreal_residue", "output_fields", "phasemap_spec", "r_coefficients",
-    "reproduce_figure", "save_params",
+    "model_params_from_dict", "model_params_to_dict",
+    "nonreal_residue", "phasemap_spec", "r_coefficients",
+    "reproduce_figure",
     "solve_response", "solve_steady_state", "spectrum_spec",
     "steady_residual", "sweep", "transmission_grid", "transmission_pair",
     "wrap_phase", "write_csv", "write_json",

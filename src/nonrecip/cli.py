@@ -123,7 +123,7 @@ def _cmd_steady(args) -> int:
 
 
 def _cmd_design(args) -> int:
-    unit = RateUnit(args.unit, 1.0) if args.unit else RateUnit("absolute", 1.0)
+    unit = RateUnit(args.unit, 1.0) if args.unit else None
     design = design_isolator(args.kappa1, args.kappa2, args.gamma, args.f,
                              unit=unit)
     payload = dict(schema_version=SCHEMA_VERSION, **design_to_dict(design))

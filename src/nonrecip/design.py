@@ -28,7 +28,13 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .params import InvalidParams, ModelParams, RateUnit, _to_dict
+from .params import (
+    InvalidParams,
+    ModelParams,
+    RateUnit,
+    _ABSOLUTE_UNIT,
+    _to_dict,
+)
 from .response import SingularMatrix
 from .transmission import isolation_metrics, transmission_pair
 
@@ -290,7 +296,7 @@ def design_isolator(
     # candidate, and np.bool_ verdicts into the JSON report
     kappa1, kappa2, gamma, f = map(float, (kappa1, kappa2, gamma, f))
     if unit is None:
-        unit = RateUnit("absolute", 1.0)
+        unit = _ABSOLUTE_UNIT
     G1 = math.sqrt(gamma * kappa1)
     G2 = math.sqrt(gamma * kappa2)
     J1 = G1 * G2 / (gamma + f)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import partial
 
 TWO_PI = 2.0 * math.pi
@@ -66,6 +66,12 @@ class RateUnit:
             raise ValueError(f"unknown rate reference {self.reference!r}")
         if not (self.value > 0.0) or not math.isfinite(self.value):
             raise ValueError("rate unit value must be a positive finite number")
+
+
+# frozen, so one instance of each unit-valued reference serves every caller
+_GAMMA_UNIT = RateUnit("gamma", 1.0)
+_KAPPA2_UNIT = RateUnit("kappa2", 1.0)
+_ABSOLUTE_UNIT = RateUnit("absolute", 1.0)
 
 
 @dataclass(frozen=True)
@@ -118,15 +124,16 @@ class ModelParams:
     J2: complex
     phi: float
     J3: complex
-    unit: RateUnit = field(default_factory=RateUnit)
+    unit: RateUnit = _GAMMA_UNIT
 
     def __post_init__(self) -> None:
         k1, k2, g, f, G1, G2, J1 = (self.kappa1, self.kappa2, self.gamma,
                                     self.f, self.G1, self.G2, self.J1)
         theta, phi = self.theta, self.phi
-        J2, J3 = complex(self.J2), complex(self.J3)
+        J2, J3 = self.J2, self.J3
         # the valid case in one test: a NaN fails every comparison, and a
-        # str raises TypeError instead of being parsed by float()
+        # str raises TypeError in a comparison or in cmath.isfinite, which
+        # come before complex(), so it is never parsed
         if not (0.0 <= k1 < _INF and 0.0 <= k2 < _INF and 0.0 <= g < _INF
                 and 0.0 <= f < _INF and 0.0 <= G1 < _INF
                 and 0.0 <= G2 < _INF and 0.0 <= J1 < _INF
@@ -143,8 +150,8 @@ class ModelParams:
                 object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "theta", wrap_phase(theta))
         object.__setattr__(self, "phi", wrap_phase(phi))
-        object.__setattr__(self, "J2", J2)
-        object.__setattr__(self, "J3", J3)
+        object.__setattr__(self, "J2", complex(J2))
+        object.__setattr__(self, "J3", complex(J3))
 
     def _violations(self, J2: complex, J3: complex) -> list[str]:
         violations: list[str] = []
@@ -214,9 +221,10 @@ class BareParams:
     f: float
 
     def __post_init__(self) -> None:
+        # checked before complex(), which would parse a str
+        _require_finite(self)
         object.__setattr__(self, "J2", complex(self.J2))
         object.__setattr__(self, "J3", complex(self.J3))
-        _require_finite(self)
         if not self.omega_m > 0.0:
             raise ValueError("omega_m must be positive")
         for name in ("kappa1", "kappa2", "gamma", "f"):
@@ -369,26 +377,16 @@ drives_from_dict = partial(_from_dict, Drives)
 
 
 def _write_json(payload: dict, path: str) -> None:
-    # the one layout of every JSON report and saved parameter file
+    # the one layout of every JSON report and figure summary
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def save_params(path: str, p: ModelParams) -> None:
-    _write_json(model_params_to_dict(p), path)
-
-
-def load_params(path: str) -> ModelParams:
-    with open(path, encoding="utf-8") as fh:
-        return model_params_from_dict(json.load(fh))
 
 
 __all__ = [
     "BareParams", "Drives", "InvalidParams", "ModelParams", "RateUnit",
     "SteadyState", "TransmissionPoint", "bare_params_from_dict",
     "bare_params_to_dict", "convert_unit", "drives_from_dict",
-    "drives_to_dict", "load_params",
-    "model_params_from_dict", "model_params_to_dict", "save_params",
+    "drives_to_dict", "model_params_from_dict", "model_params_to_dict",
     "steady_state_to_dict", "wrap_phase",
 ]

@@ -9,11 +9,14 @@ block elimination in Python complex arithmetic, since the cavity and
 ensemble rows of the Jacobian are complex-linear once Re(delta beta) is
 fixed (`_step`); the real 8x8 Jacobian `_jacobian` is kept as the
 reference. The terms that only the parameters fix are computed once per
-solve (`_Terms`; the residual's alone are `_ResidualTerms`). The zero
-state is the exact weak-drive limit and serves as the initial guess, with
-a drive-ramp homotopy as the automatic retry. Under
-strong drive the system can be multistable; the returned branch is the one
-continuously connected to zero drive.
+solve, in one `_Terms` that the residual and the step share. Newton
+starts from the zero state, the exact weak-drive limit. Only when that
+direct solve does not converge (`NonConvergence`) are the drives ramped
+up from zero in 10 steps, each seeded with the previous step's state.
+Under strong drive the system can be multistable, and the state returned
+is the root that this iteration reaches: usually, but not always, the
+branch continuously connected to zero drive (ROADMAP item 4 found it so
+at 414 of 418 sampled multistable points).
 
 `effective_couplings` and `linearized_params` convert a converged state
 into the parameter set consumed by the linear response machinery.
@@ -33,8 +36,8 @@ from .params import (
     Drives,
     InvalidParams,
     ModelParams,
-    RateUnit,
     SteadyState,
+    _ABSOLUTE_UNIT,
     wrap_phase,
 )
 
@@ -94,45 +97,32 @@ def _unpack(x: np.ndarray) -> tuple[complex, complex, complex, complex]:
 Amplitudes = tuple[complex, complex, complex, complex]
 
 
-class _ResidualTerms:
-    """The terms of the residual that the parameters ``p`` alone fix.
+class _Terms:
+    """The terms of the residual and of the Newton step that ``p`` alone fixes.
 
     Each is the expression the equations would otherwise evaluate at every
-    call, so the iterates keep every bit. `steady_residual` builds only
-    these; the solver builds a `_Terms`, which adds the step's.
+    call, so the iterates keep every bit. `solve_steady_state` builds one
+    per solve, and `_residual` and `_step` share it across every Newton
+    iteration, line-search trial and drive-ramp step; the drives, which the
+    ramp scales, stay outside. `steady_residual` builds one per call.
     """
 
     __slots__ = ("Delta1", "Delta2", "kappa1", "kappa2", "g1x2", "g2x2",
-                 "ig1", "ig2", "iJ1", "iJ2", "iJ2c", "i2J3", "ce", "cm")
+                 "ig1", "ig2", "iJ1", "iJ2", "iJ2c", "i2J3", "ce", "cm",
+                 "i2g1", "i2g2", "j1sq", "j2sq", "j1sq_ce",
+                 "m01", "m12", "m21", "mJ2", "mJ2c")
 
     def __init__(self, p: BareParams) -> None:
         J1, J2 = p.J1, p.J2
+        J2c = J2.conjugate()
         self.Delta1, self.Delta2 = p.Delta1, p.Delta2
         self.kappa1, self.kappa2 = p.kappa1, p.kappa2
         self.g1x2, self.g2x2 = 2.0 * p.g1, 2.0 * p.g2
         self.ig1, self.ig2 = 1j * p.g1, 1j * p.g2
-        self.iJ1, self.iJ2, self.iJ2c = 1j * J1, 1j * J2, 1j * J2.conjugate()
+        self.iJ1, self.iJ2, self.iJ2c = 1j * J1, 1j * J2, 1j * J2c
         self.i2J3 = 2j * p.J3
-        self.ce = 1j * p.Delta_en + p.f
+        self.ce = ce = 1j * p.Delta_en + p.f
         self.cm = 1j * p.omega_m + p.gamma
-
-
-class _Terms(_ResidualTerms):
-    """The residual's fixed terms and those of the Newton step.
-
-    `solve_steady_state` builds one per solve, and `_residual` and `_step`
-    share it across every Newton iteration, line-search trial and drive-ramp
-    step; the drives, which the ramp scales, stay outside.
-    """
-
-    __slots__ = ("i2g1", "i2g2", "j1sq", "j2sq", "j1sq_ce",
-                 "m01", "m12", "m21", "mJ2", "mJ2c")
-
-    def __init__(self, p: BareParams) -> None:
-        super().__init__(p)
-        J1, J2 = p.J1, p.J2
-        J2c = J2.conjugate()
-        ce = self.ce
         self.i2g1, self.i2g2 = 2j * p.g1, 2j * p.g2
         self.j1sq = j1sq = J1 * J1
         self.j2sq = J2.real * J2.real + J2.imag * J2.imag
@@ -146,7 +136,7 @@ class _Terms(_ResidualTerms):
         self.mJ2c = -1j * J2c
 
 
-def _residual(t: _ResidualTerms, d: Drives, a1: complex, a2: complex,
+def _residual(t: _Terms, d: Drives, a1: complex, a2: complex,
               rho: complex, beta: complex) -> Amplitudes:
     D1 = t.Delta1 + t.g1x2 * beta.real
     D2 = t.Delta2 + t.g2x2 * beta.real
@@ -161,7 +151,7 @@ def _residual(t: _ResidualTerms, d: Drives, a1: complex, a2: complex,
 
 
 def _residual_vec(p: BareParams, d: Drives, x: np.ndarray) -> np.ndarray:
-    return _pack(*_residual(_ResidualTerms(p), d, *_unpack(x)))
+    return _pack(*_residual(_Terms(p), d, *_unpack(x)))
 
 
 def steady_residual(p: BareParams, d: Drives, s: SteadyState) -> np.ndarray:
@@ -323,11 +313,13 @@ def _state(t: _Terms, u: Amplitudes, n: float, its: int) -> SteadyState:
 
 def solve_steady_state(p: BareParams, d: Drives,
                        cfg: SolverConfig | None = None) -> SteadyState:
-    """Solve the mean-field equations for the branch connected to zero drive.
+    """Solve the mean-field equations by damped Newton from the zero state.
 
-    Newton iteration from the zero state; on non-convergence the drives are
-    ramped from zero in 10 homotopy steps, re-seeding each solve with the
-    previous step's state.
+    Only if that direct solve raises NonConvergence are the drives ramped
+    from zero in 10 homotopy steps, re-seeding each solve with the previous
+    step's state. Where several states exist, the one returned is the root
+    this iteration reaches, which need not be the branch continuously
+    connected to zero drive.
 
     Raises
     ------
@@ -385,9 +377,6 @@ def effective_couplings(p: BareParams, s: SteadyState) -> tuple[float, float, fl
 
 ALIGNMENT_RTOL = 1e-6
 
-# frozen, so one instance serves every call
-_ABSOLUTE = RateUnit("absolute", 1.0)
-
 
 def linearized_params(p: BareParams, s: SteadyState) -> ModelParams:
     """Linearized model parameters at a converged operating point.
@@ -415,7 +404,7 @@ def linearized_params(p: BareParams, s: SteadyState) -> ModelParams:
         kappa1=p.kappa1, kappa2=p.kappa2, gamma=p.gamma, f=p.f,
         G1=G1, G2=G2, theta=theta, J1=p.J1,
         J2=abs(p.J2), phi=wrap_phase(cmath.phase(p.J2)) if p.J2 != 0 else 0.0,
-        J3=p.J3, unit=_ABSOLUTE,
+        J3=p.J3, unit=_ABSOLUTE_UNIT,
     )
 
 

@@ -34,7 +34,8 @@ from .design import design_isolator
 from .params import (
     InvalidParams,
     ModelParams,
-    RateUnit,
+    _GAMMA_UNIT,
+    _KAPPA2_UNIT,
     _to_dict,
     _write_json,
 )
@@ -259,9 +260,6 @@ def write_json(table: SweepTable, path: str) -> None:
 # figures 5-8 in kappa2-referenced values; each dataset keeps its native
 # unit so the emitted parameters read back without conversion.
 # ---------------------------------------------------------------------------
-
-_GAMMA_UNIT = RateUnit("gamma", 1.0)
-_KAPPA2_UNIT = RateUnit("kappa2", 1.0)
 
 # the common operating point of the phase/detuning studies (gamma units)
 _BASE_GAMMA = dict(kappa1=1.0, kappa2=1.0, gamma=1.0, f=10.0,

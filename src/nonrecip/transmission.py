@@ -1,10 +1,10 @@
-"""Input-output conversion from fluctuation amplitudes to transmission.
+"""Transmission between the two cavity ports, from the linear response A1.
 
-The output probe fields follow Eout1 = sqrt(kappa1) da1 - Ep1/sqrt(kappa1)
-and Eout2 = sqrt(kappa2) da2 - Ep2/sqrt(kappa2); the input amplitudes seen
-by the transmission coefficients are Ep_j/sqrt(kappa_j). Driving port 1
-alone therefore gives T12 = sqrt(kappa1 kappa2) |[A1^-1]_(2,1)| and driving
-port 2 alone gives T21 = sqrt(kappa1 kappa2) |[A1^-1]_(1,2)|.
+The transmission amplitudes are defined directly from the inverse of A1:
+T12 = sqrt(kappa1 kappa2) |[A1^-1]_(2,1)| (port 1 to port 2) and
+T21 = sqrt(kappa1 kappa2) |[A1^-1]_(1,2)| (port 2 to port 1). How this
+relates to an energy-conserving scattering matrix (|S21| = 2 T at a
+passive point) is set out in ROADMAP item 2.
 
 One kernel computes these for every caller: `transmission_pair` at one
 point, `transmission_grid` over detunings and `nonrecip.sweep` over any
@@ -43,7 +43,6 @@ from .params import InvalidParams, ModelParams, TransmissionPoint
 from .response import (
     SingularMatrix,
     pole_thresholds,
-    solve_response,
     system_matrices,
     transfer_coefficients,
 )
@@ -72,15 +71,6 @@ class IsolationMetrics:
     T21: float
     isolation_db: float
     direction: Direction
-
-
-def output_fields(p: ModelParams, y: float, Ep1: float, Ep2: float) -> tuple[complex, complex]:
-    """Output probe-field amplitudes at both ports for given probe drives."""
-    _require_open_ports(p)
-    sol = solve_response(p, y, Ep1, Ep2)
-    e1 = math.sqrt(p.kappa1) * sol.da1 - Ep1 / math.sqrt(p.kappa1)
-    e2 = math.sqrt(p.kappa2) * sol.da2 - Ep2 / math.sqrt(p.kappa2)
-    return e1, e2
 
 
 def thread_count() -> int:
@@ -311,6 +301,6 @@ def isolation_metrics(tp: TransmissionPoint) -> IsolationMetrics:
 
 __all__ = [
     "Direction", "ISOLATION_DB_CAP", "IsolationMetrics", "LU_GUARD_BAND",
-    "isolation_db", "isolation_metrics", "output_fields", "thread_count",
+    "isolation_db", "isolation_metrics", "thread_count",
     "transmission_arrays", "transmission_grid", "transmission_pair",
 ]

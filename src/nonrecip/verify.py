@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .design import NoValidDesign, design_isolator, j3_roots, r_coefficients
-from .params import TWO_PI, ModelParams, RateUnit, convert_unit
+from .params import TWO_PI, ModelParams, _GAMMA_UNIT, convert_unit
 from .response import pole_thresholds, system_matrices, transfer_coefficients
 from .transmission import transmission_arrays
 
@@ -57,7 +57,6 @@ _DRAWS = (_LOG_RATE,) * 5 + (_PHASE, _LOG_RATE, _LOG_RATE, _PHASE,
                              _LOG_RATE, _PHASE)
 # the detuning drawn after each parameter set: rng.uniform(-5, 5)
 _Y_LOW, _Y_SPAN = -5.0, 10.0
-_GAMMA_UNIT = RateUnit("gamma", 1.0)
 # the fields of _draw_fields, in ModelParams order
 _FIELDS = tuple(f.name for f in fields(ModelParams) if f.name != "unit")
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, emitted files."""
 
+import ast
 import importlib
 import json
 import math
@@ -285,6 +286,60 @@ def test_module_entry_point():
     assert proc.returncode == 0, proc.stderr
     passed = [ln for ln in proc.stdout.splitlines() if ln.startswith("PASS ")]
     assert len(passed) == 8
+
+
+# installed on some hosts, but not dependencies; concurrent.futures is
+# imported only when a thread pool of two or more workers starts
+_NEVER_LOADED = ("scipy", "sympy", "concurrent.futures")
+
+_COMMANDS_CHILD = """
+import contextlib, io, json, sys
+from nonrecip.cli import cli_main
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        codes.append(cli_main(argv))
+print(json.dumps({"codes": codes,
+                  "loaded": [m for m in json.loads(sys.argv[2])
+                             if m in sys.modules]}))
+"""
+
+
+def test_runtime_needs_only_numpy(tmp_path, steady_file):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    imported = set()
+    for root, _, names in os.walk(src):
+        for name in names:
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(root, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported.update(a.name.partition(".")[0]
+                                    for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.partition(".")[0])
+    assert "numpy" in imported
+    assert imported - set(sys.stdlib_module_names) - {"numpy"} == set()
+
+    argvs = [
+        ["verify"],
+        ["design", "--kappa1", "1", "--kappa2", "1", "--gamma", "1",
+         "--f", "10"],
+        ["steady", "--params", steady_file],
+        ["figure", "fig3c", "--out", str(tmp_path)],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _COMMANDS_CHILD, json.dumps(argvs),
+         json.dumps(_NEVER_LOADED)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0, 0, 0], "loaded": []}
 
 
 def test_design_subcommand(tmp_path, capsys):

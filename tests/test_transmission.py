@@ -1,4 +1,4 @@
-"""Input-output conversion and the two-direction transmission observables."""
+"""The two-direction transmission observables and their kernel."""
 
 import importlib
 import math
@@ -16,7 +16,6 @@ from nonrecip import (
     SweepSpec,
     TransmissionPoint,
     isolation_metrics,
-    output_fields,
     solve_response,
     sweep,
     transmission_grid,
@@ -64,32 +63,18 @@ def _assert_matches_lu(p, ys, t12, t21, singular):
             assert t21[k] == pytest.approx(ref[1], rel=LU_RTOL, abs=LU_ATOL)
 
 
-def test_zero_probe_zero_output(base_params):
-    assert output_fields(base_params(1.0), 0.2, 0.0, 0.0) == (0.0, 0.0)
-
-
 @pytest.mark.parametrize("closed", ["kappa1", "kappa2"])
 def test_closed_port_rejected_everywhere(base_params, closed):
-    # transmission and the output fields need both ports open
+    # transmission needs both ports open
     p = base_params(HALF_PI, **{closed: 0.0})
     calls = (
         lambda: transmission_pair(p, 0.0),
         lambda: transmission_grid(p, np.linspace(-1.0, 1.0, 5)),
-        lambda: output_fields(p, 0.0, 1.0, 0.0),
         lambda: sweep(SweepSpec(fixed=p, axis1=Axis("y", -1.0, 1.0, 5))),
     )
     for call in calls:
         with pytest.raises(InvalidParams, match=f"{closed}=0.0"):
             call()
-
-
-def test_critically_coupled_cavity_absorbs_on_resonance(base_params):
-    # a bare cavity driven at resonance returns nothing: the intracavity
-    # response sqrt(k)*delta_a exactly cancels the reflected drive term
-    p = base_params(0.0, G1=0.0, G2=0.0, J1=0.0, J2=0.0, J3=0.0)
-    e1, e2 = output_fields(p, 0.0, 1.0, 0.0)
-    assert abs(e1) < 1e-15
-    assert e2 == 0.0
 
 
 def test_no_coupling_no_transmission(base_params):
