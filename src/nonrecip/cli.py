@@ -19,6 +19,7 @@ from .params import (
     ModelParams,
     RateUnit,
     _from_dict,
+    _json_text,
     _to_dict,
     _write_json,
     convert_unit,
@@ -75,7 +76,7 @@ def _emit_report(payload: dict, out_dir: str | None, name: str) -> int:
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         _write_json(payload, os.path.join(out_dir, name))
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    sys.stdout.write(_json_text(payload))
     return 0
 
 
@@ -104,6 +105,14 @@ def _cmd_phasemap(args) -> int:
 
 def _cmd_steady(args) -> int:
     d = _load_json(args.params)
+    # the sections are checked as the codec checks a section's fields
+    if not isinstance(d, dict):
+        raise CliError(f"bad params file {args.params}: the steady input "
+                       f"must be a JSON object, not {type(d).__name__}")
+    unknown = d.keys() - {"bare", "drives", "solver"}
+    if unknown:
+        raise CliError(f"bad params file {args.params}: unknown key "
+                       f"{min(unknown)!r}; use 'bare', 'drives' and 'solver'")
     if "bare" not in d:
         raise CliError(f"params file {args.params} needs a 'bare' section")
     try:

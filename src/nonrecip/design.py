@@ -207,6 +207,24 @@ def nonreal_residue(q: complex) -> float:
     return abs(q - m) / m
 
 
+def _couplings(kappa1: float, kappa2: float, gamma: float,
+               f: float) -> tuple[float, float, float]:
+    """G1 = sqrt(gamma kappa1), G2 = sqrt(gamma kappa2), J1 = G1 G2/(gamma + f)."""
+    G1 = math.sqrt(gamma * kappa1)
+    G2 = math.sqrt(gamma * kappa2)
+    return G1, G2, G1 * G2 / (gamma + f)
+
+
+def _candidate_params(kappa1: float, kappa2: float, gamma: float, f: float,
+                      J2: complex, J3: complex, unit: RateUnit) -> ModelParams:
+    """One candidate's parameter set: the design's couplings at these rates,
+    theta = phi = pi/2, and the candidate's J2 and J3."""
+    G1, G2, J1 = _couplings(kappa1, kappa2, gamma, f)
+    return ModelParams(
+        kappa1=kappa1, kappa2=kappa2, gamma=gamma, f=f, G1=G1, G2=G2,
+        theta=HALF_PI, J1=J1, J2=J2, phi=HALF_PI, J3=J3, unit=unit)
+
+
 @dataclass(frozen=True)
 class DesignCandidate:
     """One J3 root candidate with its resonance validation verdict.
@@ -262,11 +280,8 @@ class IsolatorDesign:
         if i is None:
             raise ValueError("design has no chosen candidate")
         c = self.root_candidates[i]
-        return ModelParams(
-            kappa1=self.kappa1, kappa2=self.kappa2, gamma=self.gamma, f=self.f,
-            G1=self.G1, G2=self.G2, theta=self.theta, J1=self.J1,
-            J2=c.J2, phi=self.phi, J3=c.J3, unit=self.unit,
-        )
+        return _candidate_params(self.kappa1, self.kappa2, self.gamma, self.f,
+                                 c.J2, c.J3, self.unit)
 
 
 def design_isolator(
@@ -297,40 +312,30 @@ def design_isolator(
     kappa1, kappa2, gamma, f = map(float, (kappa1, kappa2, gamma, f))
     if unit is None:
         unit = _ABSOLUTE_UNIT
-    G1 = math.sqrt(gamma * kappa1)
-    G2 = math.sqrt(gamma * kappa2)
-    J1 = G1 * G2 / (gamma + f)
+    G1, G2, J1 = _couplings(kappa1, kappa2, gamma, f)
     r = r_coefficients(kappa1, kappa2, gamma, f, G1, G2, J1)
     records: list[DesignCandidate] = []
     for J3 in j3_roots(r):
-        if J3 == 0:
-            records.append(DesignCandidate(
-                J3=J3, J2=complex("nan"), J2_mag=math.nan, J2_residue=math.nan,
-                T12_at_resonance=math.nan, T21_at_resonance=math.nan,
-                valid=False, direction="rejected"))
-            continue
-        q = j2_literal(J1, J3, gamma, f, G1, G2)
-        residue = nonreal_residue(q)
+        J2 = complex("nan")
+        T12 = T21 = math.nan
+        valid, direction = False, "rejected"
         try:
-            p = ModelParams(
-                kappa1=kappa1, kappa2=kappa2, gamma=gamma, f=f,
-                G1=G1, G2=G2, theta=HALF_PI, J1=J1,
-                J2=q, phi=HALF_PI, J3=J3, unit=unit,
-            )
-            tp = transmission_pair(p, 0.0)
-        except (InvalidParams, SingularMatrix) as exc:
-            reason = "singular" if isinstance(exc, SingularMatrix) else "rejected"
-            records.append(DesignCandidate(
-                J3=J3, J2=q, J2_mag=abs(q), J2_residue=residue,
-                T12_at_resonance=math.nan, T21_at_resonance=math.nan,
-                valid=False, direction=reason))
-            continue
-        valid = bool(min(tp.T12, tp.T21) < DESIGN_TOL
-                     and abs(max(tp.T12, tp.T21) - 1.0) < DESIGN_TOL)
+            J2 = j2_literal(J1, J3, gamma, f, G1, G2)
+            tp = transmission_pair(
+                _candidate_params(kappa1, kappa2, gamma, f, J2, J3, unit), 0.0)
+        except (ZeroJ3, InvalidParams):
+            pass
+        except SingularMatrix:
+            direction = "singular"
+        else:
+            T12, T21 = tp.T12, tp.T21
+            valid = bool(min(T12, T21) < DESIGN_TOL
+                         and abs(max(T12, T21) - 1.0) < DESIGN_TOL)
+            direction = isolation_metrics(tp).direction.value
         records.append(DesignCandidate(
-            J3=J3, J2=q, J2_mag=abs(q), J2_residue=residue,
-            T12_at_resonance=tp.T12, T21_at_resonance=tp.T21,
-            valid=valid, direction=isolation_metrics(tp).direction.value))
+            J3=J3, J2=J2, J2_mag=abs(J2), J2_residue=nonreal_residue(J2),
+            T12_at_resonance=T12, T21_at_resonance=T21,
+            valid=valid, direction=direction))
     chosen: int | None = None
     best = None
     for i, c in enumerate(records):

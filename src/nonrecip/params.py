@@ -376,11 +376,14 @@ bare_params_from_dict = partial(_from_dict, BareParams)
 drives_from_dict = partial(_from_dict, Drives)
 
 
+def _json_text(payload: dict) -> str:
+    # the one layout of every JSON report, figure summary and sweep table
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _write_json(payload: dict, path: str) -> None:
-    # the one layout of every JSON report and figure summary
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(payload))
 
 
 __all__ = [

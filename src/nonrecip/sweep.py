@@ -10,8 +10,8 @@ values, so a quantity that depends on one axis alone is computed once
 per axis value, not once per point.
 Row order is always axis2 outer, axis1 inner, CSV cells are printed with
 a fixed 17-significant-digit scientific format, and JSON tables have the
-layout of ``json.dump(..., indent=2, sort_keys=True)``, so identical
-invocations produce byte-identical files.
+layout of every JSON file the package writes (`params._json_text`), so
+identical invocations produce byte-identical files.
 
 The designed figure presets (fig5-8) are built by `design.design_isolator`,
 the same path as the ``design`` command.
@@ -22,10 +22,10 @@ status=singular and empty observable cells rather than aborting the sweep.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -36,6 +36,7 @@ from .params import (
     ModelParams,
     _GAMMA_UNIT,
     _KAPPA2_UNIT,
+    _json_text,
     _to_dict,
     _write_json,
 )
@@ -243,16 +244,15 @@ def table_to_json(table: SweepTable) -> dict:
 
 
 def write_json(table: SweepTable, path: str) -> None:
-    """Emit the bytes of ``json.dump(table_to_json(table), fh, indent=2,
-    sort_keys=True)`` plus a final newline, formatting the rows per block."""
+    """Emit the bytes of ``_json_text(table_to_json(table))``, formatting
+    the rows per block."""
     empty = SweepTable(table.columns, {c: v[:0] for c, v in table.data.items()},
                        table.singular[:0])
-    head, tail = json.dumps(table_to_json(empty), indent=2,
-                            sort_keys=True).split('"rows": []')
+    head, tail = _json_text(table_to_json(empty)).split('"rows": []')
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head + '"rows": [')
         _write_rows(fh, table, _JSON)
-        fh.write(("\n  ]" if len(table) else "]") + tail + "\n")
+        fh.write(("\n  ]" if len(table) else "]") + tail)
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +266,6 @@ _BASE_GAMMA = dict(kappa1=1.0, kappa2=1.0, gamma=1.0, f=10.0,
                    G1=0.5, G2=0.5, J1=0.5, J2=0.01, J3=4.476j,
                    unit=_GAMMA_UNIT)
 
-# the common theta = phi of fig3a-h, in units of pi
-_EIGHTHS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75)
-
-_FIG4_J2 = (0.01, 0.1, 0.3, 0.5)
-_FIG4_J3 = (0.476j, 1.476j, 2.476j, 4.476j)
-
-_FIG56_F = (0.1, 1.0, 5.0)
-_FIG78_GAMMA = (0.001, 0.01, 0.1, 1.0)
-
 # design candidates behind fig5-8, in the candidate order of
 # design_isolator: J3 = +sqrt((-R8 + sqrt(disc))/(2 R7)) (fig5, fig7) and
 # J3 = -sqrt((-R8 - sqrt(disc))/(2 R7)) (fig6, fig8)
@@ -285,19 +276,49 @@ SPECTRUM_POINTS = 1001
 PHASEMAP_POINTS = 201
 
 
-def _y_axis(half_width_rates: float) -> Axis:
-    return Axis("y", -half_width_rates, half_width_rates, SPECTRUM_POINTS)
+def _phasemap_preset() -> SweepSpec:
+    return phasemap_spec(ModelParams(theta=0.0, phi=0.0, **_BASE_GAMMA))
+
+
+def _spectrum_preset(angle: float, **changes) -> SweepSpec:
+    # theta = phi = angle at the common point, y over +-5 gamma
+    return spectrum_spec(ModelParams(
+        theta=angle, phi=angle, **{**_BASE_GAMMA, **changes}))
+
+
+def _designed_preset(gamma: float, f: float, root: int) -> SweepSpec:
+    # kappa1 = 10 kappa2, y over +-5 kappa2
+    p = design_isolator(10.0, 1.0, gamma, f,
+                        unit=_KAPPA2_UNIT).to_model_params(root)
+    return SweepSpec(fixed=p, axis1=Axis("y", -5.0 * p.kappa2, 5.0 * p.kappa2,
+                                         SPECTRUM_POINTS))
+
+
+# every figure id, in order, with the builder of its preset
+_FIGURES = {
+    "fig2": _phasemap_preset,
+    # the common theta = phi, in units of pi
+    **{f"fig3{c}": partial(_spectrum_preset, eighths * math.pi)
+       for c, eighths in zip("abcdefgh", (0.0, 0.25, 0.5, 0.75,
+                                          1.0, 1.25, 1.5, 1.75))},
+    # J2 rises in fig4a-d, J3 in fig4e-h, at theta = phi = pi/2
+    **{f"fig4{c}": partial(_spectrum_preset, math.pi / 2.0, **change)
+       for c, change in zip("abcdefgh", (
+           *({"J2": v} for v in (0.01, 0.1, 0.3, 0.5)),
+           *({"J3": v} for v in (0.476j, 1.476j, 2.476j, 4.476j))))},
+    # f rises in fig5 and fig6 at gamma = 0.01 kappa2
+    **{f"fig{n}{c}": partial(_designed_preset, 0.01, f, root)
+       for n, root in ((5, _ROOT_PLUS), (6, _ROOT_MINUS))
+       for c, f in zip("abc", (0.1, 1.0, 5.0))},
+    # gamma rises in fig7 and fig8 at f = kappa2
+    **{f"fig{n}{c}": partial(_designed_preset, gamma, 1.0, root)
+       for n, root in ((7, _ROOT_PLUS), (8, _ROOT_MINUS))
+       for c, gamma in zip("abcd", (0.001, 0.01, 0.1, 1.0))},
+}
 
 
 def figure_ids() -> tuple[str, ...]:
-    ids = ["fig2"]
-    ids += [f"fig3{c}" for c in "abcdefgh"]
-    ids += [f"fig4{c}" for c in "abcdefgh"]
-    ids += [f"fig5{c}" for c in "abc"]
-    ids += [f"fig6{c}" for c in "abc"]
-    ids += [f"fig7{c}" for c in "abcd"]
-    ids += [f"fig8{c}" for c in "abcd"]
-    return tuple(ids)
+    return tuple(_FIGURES)
 
 
 def figure_preset(fid: str) -> SweepSpec:
@@ -308,42 +329,11 @@ def figure_preset(fid: str) -> SweepSpec:
     UnknownFigure
         For ids outside `figure_ids()`.
     """
-    if fid == "fig2":
-        p = ModelParams(theta=0.0, phi=0.0, **_BASE_GAMMA)
-        return SweepSpec(
-            fixed=p,
-            axis1=Axis("theta", 0.0, 2.0 * math.pi, PHASEMAP_POINTS),
-            axis2=Axis("phi", 0.0, 2.0 * math.pi, PHASEMAP_POINTS),
-            observables=("T12", "T21"), y=0.0)
-    family, letter = fid[:4], fid[4:]
-    if family == "fig3" and letter in "abcdefgh" and len(letter) == 1:
-        k = "abcdefgh".index(letter)
-        ang = _EIGHTHS[k] * math.pi
-        p = ModelParams(theta=ang, phi=ang, **_BASE_GAMMA)
-        return SweepSpec(fixed=p, axis1=_y_axis(5.0 * p.gamma))
-    if family == "fig4" and letter in "abcdefgh" and len(letter) == 1:
-        k = "abcdefgh".index(letter)
-        base = dict(_BASE_GAMMA)
-        if k < 4:
-            base["J2"] = _FIG4_J2[k]
-        else:
-            base["J3"] = _FIG4_J3[k - 4]
-        p = ModelParams(theta=math.pi / 2.0, phi=math.pi / 2.0, **base)
-        return SweepSpec(fixed=p, axis1=_y_axis(5.0 * p.gamma))
-    if family in ("fig5", "fig6") and letter in "abc" and len(letter) == 1:
-        f = _FIG56_F["abc".index(letter)]
-        design = design_isolator(10.0, 1.0, 0.01, f, unit=_KAPPA2_UNIT)
-        p = design.to_model_params(
-            _ROOT_PLUS if family == "fig5" else _ROOT_MINUS)
-        return SweepSpec(fixed=p, axis1=_y_axis(5.0 * p.kappa2))
-    if family in ("fig7", "fig8") and letter in "abcd" and len(letter) == 1:
-        gamma = _FIG78_GAMMA["abcd".index(letter)]
-        design = design_isolator(10.0, 1.0, gamma, 1.0, unit=_KAPPA2_UNIT)
-        p = design.to_model_params(
-            _ROOT_PLUS if family == "fig7" else _ROOT_MINUS)
-        return SweepSpec(fixed=p, axis1=_y_axis(5.0 * p.kappa2))
-    raise UnknownFigure(f"no preset for {fid!r}; known ids: "
-                        + ", ".join(figure_ids()))
+    build = _FIGURES.get(fid)
+    if build is None:
+        raise UnknownFigure(f"no preset for {fid!r}; known ids: "
+                            + ", ".join(_FIGURES))
+    return build()
 
 
 # ---------------------------------------------------------------------------

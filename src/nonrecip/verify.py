@@ -29,7 +29,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .design import NoValidDesign, design_isolator, j3_roots, r_coefficients
+from .design import (
+    NoValidDesign,
+    _couplings,
+    design_isolator,
+    j3_roots,
+    r_coefficients,
+)
 from .params import TWO_PI, ModelParams, _GAMMA_UNIT, convert_unit
 from .response import pole_thresholds, system_matrices, transfer_coefficients
 from .transmission import transmission_arrays
@@ -260,10 +266,7 @@ def check_root_consistency(draws: int, rng: np.random.Generator) -> CheckResult:
     errors = []
     for u in rng.random((draws, 4)).tolist():
         k1, k2, g, f = [10.0 ** (low + span * x) for x in u]
-        G1 = math.sqrt(g * k1)
-        G2 = math.sqrt(g * k2)
-        J1 = G1 * G2 / (g + f)
-        r = r_coefficients(k1, k2, g, f, G1, G2, J1)
+        r = r_coefficients(k1, k2, g, f, *_couplings(k1, k2, g, f))
         scale = max(abs(r.R7), abs(r.R8), abs(r.R9), 1e-30)
         for root in j3_roots(r):
             sq = root * root

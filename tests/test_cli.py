@@ -253,6 +253,10 @@ def test_steady_overflowing_step_is_exit_2(tmp_path, capsys):
     ("steady", {**_steady_payload(drives=None),
                 "drives": {"E1": 100.0, "Ep1": 1.0}},
      "unknown key 'Ep1' for Drives"),
+    # a misspelled section used to be ignored, solving at zero drive
+    ("steady", {**_steady_payload(drives=None), "drive": {"E1": 100.0}},
+     "unknown key 'drive'; use 'bare', 'drives' and 'solver'"),
+    ("steady", 3, "must be a JSON object, not int"),
 ], ids=["spectrum-missing-field", "steady-no-bare", "steady-unknown-solver-key",
         "steady-nan-rate", "steady-float-max-iter", "steady-bool-max-iter",
         "spectrum-infinite-theta", "phasemap-negative-rate",
@@ -261,7 +265,8 @@ def test_steady_overflowing_step_is_exit_2(tmp_path, capsys):
         "spectrum-unit-not-an-object", "spectrum-bool-rate",
         "steady-str-drive", "steady-bool-complex-part", "steady-str-rate",
         "steady-bool-tol", "steady-huge-int-rate", "steady-huge-int-drive-part",
-        "steady-probe-amplitude-key"])
+        "steady-probe-amplitude-key", "steady-misspelled-section",
+        "steady-not-an-object"])
 def test_bad_input_file_is_exit_1(tmp_path, capsys, command, payload, named):
     path = tmp_path / "input.json"
     # NaN and Infinity are written as the bare literals

@@ -253,6 +253,19 @@ def test_invalid_quotient_is_recorded_as_rejected(monkeypatch):
     assert math.isnan(c.T12_at_resonance) and math.isnan(c.T21_at_resonance)
 
 
+def test_zero_root_is_recorded_as_rejected(monkeypatch):
+    import nonrecip.design as design_mod
+
+    # the J2 quotient divides by J3, so a zero root has no J2 to report
+    monkeypatch.setattr(design_mod, "j3_roots", lambda r: [0j])
+    with pytest.raises(NoValidDesign) as exc_info:
+        design_isolator(10.0, 1.0, 0.01, 1.0)
+    (c,) = exc_info.value.design.root_candidates
+    assert c.J3 == 0 and c.direction == "rejected" and not c.valid
+    assert cmath.isnan(c.J2) and math.isnan(c.J2_mag)
+    assert math.isnan(c.J2_residue) and math.isnan(c.T12_at_resonance)
+
+
 def test_design_report_serialization():
     d = design_isolator(10.0, 1.0, 0.01, 1.0, unit=RateUnit("kappa2", 1.0))
     rep = design_to_dict(d)
