@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .design import NoValidDesign, design_isolator, design_to_dict
+from .design import design_isolator, design_to_dict
 from .params import (
     BareParams,
     Drives,
@@ -225,7 +225,7 @@ def cli_main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {_diagnostic(exc)}", file=sys.stderr)
         return 1
-    except (ArithmeticError, NoValidDesign, RuntimeError) as exc:
+    except (ArithmeticError, RuntimeError) as exc:
         print(f"error: {_diagnostic(exc)}", file=sys.stderr)
         return 2
     except (KeyError, TypeError, ValueError, OSError) as exc:

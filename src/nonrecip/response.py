@@ -4,14 +4,14 @@ The positive-frequency fluctuation amplitudes X = (da1, da2, dd, db) at probe
 detuning y obey the 4x4 complex linear system A1(y) X = B with drive vector
 B = (Ep1, Ep2, 0, 0). This module builds A1 and solves the system by LU
 with partial pivoting, and it evaluates the one closed form of the
-response, `transfer_coefficients`: the cofactors of the two inter-cavity
-elements of A1^-1 and the determinant.
+response, `transfer_coefficients`: the numerators N12 and N21 of the two
+inter-cavity elements of A1^-1 and their denominator, det A1 = D.
 
 The closed form is the production path for transmission: the kernel in
 `nonrecip.transmission` reads T12 and T21 from `transfer_coefficients` at
 every point, over scalars or arrays, and falls back to LU on
 `system_matrices` only inside a guard band around the poles.
-`transfer_coefficients` writes the cofactors and the determinant as
+`transfer_coefficients` writes the numerators and the determinant as
 polynomials in y whose coefficients hold only the parameters, and
 evaluates them by Horner's rule, so an array of detunings costs a few
 operations per point and a phase axis only what depends on it. LU is
@@ -154,16 +154,17 @@ def solve_response(p: ModelParams, y: float, Ep1: float, Ep2: float) -> Response
 
 
 def transfer_coefficients(v: Mapping[str, object]):
-    """The cofactors tau1, tau2, chi1, chi2 and the determinant D.
+    """The numerators N12, N21 and the determinant D of the transfer.
 
     ``v`` maps each ModelParams field name, and ``"y"``, to a scalar or an
-    array, as in :func:`system_matrices`; the five results broadcast the
+    array, as in :func:`system_matrices`; the three results broadcast the
     same way and are Python complex numbers when every value is a scalar.
     They give the inter-cavity elements of the inverse,
-    [A1^-1]_(2,1) = (i chi1 - chi2) / D and [A1^-1]_(1,2) = (i tau1 - tau2) / D.
+    [A1^-1]_(2,1) = N12 / D and [A1^-1]_(1,2) = N21 / D.
 
-    All five are polynomials in y, evaluated by Horner's rule from
-    coefficients that hold only the parameters:
+    N12 = i chi1 - chi2 and N21 = i tau1 - tau2 are formed here, from
+    cofactors that are polynomials in y with coefficients holding only
+    the parameters:
 
         tau1 = (J1 y + G1 G2 e^{-i theta}) y
                - J1 J3^2 - J1 gamma f + G2 J2 J3 e^{i(phi - theta)},
@@ -192,11 +193,11 @@ def transfer_coefficients(v: Mapping[str, object]):
     # and a term of one phase axis widens to the full grid only once
     J1y, J1gfy = J1 * y, J1 * (g + f) * y
     const1 = -J1 * J3s - J1 * gf
-    tau1 = (J1y + G1G2 * eth.conjugate()) * y + (
-        const1 + G2 * J2 * J3 * eth_ph.conjugate())
-    chi1 = (J1y + G1G2 * eth) * y + (const1 + G2 * J2 * J3 * eth_ph)
-    tau2 = J1gfy + G1G2 * f * eth.conjugate()
-    chi2 = J1gfy + G1G2 * f * eth
+    n12 = (1j * ((J1y + G1G2 * eth) * y + (const1 + G2 * J2 * J3 * eth_ph))
+           - (J1gfy + G1G2 * f * eth))
+    n21 = 1j * ((J1y + G1G2 * eth.conjugate()) * y + (
+        const1 + G2 * J2 * J3 * eth_ph.conjugate())) - (
+        J1gfy + G1G2 * f * eth.conjugate())
 
     c3 = 1j * (k1 + k2 + g + f)
     c2 = (-(G1s + G2s + J1s + J2s + J3s)
@@ -210,7 +211,7 @@ def transfer_coefficients(v: Mapping[str, object]):
           - 2j * J2 * J3 * k2 * G1 * cos_ph - 2j * J1 * G1G2 * f * cos_th
           - 2 * J1 * J2 * J3 * G2 * eth_ph.real)
     D = (((y + c3) * y + c2) * y + c1) * y + c0
-    return tau1, tau2, chi1, chi2, D
+    return n12, n21, D
 
 
 __all__ = [

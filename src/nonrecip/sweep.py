@@ -344,7 +344,7 @@ def _crossing(ys: np.ndarray, vs: np.ndarray, i: int, j: int,
               threshold: float) -> float:
     # linear interpolation of the threshold crossing between grid points
     y1, y2, v1, v2 = ys[i], ys[j], vs[i], vs[j]
-    if math.isnan(v2) or v2 == v1:
+    if math.isnan(v2):
         return float(y1)
     return float(y1 + (threshold - v1) * (y2 - y1) / (v2 - v1))
 

@@ -9,10 +9,10 @@ passive point) is set out in ROADMAP item 2.
 One kernel computes these for every caller: `transmission_pair` at one
 point, `transmission_grid` over detunings and `nonrecip.sweep` over any
 parameter grid. It reads both elements of the inverse from the closed-form
-cofactors and determinant of `response.transfer_coefficients`,
+numerators N12, N21 and determinant D of `response.transfer_coefficients`,
 
-    T12 = sqrt(kappa1 kappa2) |i chi1 - chi2| / |D|,
-    T21 = sqrt(kappa1 kappa2) |i tau1 - tau2| / |D|,
+    T12 = sqrt(kappa1 kappa2) |N12| / |D|,
+    T21 = sqrt(kappa1 kappa2) |N21| / |D|,
 
 broadcasting over scalars and arrays of any shape. Where |D| lies below
 LU_GUARD_BAND times the pole threshold of `response.pole_thresholds`, it
@@ -124,7 +124,7 @@ def _kernel(v: Mapping[str, object]):
     array, the arrays broadcasting together. All scalars give floats and a
     bool; otherwise the results are arrays in the broadcast shape.
     """
-    tau1, tau2, chi1, chi2, D = transfer_coefficients(v)
+    n12, n21, D = transfer_coefficients(v)
     abs_d = abs(D)
     if isinstance(abs_d, float):
         thresholds = pole_thresholds(v)
@@ -132,13 +132,12 @@ def _kernel(v: Mapping[str, object]):
             t12, t21, singular = _lu_transmission(v, thresholds)
             return float(t12[0]), float(t21[0]), bool(singular[0])
         pref = math.sqrt(abs(v["kappa1"] * v["kappa2"]))
-        return (pref * abs(1j * chi1 - chi2) / abs_d,
-                pref * abs(1j * tau1 - tau2) / abs_d, False)
+        return pref * abs(n12) / abs_d, pref * abs(n21) / abs_d, False
     pref = np.sqrt(np.abs(v["kappa1"] * v["kappa2"]))
     # band points may divide by D = 0; LU overwrites them below
     with np.errstate(divide="ignore", invalid="ignore"):
-        t12 = pref * np.abs(1j * chi1 - chi2) / abs_d
-        t21 = pref * np.abs(1j * tau1 - tau2) / abs_d
+        t12 = pref * np.abs(n12) / abs_d
+        t21 = pref * np.abs(n21) / abs_d
     singular = np.zeros(abs_d.shape, dtype=bool)
     # no point is in the band when the smallest |D| clears it at the bound;
     # a NaN |D| or bound fails this test and leaves the block to the exact

@@ -11,9 +11,9 @@ reciprocity, transpose structure) evaluate their draws as arrays, in
 blocks of at most _BLOCK draws: one `system_matrices` stack through
 stacked LAPACK (`np.linalg.det`, `np.linalg.inv`), one
 `transfer_coefficients` pass and one `transmission_arrays` call per block
-and phase setting. `closed_form_equivalence` compares the inverse
-elements [A1^-1]_(2,1) and [A1^-1]_(1,2) that the transmission kernel
-reads from `transfer_coefficients` with `np.linalg.inv`. The draws are
+and phase setting. `closed_form_equivalence` compares the kernel's
+N12 / D and N21 / D from `transfer_coefficients` with `np.linalg.inv`,
+and `determinant_identity` its D with `np.linalg.det`. The draws are
 those of alternating `random_params(rng)` and ``rng.uniform(-5, 5)``
 calls, and a pole draw is skipped for the next draw of the stream, as
 when they are taken one at a time; so no result depends on the block
@@ -30,6 +30,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .design import (
+    DESIGN_TOL,
     NoValidDesign,
     _couplings,
     design_isolator,
@@ -173,7 +174,7 @@ def _closed_form_errors(v, done):
     # either the LU determinant or the kernel's D falls below the pole
     # threshold of solve_response
     m = system_matrices(v)
-    tau1, tau2, chi1, chi2, D = transfer_coefficients(v)
+    n12, n21, D = transfer_coefficients(v)
     thresholds = pole_thresholds(v)
     pole = (np.abs(np.linalg.det(m)) < thresholds) | (np.abs(D) < thresholds)
     ok = ~pole
@@ -183,13 +184,13 @@ def _closed_form_errors(v, done):
     # complex division would warn of it
     with np.errstate(invalid="ignore"):
         err[ok] = np.maximum(
-            _rel_array(inv[:, 1, 0], (1j * chi1 - chi2)[ok] / D[ok]),
-            _rel_array(inv[:, 0, 1], (1j * tau1 - tau2)[ok] / D[ok]))
+            _rel_array(inv[:, 1, 0], n12[ok] / D[ok]),
+            _rel_array(inv[:, 0, 1], n21[ok] / D[ok]))
     return err, pole
 
 
 def _determinant_errors(v, done):
-    D = transfer_coefficients(v)[4]
+    D = transfer_coefficients(v)[2]
     return _rel_array(np.linalg.det(system_matrices(v)), D), None
 
 
@@ -218,8 +219,7 @@ def _transpose_errors(v, done):
 def check_closed_form(draws: int, rng: np.random.Generator) -> CheckResult:
     """The kernel's [A1^-1]_21 and [A1^-1]_12 match LU inversion to 1e-10.
 
-    They are (i chi1 - chi2) / D and (i tau1 - tau2) / D from
-    `transfer_coefficients`, compared relative to ``np.linalg.inv``.
+    They are N12 / D and N21 / D, compared relative to ``np.linalg.inv``.
     """
     worst = _worst_accepted(draws, rng, _closed_form_errors)
     return CheckResult("closed_form_equivalence", worst < 1e-10,
@@ -303,7 +303,7 @@ def check_design_validation(draws: int, rng: np.random.Generator) -> CheckResult
         hi = max(c.T12_at_resonance, c.T21_at_resonance)
         errors += [lo, abs(hi - 1.0)]
     worst = _worst(errors)
-    return CheckResult("design_validation", worst < 1e-6,
+    return CheckResult("design_validation", worst < DESIGN_TOL,
                        f"worst deviation from one-way resonance {worst:.3e} "
                        f"over {len(regimes)} regimes")
 

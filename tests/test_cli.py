@@ -367,6 +367,33 @@ def test_design_subcommand(tmp_path, capsys):
     assert abs(max(tp.T12, tp.T21) - 1.0) < 1e-6
 
 
+def test_no_valid_design_is_exit_2(monkeypatch, capsys):
+    # NoValidDesign is a RuntimeError: a numerical failure, reported by
+    # the first line of its per-candidate report
+    design_mod = importlib.import_module("nonrecip.design")
+    cli_mod = importlib.import_module("nonrecip.cli")
+    from nonrecip.params import TransmissionPoint
+    with monkeypatch.context() as m:
+        m.setattr(design_mod, "transmission_pair",
+                  lambda p, y: TransmissionPoint(y=y, T12=0.5, T21=0.5))
+        with pytest.raises(design_mod.NoValidDesign) as exc_info:
+            design_mod.design_isolator(10.0, 1.0, 0.01, 1.0)
+    failure = exc_info.value
+    assert len(str(failure).splitlines()) > 1
+
+    def no_design(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(cli_mod, "design_isolator", no_design)
+    rc = cli_main(["design", "--kappa1", "10", "--kappa2", "1",
+                   "--gamma", "0.01", "--f", "1"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: no J3 candidate achieves one-way transmission "
+                   "at resonance\n")
+
+
 def test_design_rejects_bad_rates(capsys):
     rc = cli_main(["design", "--kappa1", "10", "--kappa2", "1",
                    "--gamma", "-0.01", "--f", "1"])

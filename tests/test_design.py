@@ -25,6 +25,8 @@ from nonrecip import (
     transmission_pair,
 )
 from nonrecip.design import DESIGN_TOL, J2_RESIDUE_TOL, RCoefficients
+from nonrecip.response import transfer_coefficients
+from nonrecip.sweep import SPECTRUM_POINTS, figure_ids, figure_preset
 
 
 def _rc(R7, R8, R9):
@@ -197,6 +199,21 @@ def test_design_valid_across_f_range():
         assert c.valid, f
 
 
+def test_designed_presets_reduce_n21_to_j1_y_squared():
+    # at theta = pi/2, J1 = G1 G2/(gamma + f) cancels N21's linear term and
+    # the J2 quotient its constant term, so T21 = sqrt(kappa1 kappa2)
+    # J1 y^2 / |D| over the whole window
+    designed = [fid for fid in figure_ids() if fid[3] in "5678"]
+    assert len(designed) == 14
+    for fid in designed:
+        spec = figure_preset(fid)
+        p, ys = spec.fixed, spec.axis1.grid()
+        assert len(ys) == SPECTRUM_POINTS
+        n21 = transfer_coefficients(dict(vars(p), y=ys))[1]
+        gap = np.abs(n21 - 1j * p.J1 * ys ** 2).max()
+        assert gap <= 1e-14 * np.abs(n21).max(), fid
+
+
 def test_chosen_candidate_minimizes_j3():
     d = design_isolator(10.0, 1.0, 0.01, 1.0)
     chosen = d.chosen_candidate
@@ -237,6 +254,10 @@ def test_no_valid_design_report(monkeypatch):
     assert all(not c.valid for c in err.design.root_candidates)
     # one report line per candidate after the summary line
     assert len(str(err).splitlines()) == 1 + len(err.design.root_candidates)
+    # the failed design has no candidate to pick or to build
+    assert err.design.chosen_candidate is None
+    with pytest.raises(ValueError, match="no chosen candidate"):
+        err.design.to_model_params()
 
 
 def test_invalid_quotient_is_recorded_as_rejected(monkeypatch):

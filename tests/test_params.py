@@ -116,6 +116,10 @@ def test_convert_unit_normalizes_reference_rate(base_params):
 def test_convert_unit_rejects_unknown_reference(base_params):
     with pytest.raises(ValueError):
         convert_unit(base_params(0.0), "hertz")
+    # a zero reference rate has no rescaling
+    p = base_params(0.0, gamma=0.0, unit=RateUnit("kappa2", 1.0))
+    with pytest.raises(InvalidParams, match="reference rate is 0.0"):
+        convert_unit(p, "gamma")
 
 
 def test_model_params_json_round_trip(base_params):

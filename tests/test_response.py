@@ -1,8 +1,8 @@
 """Response matrix assembly, the LU solve, and the kernel's closed form.
 
-The closed form is `transfer_coefficients`: the cofactors of the two
-inter-cavity elements of A1^-1 and the determinant, checked here against
-the LU solve and a term-by-term expansion.
+The closed form is `transfer_coefficients`: the numerators N12 and N21 of
+the two inter-cavity elements of A1^-1 and the determinant D, checked here
+against the LU solve and a term-by-term expansion.
 """
 
 import cmath
@@ -122,28 +122,31 @@ def test_solve_residual_small(base_params, rng):
 def test_closed_form_uncoupled_reductions(base_params):
     p = base_params(0.0, G1=0.0, G2=0.0, J1=0.0, J2=0.0, J3=0.0, f=3.0)
     y = 0.45
-    tau1, tau2, chi1, chi2, D = transfer_coefficients(dict(vars(p), y=y))
-    assert tau1 == 0 and tau2 == 0 and chi1 == 0 and chi2 == 0
+    n12, n21, D = transfer_coefficients(dict(vars(p), y=y))
+    assert n12 == 0 and n21 == 0
     assert D == pytest.approx(
         (p.kappa1 - 1j * y) * (p.kappa2 - 1j * y)
         * (p.f - 1j * y) * (p.gamma - 1j * y))
     # no path between the cavities: the LU solve agrees with the zero
     # inter-cavity element and leaves cavity 1 a lone cavity
     sol = solve_response(p, y, 1.0, 0.0)
-    assert sol.da2 == (1j * chi1 - chi2) / D == 0
+    assert sol.da2 == n12 / D == 0
     assert sol.da1 == pytest.approx(1.0 / (p.kappa1 - 1j * y))
 
 
 def test_cofactor_term_deletion(base_params):
-    # with J3 = J2 = 0 the ensemble drops out of tau1 and chi1, leaving
-    # (J1 y + G1 G2 e^{-+i theta}) y - J1 gamma f
+    # with J3 = J2 = 0 the ensemble drops out of the numerators, leaving
+    # i ((J1 y + G1 G2 e^{+-i theta}) y - J1 gamma f)
+    #     - J1 (gamma + f) y - G1 G2 f e^{+-i theta}
     p = base_params(0.9, 0.3, J2=0.0, J3=0.0, kappa1=1.7, f=3.0,
                     G1=0.8, G2=0.4)
     y = 0.65
-    tau1, _, chi1, _, _ = transfer_coefficients(dict(vars(p), y=y))
-    for got, sign in ((tau1, -1), (chi1, 1)):
-        expect = ((p.J1 * y + p.G1 * p.G2 * cmath.exp(sign * 1j * p.theta)) * y
-                  - p.J1 * p.gamma * p.f)
+    n12, n21, _ = transfer_coefficients(dict(vars(p), y=y))
+    for got, sign in ((n12, 1), (n21, -1)):
+        e = cmath.exp(sign * 1j * p.theta)
+        cofactor1 = (p.J1 * y + p.G1 * p.G2 * e) * y - p.J1 * p.gamma * p.f
+        cofactor2 = p.J1 * (p.gamma + p.f) * y + p.G1 * p.G2 * p.f * e
+        expect = 1j * cofactor1 - cofactor2
         assert got == pytest.approx(expect, rel=1e-13)
 
 
@@ -153,11 +156,11 @@ def test_closed_form_matches_solve(base_params, rng):
     for _ in range(100):
         p = random_params(rng)
         y = float(rng.normal())
-        tau1, tau2, chi1, chi2, D = transfer_coefficients(dict(vars(p), y=y))
+        n12, n21, D = transfer_coefficients(dict(vars(p), y=y))
         lu21 = solve_response(p, y, 1.0, 0.0).da2
         lu12 = solve_response(p, y, 0.0, 1.0).da1
-        assert abs((1j * chi1 - chi2) / D - lu21) <= 1e-10 * abs(lu21)
-        assert abs((1j * tau1 - tau2) / D - lu12) <= 1e-10 * abs(lu12)
+        assert abs(n12 / D - lu21) <= 1e-10 * abs(lu21)
+        assert abs(n21 / D - lu12) <= 1e-10 * abs(lu12)
 
 
 def test_determinant_formula_matches_numeric(base_params, rng):
@@ -165,7 +168,7 @@ def test_determinant_formula_matches_numeric(base_params, rng):
         p = random_params(rng)
         y = float(rng.normal())
         num = np.linalg.det(build_system_matrix(p, y))
-        D = transfer_coefficients(dict(vars(p), y=y))[4]
+        D = transfer_coefficients(dict(vars(p), y=y))[2]
         assert abs(D - num) <= 1e-10 * abs(num)
 
 
@@ -175,7 +178,7 @@ def test_singular_pole_detected(base_params):
         solve_response(p, 0.0, 1.0, 0.0)
     # the kernel's D falls under the same pole rule at the same point
     v = dict(vars(p), y=0.0)
-    assert abs(transfer_coefficients(v)[4]) < pole_thresholds(v)
+    assert abs(transfer_coefficients(v)[2]) < pole_thresholds(v)
 
 
 def test_far_detuned_response_decays(base_params):
@@ -201,7 +204,11 @@ def test_batched_matrices_match_scalar(base_params):
 
 
 def _term_expansion(v):
-    """tau1, tau2, chi1, chi2, D term by term, through the auxiliary D1..D9."""
+    """N12, N21 and D term by term, through the cofactors and D1..D9.
+
+    The numerators are combined here from this expansion's own cofactors,
+    N12 = i chi1 - chi2 and N21 = i tau1 - tau2.
+    """
     k1, k2, g, f = v["kappa1"], v["kappa2"], v["gamma"], v["f"]
     G1, G2, J1, J2, J3 = v["G1"], v["G2"], v["J1"], v["J2"], v["J3"]
     th, ph, y = v["theta"], v["phi"], v["y"]
@@ -228,7 +235,7 @@ def _term_expansion(v):
          - 2 * J1 * G1 * G2 * y * math.cos(th)
          + G2**2 * D1 + G1**2 * D2 + J2**2 * D3 + J1**2 * D4 + J3**2 * D5
          + y**3 * D6 + y**2 * D7 + k1 * k2 * D8 - 1j * g * f * y * D9 + y**4)
-    return tau1, tau2, chi1, chi2, D
+    return 1j * chi1 - chi2, 1j * tau1 - tau2, D
 
 
 def test_transfer_coefficients_match_term_expansion():
@@ -239,6 +246,6 @@ def test_transfer_coefficients_match_term_expansion():
         got = transfer_coefficients(dict(vars(p), y=ys))
         for k, y in enumerate(ys.tolist()):
             ref = _term_expansion(dict(vars(p), y=y))
-            for name, a, b in zip(("tau1", "tau2", "chi1", "chi2", "D"),
+            for name, a, b in zip(("N12", "N21", "D"),
                                   got, ref):
                 assert abs(a[k] - b) <= 1e-10 * abs(b), (name, p, y)

@@ -165,6 +165,10 @@ def test_effective_coupling_aligned_phases():
     assert G1 == pytest.approx(0.2)
     assert G2 == pytest.approx(0.6)
     assert theta == 0.0
+    # a zero coupling leaves no relative phase: theta is returned as 0
+    s = SteadyState(alpha1=2.0, alpha2=3.0j, rho=0, beta=0,
+                    Delta1_eff=10.0, Delta2_eff=10.0, residual_norm=0.0)
+    assert effective_couplings(_bare(g1=0.1, g2=0.0), s) == (0.2, 0.0, 0.0)
 
 
 def test_effective_coupling_quadrature():

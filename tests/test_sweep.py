@@ -55,6 +55,9 @@ def test_axis_validation():
         Axis("y", 0.0, 1.0, 0)
     with pytest.raises(ValueError):
         Axis("y", 1.0, 0.0, 5)
+    for start, stop in ((-math.inf, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            Axis("y", start, stop, 5)
     assert Axis("y", -1.0, 1.0, 3).grid().tolist() == [-1.0, 0.0, 1.0]
 
 
@@ -66,6 +69,10 @@ def test_spec_validation(base_params):
         SweepSpec(fixed=p, axis1=Axis("y", 0, 1, 2), observables=("T12", "T12"))
     with pytest.raises(ValueError):
         SweepSpec(fixed=p, axis1=Axis("y", 0, 1, 2), observables=("T99",))
+    with pytest.raises(ValueError, match="at least one observable"):
+        SweepSpec(fixed=p, axis1=Axis("theta", 0, 1, 2), observables=())
+    with pytest.raises(ValueError, match="y must be finite"):
+        SweepSpec(fixed=p, axis1=Axis("theta", 0, 1, 2), y=math.inf)
 
 
 @pytest.mark.parametrize("axis, named", [
@@ -594,6 +601,12 @@ def test_threshold_band_semantics():
     # a condition holding everywhere extends to the window edges
     full = threshold_band(ys, np.full(101, 0.1), 0.5, below=True)
     assert full["width"] == pytest.approx(10.0)
+    # a NaN (pole) sample ends the band at the last sample inside it, with
+    # no interpolation toward the NaN
+    ended = threshold_band(ys, np.where(np.arange(101) > 60, np.nan, vs), 0.5,
+                           below=True)
+    assert ended["y_hi"] == float(ys[60])
+    assert ended["y_lo"] == pytest.approx(-1.95)
 
 
 def test_spectrum_spec_defaults(base_params):

@@ -247,7 +247,7 @@ def test_guard_band_point_comes_from_lu(base_params):
     p = base_params(0.0, G1=0.0, G2=0.0, J2=0.0, f=1.0,
                     J3=1j * (1.0 + 1e-7))
     v = dict(vars(p), y=0.0)
-    ratio = abs(transfer_coefficients(v)[4]) / pole_thresholds(v)
+    ratio = abs(transfer_coefficients(v)[2]) / pole_thresholds(v)
     assert 1.0 < ratio < LU_GUARD_BAND
     ys = np.array([-0.5, 0.0, 0.5])
     _assert_matches_lu(p, ys, *transmission_grid(p, ys))
@@ -275,7 +275,7 @@ def test_guard_band_point_in_a_large_block_comes_from_lu(base_params):
                     J3=1j * (1.0 + 1e-7))
     ys = np.arange(-20000, 20001) * 5e-5
     v = dict(vars(p), y=ys)
-    band = np.abs(transfer_coefficients(v)[4]) < (LU_GUARD_BAND
+    band = np.abs(transfer_coefficients(v)[2]) < (LU_GUARD_BAND
                                                   * pole_thresholds(v))
     assert np.flatnonzero(band).tolist() == [20000] and ys[20000] == 0.0
     assert 20000 < transmission_mod._CHUNK < len(ys)
@@ -319,7 +319,7 @@ def test_block_bound_keeps_every_band_and_pole_decision(base_params,
         v = dict(vars(p), **grid)
         thresholds = pole_thresholds(v)
         assert np.all(thresholds <= transmission_mod._threshold_bound(v))
-        band = np.abs(transfer_coefficients(v)[4]) < (LU_GUARD_BAND
+        band = np.abs(transfer_coefficients(v)[2]) < (LU_GUARD_BAND
                                                       * thresholds)
         pole = band & (np.abs(np.linalg.det(system_matrices(v)))
                        < thresholds)

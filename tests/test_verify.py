@@ -178,8 +178,8 @@ def _negated_build_entry(real):
 
 
 @pytest.mark.parametrize("check, target, fault", [
-    (verify.check_closed_form, "transfer_coefficients", _scaled(2)),  # chi1
-    (verify.check_determinant, "transfer_coefficients", _scaled(4)),  # D
+    (verify.check_closed_form, "transfer_coefficients", _scaled(0)),  # N12
+    (verify.check_determinant, "transfer_coefficients", _scaled(2)),  # D
     (verify.check_duality, "transmission_arrays", _scaled(0)),  # T12
     (verify.check_reciprocity, "transmission_arrays", _scaled(0)),
     (verify.check_transpose_structure, "system_matrices",
@@ -197,10 +197,10 @@ def test_nan_error_fails_the_check(monkeypatch, capsys):
     real = verify.transfer_coefficients
 
     def nan_d(v):
-        *cofactors, D = real(v)
+        n12, n21, D = real(v)
         D = D.copy()
         D[3] = complex("nan+nanj")
-        return (*cofactors, D)
+        return n12, n21, D
 
     monkeypatch.setattr(verify, "transfer_coefficients", nan_d)
     failed = [r.name for r in run_verification() if not r.passed]
