@@ -17,7 +17,8 @@ from .params import (
     BareParams,
     Drives,
     ModelParams,
-    RateUnit,
+    _GAMMA_UNIT,
+    _KAPPA2_UNIT,
     _from_dict,
     _json_text,
     _to_dict,
@@ -132,7 +133,7 @@ def _cmd_steady(args) -> int:
 
 
 def _cmd_design(args) -> int:
-    unit = RateUnit(args.unit, 1.0) if args.unit else None
+    unit = {"gamma": _GAMMA_UNIT, "kappa2": _KAPPA2_UNIT}.get(args.unit)
     design = design_isolator(args.kappa1, args.kappa2, args.gamma, args.f,
                              unit=unit)
     payload = dict(schema_version=SCHEMA_VERSION, **design_to_dict(design))

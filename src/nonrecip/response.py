@@ -23,7 +23,9 @@ scalar solve (`build_system_matrix`, `solve_response`) in the tests, and
 A1 is written out once, in `system_matrices`, for scalars and arrays
 alike. There is one pole rule: |det A1| below `pole_thresholds`, a
 relative cutoff computed from the parameters. `solve_response` and the
-LU band of the kernel both apply it.
+LU band of the kernel both apply it, and both reject a point whose
+cutoff is not finite (|y| or a rate above about 1e77) with
+InvalidParams: the model does not evaluate it.
 
 Only the +y (e^{-i y t}) sideband is represented; the -y component vanishes
 identically under the rotating-wave approximation used throughout.
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ModelParams
+from .params import InvalidParams, ModelParams
 
 # scale-invariant pole detection: |det| below this times the product of row
 # norms is treated as singular
@@ -115,20 +117,33 @@ def pole_thresholds(v: Mapping[str, object]):
     theta or phi. The cutoff is floored at the smallest positive normal
     float, so that a matrix with an all-zero row (product 0, determinant
     exactly 0) is still flagged by a strict comparison. Scalars give a
-    float, arrays an array.
+    float, arrays an array. Squares are products, so a float overflows to
+    inf as an array does; an infinite cutoff (|y| or a rate above about
+    1e77 at unit rates) marks a point the model cannot evaluate.
     """
-    y2 = v["y"] ** 2
-    J1s, G1s, G2s = v["J1"] ** 2, v["G1"] ** 2, v["G2"] ** 2
-    J2s, J3s = abs(v["J2"]) ** 2, abs(v["J3"]) ** 2
+    y, J1, G1, G2 = v["y"], v["J1"], v["G1"], v["G2"]
+    J2, J3 = abs(v["J2"]), abs(v["J3"])
+    k1, k2, f, g = v["kappa1"], v["kappa2"], v["f"], v["gamma"]
+    y2 = y * y
+    J1s, G1s, G2s, J2s, J3s = J1 * J1, G1 * G1, G2 * G2, J2 * J2, J3 * J3
     # y last: the detuning is the usual array, the couplings scalars
-    r0 = (v["kappa1"] ** 2 + J1s + J2s + G1s) + y2
-    r1 = (J1s + v["kappa2"] ** 2 + G2s) + y2
-    r2 = (J2s + v["f"] ** 2 + J3s) + y2
-    r3 = (G1s + G2s + J3s + v["gamma"] ** 2) + y2
+    r0 = (k1 * k1 + J1s + J2s + G1s) + y2
+    r1 = (J1s + k2 * k2 + G2s) + y2
+    r2 = (J2s + f * f + J3s) + y2
+    r3 = (G1s + G2s + J3s + g * g) + y2
     a, b = r0 * r1, r2 * r3
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return np.maximum(SINGULARITY_RTOL * np.sqrt(a) * np.sqrt(b), _TINY)
     return max(SINGULARITY_RTOL * math.sqrt(a) * math.sqrt(b), _TINY)
+
+
+def _out_of_range(y) -> InvalidParams:
+    """The error for points at ``y`` whose pole threshold is not finite."""
+    at = (f"|y| up to {float(np.abs(y).max())}" if isinstance(y, np.ndarray)
+          else f"y={y}")
+    return InvalidParams(
+        f"cannot evaluate the response at {at}: the pole threshold is not "
+        "finite (|y| and every rate must stay below about 1e77)")
 
 
 def solve_response(p: ModelParams, y: float, Ep1: float, Ep2: float) -> ResponseSolution:
@@ -139,12 +154,17 @@ def solve_response(p: ModelParams, y: float, Ep1: float, Ep2: float) -> Response
 
     Raises
     ------
+    InvalidParams
+        If the pole threshold is not finite (see :func:`_out_of_range`).
     SingularMatrix
         If |det A1| falls below :func:`pole_thresholds`.
     """
+    threshold = pole_thresholds(dict(vars(p), y=y))
+    if not threshold < math.inf:
+        raise _out_of_range(y)
     m = build_system_matrix(p, y)
     det = np.linalg.det(m)
-    if abs(det) < pole_thresholds(dict(vars(p), y=y)):
+    if abs(det) < threshold:
         raise SingularMatrix(
             f"response matrix is singular at y={y} (|det|={abs(det):.3e})")
     b = np.array([Ep1, Ep2, 0.0, 0.0], dtype=complex)

@@ -22,11 +22,15 @@ therefore those of the LU rule. On an array block it first takes one
 threshold at the block's largest magnitudes, which bounds every point's
 threshold from above; when the block's smallest |D| clears the band at
 that bound, no point is in the band and the per-point thresholds are
-never computed. `transmission_arrays` cuts the broadcast shape along its
-first axis into a fixed partition of about _CHUNK points, whatever the
-thread count, and the blocks go to a thread pool with one worker per CPU
-this process may run on (its affinity, so ``taskset`` sets it), so
-results are the same bytes for any number of threads.
+never computed. A point whose pole threshold is not finite lies beyond
+the range the model evaluates and raises InvalidParams: one comparison
+decides it at a point, and the bound on a block (each point's threshold
+only when the bound is not finite). `transmission_arrays` cuts the
+broadcast shape along its first axis into a fixed partition of about
+_CHUNK points, whatever the thread count, and the blocks go to a thread
+pool with one worker per CPU this process may run on (its affinity, so
+``taskset`` sets it), so results are the same bytes for any number of
+threads.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import numpy as np
 from .params import InvalidParams, ModelParams, TransmissionPoint
 from .response import (
     SingularMatrix,
+    _out_of_range,
     pole_thresholds,
     system_matrices,
     transfer_coefficients,
@@ -122,29 +127,39 @@ def _kernel(v: Mapping[str, object]):
 
     ``v`` maps each ModelParams field name, and ``"y"``, to a scalar or an
     array, the arrays broadcasting together. All scalars give floats and a
-    bool; otherwise the results are arrays in the broadcast shape.
+    bool; otherwise the results are arrays in the broadcast shape. A point
+    whose pole threshold is not finite raises InvalidParams. On arrays it
+    expects numpy's divide, overflow and invalid warnings to be off (see
+    `transmission_arrays`): band points may divide by D = 0 (LU overwrites
+    them), and a point beyond the range overflows before the threshold
+    test rejects it.
     """
     n12, n21, D = transfer_coefficients(v)
-    abs_d = abs(D)
-    if isinstance(abs_d, float):
+    if isinstance(D, complex):
         thresholds = pole_thresholds(v)
+        if not thresholds < math.inf:
+            raise _out_of_range(v["y"])
+        abs_d = abs(D)
         if abs_d < LU_GUARD_BAND * thresholds:
             t12, t21, singular = _lu_transmission(v, thresholds)
             return float(t12[0]), float(t21[0]), bool(singular[0])
         pref = math.sqrt(abs(v["kappa1"] * v["kappa2"]))
         return pref * abs(n12) / abs_d, pref * abs(n21) / abs_d, False
+    abs_d = np.abs(D)
     pref = np.sqrt(np.abs(v["kappa1"] * v["kappa2"]))
-    # band points may divide by D = 0; LU overwrites them below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t12 = pref * np.abs(n12) / abs_d
-        t21 = pref * np.abs(n21) / abs_d
+    t12 = pref * np.abs(n12) / abs_d
+    t21 = pref * np.abs(n21) / abs_d
     singular = np.zeros(abs_d.shape, dtype=bool)
-    # no point is in the band when the smallest |D| clears it at the bound;
-    # a NaN |D| or bound fails this test and leaves the block to the exact
-    # per-point test below
-    if abs_d.size and abs_d.min() >= LU_GUARD_BAND * _threshold_bound(v):
-        return t12, t21, singular
+    # no point is in the band when the smallest |D| clears it at a finite
+    # bound; a NaN |D| or an infinite bound fails this test and leaves the
+    # block to the exact per-point tests below
+    if abs_d.size:
+        bound = _threshold_bound(v)
+        if bound < math.inf and abs_d.min() >= LU_GUARD_BAND * bound:
+            return t12, t21, singular
     thresholds = pole_thresholds(v)
+    if not np.all(thresholds < math.inf):
+        raise _out_of_range(v["y"])
     band = abs_d < LU_GUARD_BAND * thresholds
     if np.any(band):
         sub = {k: np.broadcast_to(x, band.shape)[band]
@@ -194,7 +209,9 @@ def transmission_arrays(v: Mapping[str, object], *,
         # broadcast along it
         sub = {k: x[s] if isinstance(x, np.ndarray) and x.ndim == len(shape)
                and x.shape[0] > 1 else x for k, x in v.items()}
-        t12, t21, singular = _kernel(sub)
+        # the kernel's array branch relies on these warnings being off
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            t12, t21, singular = _kernel(sub)
         out[0][s], out[1][s], out[2][s] = t12, t21, singular
         if with_isolation_db:
             out[3][s] = isolation_db(t12, t21)

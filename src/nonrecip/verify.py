@@ -7,13 +7,12 @@ tolerances are tight: these are regression tripwires, not statistical
 tests. A NaN error fails its check.
 
 The five checks on random draws (closed form, determinant, phase duality,
-reciprocity, transpose structure) evaluate their draws as arrays, in
-blocks of at most _BLOCK draws: one `system_matrices` stack through
-stacked LAPACK (`np.linalg.det`, `np.linalg.inv`), one
-`transfer_coefficients` pass and one `transmission_arrays` call per block
-and phase setting. `closed_form_equivalence` compares the kernel's
-N12 / D and N21 / D from `transfer_coefficients` with `np.linalg.inv`,
-and `determinant_identity` its D with `np.linalg.det`. The draws are
+reciprocity, transpose structure) share one pass rule, `_array_check`,
+and differ only in name, errors function, bound and detail wording. They
+evaluate their draws as arrays, in blocks of at most _BLOCK draws: one
+`system_matrices` stack through stacked LAPACK (`np.linalg.det`,
+`np.linalg.inv`), one `transfer_coefficients` pass and one
+`transmission_arrays` call per block and phase setting. The draws are
 those of alternating `random_params(rng)` and ``rng.uniform(-5, 5)``
 calls, and a pole draw is skipped for the next draw of the stream, as
 when they are taken one at a time; so no result depends on the block
@@ -165,14 +164,13 @@ def _accepted_errors(draws: int, rng: np.random.Generator, evaluate):
         u = u[j + 1:]
 
 
-def _worst_accepted(draws: int, rng: np.random.Generator, evaluate) -> float:
-    return _worst([_worst(e) for e in _accepted_errors(draws, rng, evaluate)])
-
-
 def _closed_form_errors(v, done):
-    # the kernel's inverse elements against LU; a draw is redrawn when
-    # either the LU determinant or the kernel's D falls below the pole
-    # threshold of solve_response
+    """The kernel's [A1^-1]_21 and [A1^-1]_12 match LU inversion.
+
+    They are N12 / D and N21 / D, compared relative to ``np.linalg.inv``.
+    A draw is redrawn when either the LU determinant or the kernel's D
+    falls below the pole threshold of `solve_response`.
+    """
     m = system_matrices(v)
     n12, n21, D = transfer_coefficients(v)
     thresholds = pole_thresholds(v)
@@ -190,11 +188,13 @@ def _closed_form_errors(v, done):
 
 
 def _determinant_errors(v, done):
+    """The kernel's D matches det(A1), relative to ``np.linalg.det``."""
     D = transfer_coefficients(v)[2]
     return _rel_array(np.linalg.det(system_matrices(v)), D), None
 
 
 def _duality_errors(v, done):
+    """T12(theta, phi) = T21(-theta, -phi), and vice versa."""
     t12p, t21p, pole_p = transmission_arrays(v)
     t12q, t21q, pole_q = transmission_arrays(_negated_phases(v))
     return (np.maximum(_rel_array(t12p, t21q), _rel_array(t21p, t12q)),
@@ -202,13 +202,15 @@ def _duality_errors(v, done):
 
 
 def _reciprocity_errors(v, done):
+    """At theta = phi in {0, pi} the matrix is complex-symmetric: T12 = T21."""
     # theta = phi = 0 and pi by turns, by the count of accepted draws
     ang = np.where((done + np.arange(len(v["y"]))) % 2 == 0, 0.0, math.pi)
     t12, t21, pole = transmission_arrays(dict(v, theta=ang, phi=ang))
     return _rel_array(t12, t21), pole
 
 
-def _transpose_errors(v, done):
+def _transpose_structure_errors(v, done):
+    """A1(theta, phi)^T equals A1(-theta, -phi) entrywise (exact)."""
     a = system_matrices(v)
     b = system_matrices(_negated_phases(v))
     scale = np.abs(a).max(axis=(-2, -1))
@@ -216,42 +218,39 @@ def _transpose_errors(v, done):
     return gap / np.where(scale == 0.0, 1.0, scale), None
 
 
-def check_closed_form(draws: int, rng: np.random.Generator) -> CheckResult:
-    """The kernel's [A1^-1]_21 and [A1^-1]_12 match LU inversion to 1e-10.
+def _array_check(name: str, evaluate, bound: float, detail: str):
+    """The check ``name``: the worst error of ``evaluate`` is below ``bound``.
 
-    They are N12 / D and N21 / D, compared relative to ``np.linalg.inv``.
+    The errors are those of the first ``draws`` pole-free draws (see
+    :func:`_accepted_errors`), and a NaN error fails. The detail is
+    ``detail`` formatted with ``worst`` and ``draws``. The check of
+    ``_x_errors`` is named ``check_x`` and has its docstring.
     """
-    worst = _worst_accepted(draws, rng, _closed_form_errors)
-    return CheckResult("closed_form_equivalence", worst < 1e-10,
-                       f"worst relative error {worst:.3e} over {draws} draws")
+    def check(draws: int, rng: np.random.Generator) -> CheckResult:
+        errors = _accepted_errors(draws, rng, evaluate)
+        worst = _worst([_worst(e) for e in errors])
+        return CheckResult(name, worst < bound,
+                           detail.format(worst=worst, draws=draws))
+    check.__name__ = check.__qualname__ = (
+        "check" + evaluate.__name__.removesuffix("_errors"))
+    check.__doc__ = evaluate.__doc__
+    return check
 
 
-def check_determinant(draws: int, rng: np.random.Generator) -> CheckResult:
-    """The kernel's D matches det(A1) to 1e-10 relative."""
-    worst = _worst_accepted(draws, rng, _determinant_errors)
-    return CheckResult("determinant_identity", worst < 1e-10,
-                       f"worst relative error {worst:.3e} over {draws} draws")
+_RELATIVE_ERROR = "worst relative error {worst:.3e} over {draws} draws"
 
-
-def check_duality(draws: int, rng: np.random.Generator) -> CheckResult:
-    """T12(theta, phi) = T21(-theta, -phi) to 1e-12 relative, and vice versa."""
-    worst = _worst_accepted(draws, rng, _duality_errors)
-    return CheckResult("phase_duality", worst < 1e-12,
-                       f"worst relative error {worst:.3e} over {draws} draws")
-
-
-def check_reciprocity(draws: int, rng: np.random.Generator) -> CheckResult:
-    """At theta = phi in {0, pi} the matrix is complex-symmetric: T12 = T21."""
-    worst = _worst_accepted(draws, rng, _reciprocity_errors)
-    return CheckResult("reciprocity_at_aligned_phases", worst < 1e-10,
-                       f"worst relative gap {worst:.3e} over {draws} draws")
-
-
-def check_transpose_structure(draws: int, rng: np.random.Generator) -> CheckResult:
-    """A1(theta, phi)^T equals A1(-theta, -phi) entrywise (exact)."""
-    worst = _worst_accepted(draws, rng, _transpose_errors)
-    return CheckResult("transpose_structure", worst < 1e-12,
-                       f"worst relative entry gap {worst:.3e}")
+check_closed_form = _array_check(
+    "closed_form_equivalence", _closed_form_errors, 1e-10, _RELATIVE_ERROR)
+check_determinant = _array_check(
+    "determinant_identity", _determinant_errors, 1e-10, _RELATIVE_ERROR)
+check_duality = _array_check(
+    "phase_duality", _duality_errors, 1e-12, _RELATIVE_ERROR)
+check_reciprocity = _array_check(
+    "reciprocity_at_aligned_phases", _reciprocity_errors, 1e-10,
+    "worst relative gap {worst:.3e} over {draws} draws")
+check_transpose_structure = _array_check(
+    "transpose_structure", _transpose_structure_errors, 1e-12,
+    "worst relative entry gap {worst:.3e}")
 
 
 def check_root_consistency(draws: int, rng: np.random.Generator) -> CheckResult:

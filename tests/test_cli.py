@@ -212,6 +212,30 @@ def test_steady_overflowing_step_is_exit_2(tmp_path, capsys):
     assert "Newton" in err or "homotopy" in err or "line search" in err
 
 
+def test_phasemap_beyond_the_evaluable_range_is_exit_1(tmp_path, params_file,
+                                                      capsys):
+    # the pole threshold overflows at this detuning: a validation error
+    # naming y, not the errno text of an OverflowError
+    rc = cli_main(["phasemap", "--params", params_file, "--out",
+                   str(tmp_path), "--points", "5", "--y", "1e200"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot evaluate the response at y=1e+200:")
+    assert err.count("\n") == 1
+    assert "out of range" not in err
+    assert not (tmp_path / "phasemap.csv").exists()
+
+
+def test_interrupt_is_exit_2(monkeypatch, capsys):
+    def interrupted(**kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(importlib.import_module("nonrecip.cli"),
+                        "run_verification", interrupted)
+    assert cli_main(["verify"]) == 2
+    assert capsys.readouterr() == ("", "error: interrupted\n")
+
+
 @pytest.mark.parametrize("command, payload, named", [
     ("spectrum", {"kappa2": 1.0, "gamma": 1.0, "f": 10.0, "G1": 0.5,
                   "G2": 0.5, "theta": 0.0, "J1": 0.5, "J2": 0.01, "phi": 0.0,

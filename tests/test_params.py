@@ -306,6 +306,11 @@ def test_transmission_point_constraints():
         TransmissionPoint(y=0.0, T12=-0.1, T21=0.0)
     with pytest.raises(ValueError):
         TransmissionPoint(y=0.0, T12=math.nan, T21=0.0)
+    # numpy scalars are stored as the Python floats of the same values
+    tp = TransmissionPoint(y=np.float64(0.5), T12=np.float64(0.2),
+                           T21=np.float32(0.25))
+    assert (tp.y, tp.T12, tp.T21) == (0.5, 0.2, 0.25)
+    assert type(tp.y) is type(tp.T12) is type(tp.T21) is float
 
 
 def test_model_params_coerces_complex_slots(base_params):

@@ -437,6 +437,13 @@ def test_singular_newton_step_raises():
         solve_steady_state(b, Drives(E1=30.0))
 
 
+def test_non_finite_newton_step_raises():
+    # a residual of 1e308 overflows the eliminated step to inf
+    t = steady_mod._Terms(_bare())
+    with pytest.raises(SingularJacobian, match="^Newton step is not finite$"):
+        steady_mod._step(t, (0j,) * 4, (1e308 + 1e308j,) * 4)
+
+
 def test_huge_trial_step_is_rejected_not_overflowed():
     # kappa1 = 0 with Delta1 = 1e-200 leaves cavity 1 nearly singular, so a
     # Newton step is finite but so large that squaring a trial amplitude

@@ -5,6 +5,7 @@ import concurrent.futures
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,29 @@ def test_sweep_axis_endpoints_obey_params_rule(base_params, monkeypatch,
                  SweepSpec(fixed=p, axis1=Axis("y", -1.0, 1.0, 3), axis2=axis)):
         with pytest.raises(InvalidParams, match=named):
             sweep(spec)
+
+
+@pytest.mark.parametrize("span, points", [(1e80, 5), (1e155, 3)])
+def test_sweep_beyond_the_evaluable_range_is_rejected(span, points):
+    # the ends overflow D and the pole threshold: the sweep raises, with
+    # no numpy overflow warning first and no NaN row written as "ok"
+    spec = SweepSpec(fixed=figure_preset("fig4d").fixed,
+                     axis1=Axis("y", -span, span, points))
+    named = re.escape(f"at |y| up to {span}: the pole threshold")
+    with pytest.raises(InvalidParams, match=named):
+        sweep(spec)
+
+
+def test_sweep_near_the_range_keeps_its_values():
+    p = figure_preset("fig4d").fixed
+    table = sweep(SweepSpec(fixed=p, axis1=Axis("y", -1e60, 1e60, 5)))
+    assert not table.singular.any()
+    for y, t12, t21 in zip(table.data["y"], table.data["T12"],
+                           table.data["T21"]):
+        tp = transmission_pair(p, float(y))
+        assert t12 > 0.0 and t21 > 0.0
+        assert t12 == pytest.approx(tp.T12, rel=1e-12)
+        assert t21 == pytest.approx(tp.T21, rel=1e-12)
 
 
 def test_single_point_sweep_equals_transmission_pair(base_params):

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -123,6 +124,34 @@ def test_grid_flags_singular_points(base_params):
     assert singular.tolist() == [False, True, False]
     assert math.isnan(t12[1]) and math.isnan(t21[1])
     assert math.isfinite(t12[0]) and math.isfinite(t12[2])
+
+
+@pytest.mark.parametrize("y, overrides", [
+    (1e160, {}),  # y * y overflows
+    (-1e80, {}),  # the row-norm product overflows
+    (math.nan, {}),
+    (0.0, {"f": 1e200}),  # a rate, not y, overflows
+], ids=["1e160", "-1e80", "nan", "huge-rate"])
+def test_point_beyond_the_evaluable_range_is_rejected(base_params, y,
+                                                      overrides):
+    # the pole threshold is not finite there: the point path and LU both
+    # raise InvalidParams naming y, not OverflowError or a NaN transmission
+    p = base_params(HALF_PI, **overrides)
+    named = re.escape(f"cannot evaluate the response at y={y}:")
+    with pytest.raises(InvalidParams, match=named):
+        transmission_pair(p, y)
+    with pytest.raises(InvalidParams, match=named):
+        solve_response(p, y, 1.0, 0.0)
+
+
+def test_largest_evaluable_detuning_keeps_its_values(base_params):
+    # at 1e77 the threshold is still finite, and the kernel matches LU
+    p = base_params(HALF_PI)
+    for y in (-1e77, 1e60):
+        tp = transmission_pair(p, y)
+        x = solve_response(p, y, 1.0, 0.0)
+        assert tp.T12 > 0.0
+        assert tp.T12 == pytest.approx(abs(x.da2), rel=1e-12)
 
 
 def test_isolation_metrics_perfect_case():

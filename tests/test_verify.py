@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from nonrecip.cli import cli_main
-from nonrecip.params import ModelParams, RateUnit
+from nonrecip.params import ModelParams, RateUnit, TransmissionPoint
 from nonrecip.verify import random_params, run_verification
 
 # the module whose names the batched checks read, patched below
@@ -209,6 +209,18 @@ def test_nan_error_fails_the_check(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert ("FAIL determinant_identity: worst relative error nan over 200 "
             "draws\n") in out
+
+
+def test_design_check_fails_naming_the_regime_without_a_design(monkeypatch):
+    # every candidate reciprocal, so the first regime has no valid design
+    monkeypatch.setattr(
+        importlib.import_module("nonrecip.design"), "transmission_pair",
+        lambda p, y: TransmissionPoint(y=y, T12=0.5, T21=0.5))
+    assert verify.check_design_validation(
+        1, np.random.default_rng(0)) == verify.CheckResult(
+        "design_validation", False,
+        "no valid design at (kappa1=10.0, kappa2=1.0, gamma=0.01, f=0.1): "
+        "no J3 candidate achieves one-way transmission at resonance")
 
 
 def _nan_design(*args):
