@@ -35,7 +35,7 @@ from .params import (
     _ABSOLUTE_UNIT,
     _to_dict,
 )
-from .response import SingularMatrix
+from .response import SingularMatrix, pole_thresholds
 from .transmission import isolation_metrics, transmission_pair
 
 HALF_PI = math.pi / 2.0
@@ -284,6 +284,13 @@ class IsolatorDesign:
                                  c.J2, c.J3, self.unit)
 
 
+def _beyond_range(kappa1: float, kappa2: float, gamma: float,
+                  f: float) -> InvalidParams:
+    return InvalidParams(
+        f"the rates kappa1={kappa1}, kappa2={kappa2}, gamma={gamma}, f={f} "
+        "are beyond the range the model evaluates")
+
+
 def design_isolator(
     kappa1: float, kappa2: float, gamma: float, f: float,
     unit: RateUnit | None = None,
@@ -300,6 +307,10 @@ def design_isolator(
 
     Raises
     ------
+    InvalidParams
+        When a rate is not finite and positive, or when the rates are
+        beyond the range the model evaluates: a product of them overflows
+        or underflows, or a candidate's pole threshold is not finite.
     NoValidDesign
         When every candidate fails; the full report rides on the exception.
     """
@@ -312,10 +323,16 @@ def design_isolator(
     kappa1, kappa2, gamma, f = map(float, (kappa1, kappa2, gamma, f))
     if unit is None:
         unit = _ABSOLUTE_UNIT
-    G1, G2, J1 = _couplings(kappa1, kappa2, gamma, f)
-    r = r_coefficients(kappa1, kappa2, gamma, f, G1, G2, J1)
+    try:
+        G1, G2, J1 = _couplings(kappa1, kappa2, gamma, f)
+        r = r_coefficients(kappa1, kappa2, gamma, f, G1, G2, J1)
+        roots = j3_roots(r)
+    except (OverflowError, ZeroDivisionError, InvalidParams):
+        # at finite positive rates only a product that overflows or
+        # underflows fails here
+        raise _beyond_range(kappa1, kappa2, gamma, f) from None
     records: list[DesignCandidate] = []
-    for J3 in j3_roots(r):
+    for J3 in roots:
         J2 = complex("nan")
         T12 = T21 = math.nan
         valid, direction = False, "rejected"
@@ -323,8 +340,15 @@ def design_isolator(
             J2 = j2_literal(J1, J3, gamma, f, G1, G2)
             tp = transmission_pair(
                 _candidate_params(kappa1, kappa2, gamma, f, J2, J3, unit), 0.0)
-        except (ZeroJ3, InvalidParams):
+        except ZeroJ3:
             pass
+        except InvalidParams:
+            # beyond the range when the pole threshold is not finite (as at
+            # a non-finite J2 or J3); else rejected, as a negative real J2 is
+            if not pole_thresholds(dict(
+                    kappa1=kappa1, kappa2=kappa2, gamma=gamma, f=f, G1=G1,
+                    G2=G2, J1=J1, J2=J2, J3=J3, y=0.0)) < math.inf:
+                raise _beyond_range(kappa1, kappa2, gamma, f) from None
         except SingularMatrix:
             direction = "singular"
         else:

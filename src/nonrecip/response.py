@@ -137,13 +137,22 @@ def pole_thresholds(v: Mapping[str, object]):
     return max(SINGULARITY_RTOL * math.sqrt(a) * math.sqrt(b), _TINY)
 
 
-def _out_of_range(y) -> InvalidParams:
-    """The error for points at ``y`` whose pole threshold is not finite."""
+def _out_of_range(v: Mapping[str, object]) -> InvalidParams:
+    """The error for the points of ``v`` whose pole threshold is not finite.
+
+    It names the largest |y| and the parameter of largest magnitude, since
+    either can be the cause; only this error path looks for them.
+    """
+    y = v["y"]
     at = (f"|y| up to {float(np.abs(y).max())}" if isinstance(y, np.ndarray)
           else f"y={y}")
+    peak = {k: float(np.abs(v[k]).max()) for k in (
+        "kappa1", "kappa2", "gamma", "f", "G1", "G2", "J1", "J2", "J3")}
+    name = max(peak, key=peak.get)
     return InvalidParams(
         f"cannot evaluate the response at {at}: the pole threshold is not "
-        "finite (|y| and every rate must stay below about 1e77)")
+        f"finite (the largest parameter is |{name}| = {peak[name]}; |y| and "
+        "every rate must stay below about 1e77)")
 
 
 def solve_response(p: ModelParams, y: float, Ep1: float, Ep2: float) -> ResponseSolution:
@@ -159,9 +168,11 @@ def solve_response(p: ModelParams, y: float, Ep1: float, Ep2: float) -> Response
     SingularMatrix
         If |det A1| falls below :func:`pole_thresholds`.
     """
-    threshold = pole_thresholds(dict(vars(p), y=y))
+    y = float(y)
+    v = dict(vars(p), y=y)
+    threshold = pole_thresholds(v)
     if not threshold < math.inf:
-        raise _out_of_range(y)
+        raise _out_of_range(v)
     m = build_system_matrix(p, y)
     det = np.linalg.det(m)
     if abs(det) < threshold:
@@ -170,7 +181,7 @@ def solve_response(p: ModelParams, y: float, Ep1: float, Ep2: float) -> Response
     b = np.array([Ep1, Ep2, 0.0, 0.0], dtype=complex)
     x = np.linalg.solve(m, b)
     return ResponseSolution(da1=complex(x[0]), da2=complex(x[1]),
-                            dd=complex(x[2]), db=complex(x[3]), y=float(y))
+                            dd=complex(x[2]), db=complex(x[3]), y=y)
 
 
 def transfer_coefficients(v: Mapping[str, object]):

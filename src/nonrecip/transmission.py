@@ -138,7 +138,7 @@ def _kernel(v: Mapping[str, object]):
     if isinstance(D, complex):
         thresholds = pole_thresholds(v)
         if not thresholds < math.inf:
-            raise _out_of_range(v["y"])
+            raise _out_of_range(v)
         abs_d = abs(D)
         if abs_d < LU_GUARD_BAND * thresholds:
             t12, t21, singular = _lu_transmission(v, thresholds)
@@ -159,7 +159,7 @@ def _kernel(v: Mapping[str, object]):
             return t12, t21, singular
     thresholds = pole_thresholds(v)
     if not np.all(thresholds < math.inf):
-        raise _out_of_range(v["y"])
+        raise _out_of_range(v)
     band = abs_d < LU_GUARD_BAND * thresholds
     if np.any(band):
         sub = {k: np.broadcast_to(x, band.shape)[band]
@@ -248,10 +248,13 @@ def transmission_pair(p: ModelParams, y: float) -> TransmissionPoint:
         At a response pole.
     """
     _require_open_ports(p)
+    # numpy-scalar arithmetic would warn of an overflow that floats leave
+    # to the range test
+    y = float(y)
     t12, t21, singular = _kernel(dict(vars(p), y=y))
     if singular:
         raise SingularMatrix(f"response matrix is singular at y={y}")
-    return TransmissionPoint(y=float(y), T12=t12, T21=t21)
+    return TransmissionPoint(y=y, T12=t12, T21=t21)
 
 
 def transmission_grid(p: ModelParams, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -14,10 +14,9 @@ evaluate their draws as arrays, in blocks of at most _BLOCK draws: one
 `np.linalg.inv`), one `transfer_coefficients` pass and one
 `transmission_arrays` call per block and phase setting. The draws are
 those of alternating `random_params(rng)` and ``rng.uniform(-5, 5)``
-calls, and a pole draw is skipped for the next draw of the stream, as
-when they are taken one at a time; so no result depends on the block
-size. The J3 root, design and unit checks exercise scalar APIs and stay
-scalar.
+calls, block after block of the same stream, and a pole draw is left out
+of its check's worst error; so no result depends on the block size. The
+J3 root, design and unit checks exercise scalar APIs and stay scalar.
 """
 
 from __future__ import annotations
@@ -142,33 +141,11 @@ def _worst(errors) -> float:
     return float(np.max(errors, initial=0.0))
 
 
-def _accepted_errors(draws: int, rng: np.random.Generator, evaluate):
-    """Yield, block by block, the errors of the first ``draws`` pole-free draws.
-
-    ``evaluate(v, done)`` returns the errors of the draws of ``v`` (as from
-    :func:`_draw_values`) and their pole mask, or None for a check without
-    poles; ``done`` counts the draws accepted before the block. A pole draw
-    is skipped and the next draw of the stream takes its place, as when the
-    draws are taken one at a time: the draws behind a pole are evaluated
-    again in the next pass, with the count they now follow.
-    """
-    done = 0
-    u = np.empty((0, 12))
-    while done < draws:
-        need = min(_BLOCK, draws - done)
-        u = np.concatenate((u, rng.random((need - len(u), 12))))
-        err, pole = evaluate(_draw_values(u), done)
-        j = len(u) if pole is None or not pole.any() else int(pole.argmax())
-        yield err[:j]
-        done += j
-        u = u[j + 1:]
-
-
-def _closed_form_errors(v, done):
+def _closed_form_errors(v, start):
     """The kernel's [A1^-1]_21 and [A1^-1]_12 match LU inversion.
 
     They are N12 / D and N21 / D, compared relative to ``np.linalg.inv``.
-    A draw is redrawn when either the LU determinant or the kernel's D
+    A draw is left out when either the LU determinant or the kernel's D
     falls below the pole threshold of `solve_response`.
     """
     m = system_matrices(v)
@@ -187,13 +164,13 @@ def _closed_form_errors(v, done):
     return err, pole
 
 
-def _determinant_errors(v, done):
+def _determinant_errors(v, start):
     """The kernel's D matches det(A1), relative to ``np.linalg.det``."""
     D = transfer_coefficients(v)[2]
     return _rel_array(np.linalg.det(system_matrices(v)), D), None
 
 
-def _duality_errors(v, done):
+def _duality_errors(v, start):
     """T12(theta, phi) = T21(-theta, -phi), and vice versa."""
     t12p, t21p, pole_p = transmission_arrays(v)
     t12q, t21q, pole_q = transmission_arrays(_negated_phases(v))
@@ -201,15 +178,15 @@ def _duality_errors(v, done):
             pole_p | pole_q)
 
 
-def _reciprocity_errors(v, done):
+def _reciprocity_errors(v, start):
     """At theta = phi in {0, pi} the matrix is complex-symmetric: T12 = T21."""
-    # theta = phi = 0 and pi by turns, by the count of accepted draws
-    ang = np.where((done + np.arange(len(v["y"]))) % 2 == 0, 0.0, math.pi)
+    # theta = phi = 0 and pi by turns, by the draw's index in the stream
+    ang = np.where((start + np.arange(len(v["y"]))) % 2 == 0, 0.0, math.pi)
     t12, t21, pole = transmission_arrays(dict(v, theta=ang, phi=ang))
     return _rel_array(t12, t21), pole
 
 
-def _transpose_structure_errors(v, done):
+def _transpose_structure_errors(v, start):
     """A1(theta, phi)^T equals A1(-theta, -phi) entrywise (exact)."""
     a = system_matrices(v)
     b = system_matrices(_negated_phases(v))
@@ -221,16 +198,26 @@ def _transpose_structure_errors(v, done):
 def _array_check(name: str, evaluate, bound: float, detail: str):
     """The check ``name``: the worst error of ``evaluate`` is below ``bound``.
 
-    The errors are those of the first ``draws`` pole-free draws (see
-    :func:`_accepted_errors`), and a NaN error fails. The detail is
-    ``detail`` formatted with ``worst`` and ``draws``. The check of
-    ``_x_errors`` is named ``check_x`` and has its docstring.
+    ``evaluate(v, start)`` returns the errors of the draws of ``v`` (as
+    from :func:`_draw_values`) and their pole mask, or None for a check
+    without poles; ``start`` is the stream index of the block's first draw.
+    The ``draws`` draws are taken in blocks of at most _BLOCK, a pole draw
+    is left out, and a NaN error fails. The detail is ``detail`` formatted
+    with ``worst`` and ``draws``, the count of draws evaluated. The check
+    of ``_x_errors`` is named ``check_x`` and has its docstring.
     """
     def check(draws: int, rng: np.random.Generator) -> CheckResult:
-        errors = _accepted_errors(draws, rng, evaluate)
-        worst = _worst([_worst(e) for e in errors])
+        block_worst, evaluated = [], 0
+        for start in range(0, draws, _BLOCK):
+            u = rng.random((min(_BLOCK, draws - start), 12))
+            err, pole = evaluate(_draw_values(u), start)
+            if pole is not None:
+                err = err[~pole]
+            block_worst.append(_worst(err))
+            evaluated += len(err)
+        worst = _worst(block_worst)
         return CheckResult(name, worst < bound,
-                           detail.format(worst=worst, draws=draws))
+                           detail.format(worst=worst, draws=evaluated))
     check.__name__ = check.__qualname__ = (
         "check" + evaluate.__name__.removesuffix("_errors"))
     check.__doc__ = evaluate.__doc__

@@ -226,6 +226,23 @@ def test_phasemap_beyond_the_evaluable_range_is_exit_1(tmp_path, params_file,
     assert not (tmp_path / "phasemap.csv").exists()
 
 
+def test_spectrum_beyond_the_range_names_the_rate(tmp_path, base_params,
+                                                 capsys):
+    # y is in range here: the message names the rate that overflows
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(model_params_to_dict(
+        base_params(math.pi / 2, kappa1=1e200))))
+    rc = cli_main(["spectrum", "--params", str(path), "--out", str(tmp_path),
+                   "--points", "5"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot evaluate the response at |y| up to "
+                          "5.0: the pole threshold is not finite (the "
+                          "largest parameter is |kappa1| = 1e+200;")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
 def test_interrupt_is_exit_2(monkeypatch, capsys):
     def interrupted(**kwargs):
         raise KeyboardInterrupt
@@ -423,6 +440,24 @@ def test_design_rejects_bad_rates(capsys):
                    "--gamma", "-0.01", "--f", "1"])
     assert rc == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("rates", [
+    ("1e150", "1", "1", "10"),
+    ("1e200", "1", "1", "10"),
+    ("1e200", "1e200", "1", "1"),
+    ("1e-200",) * 4,
+])
+def test_design_beyond_the_range_is_exit_1(rates, capsys):
+    # rates the model cannot evaluate are bad input, not a failed design
+    argv = ["design"]
+    for name, value in zip(("kappa1", "kappa2", "gamma", "f"), rates):
+        argv += [f"--{name}", value]
+    assert cli_main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: the rates kappa1=")
+    assert err.endswith(" are beyond the range the model evaluates\n")
 
 
 def test_figure_subcommand(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -236,6 +237,28 @@ def test_design_rejects_nonpositive_rates():
         design_isolator(10.0, 1.0, 0.0, 1.0)
     with pytest.raises(InvalidParams):
         design_isolator(10.0, 1.0, 0.01, math.inf)
+
+
+@pytest.mark.parametrize("rates", [
+    (1e150, 1.0, 1.0, 10.0),  # each candidate's pole threshold overflows
+    (1e200, 1.0, 1.0, 10.0),  # the quartic's discriminant overflows
+    (1e200, 1e200, 1.0, 1.0),  # kappa1 kappa2 overflows, so R1 = 0
+    (1e-200,) * 4,  # gamma kappa2 underflows, so G2 = 0
+], ids=["pole-threshold", "nan-roots", "zero-r1", "underflow"])
+def test_rates_beyond_the_range_are_invalid(rates):
+    named = re.escape("the rates kappa1={}, kappa2={}, gamma={}, f={} are "
+                      "beyond the range the model evaluates".format(*rates))
+    with pytest.raises(InvalidParams, match=named):
+        design_isolator(*rates)
+
+
+@pytest.mark.parametrize("kappa1", [1e20, 1e60, 1e100])
+def test_large_rates_in_the_range_are_a_numerical_failure(kappa1):
+    # every candidate is a pole: no valid design, not an invalid input
+    with pytest.raises(NoValidDesign) as exc_info:
+        design_isolator(kappa1, 1.0, 1.0, 10.0)
+    directions = [c.direction for c in exc_info.value.design.root_candidates]
+    assert directions == ["singular"] * 4
 
 
 def test_no_valid_design_report(monkeypatch):

@@ -5,6 +5,7 @@ import importlib
 import math
 from dataclasses import replace
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -442,6 +443,18 @@ def test_non_finite_newton_step_raises():
     t = steady_mod._Terms(_bare())
     with pytest.raises(SingularJacobian, match="^Newton step is not finite$"):
         steady_mod._step(t, (0j,) * 4, (1e308 + 1e308j,) * 4)
+
+
+def test_unsolvable_mechanical_row_raises():
+    # c1 = c2 = ce = cm = 1 and only J3 couples: with u = 0 the eliminated
+    # mechanical row gives Re g = 1, so b = Re a / (1 - Re g) divides by 0
+    t = SimpleNamespace(
+        Delta1=0.0, Delta2=0.0, kappa1=1.0, kappa2=1.0, g1x2=0.0, g2x2=0.0,
+        ce=1.0, cm=1.0, j1sq=0.0, j2sq=0.0, j1sq_ce=0.0, m01=0.0, m12=0.0,
+        m21=0.0, mJ2=0.0, mJ2c=0.0, i2g1=0.0, i2g2=0.0, i2J3=1.0)
+    with pytest.raises(SingularJacobian,
+                       match=r"^Newton step unsolvable: 1 - Re g = 0$"):
+        steady_mod._step(t, (0j,) * 4, (1.0, 0.0, 0.0, 0.0))
 
 
 def test_huge_trial_step_is_rejected_not_overflowed():

@@ -27,6 +27,7 @@ from nonrecip.response import (
     system_matrices,
     transfer_coefficients,
 )
+from nonrecip.sweep import figure_ids, figure_preset
 from nonrecip.transmission import (
     ISOLATION_DB_CAP,
     LU_GUARD_BAND,
@@ -131,7 +132,9 @@ def test_grid_flags_singular_points(base_params):
     (-1e80, {}),  # the row-norm product overflows
     (math.nan, {}),
     (0.0, {"f": 1e200}),  # a rate, not y, overflows
-], ids=["1e160", "-1e80", "nan", "huge-rate"])
+    # numpy-scalar arithmetic would warn of the overflow first
+    (np.float64(1e160), {}),
+], ids=["1e160", "-1e80", "nan", "huge-rate", "numpy-1e160"])
 def test_point_beyond_the_evaluable_range_is_rejected(base_params, y,
                                                       overrides):
     # the pole threshold is not finite there: the point path and LU both
@@ -142,6 +145,21 @@ def test_point_beyond_the_evaluable_range_is_rejected(base_params, y,
         transmission_pair(p, y)
     with pytest.raises(InvalidParams, match=named):
         solve_response(p, y, 1.0, 0.0)
+
+
+def test_numpy_scalar_detuning_gives_the_float_transmissions():
+    # every 10th point of each spectrum preset, y as numpy's float64
+    points = 0
+    for fid in figure_ids():
+        spec = figure_preset(fid)
+        if spec.axis1.name != "y" or spec.axis2 is not None:
+            continue
+        for y in spec.axis1.grid()[::10]:
+            a = transmission_pair(spec.fixed, y)
+            b = transmission_pair(spec.fixed, float(y))
+            assert (a.y, a.T12, a.T21) == (b.y, b.T12, b.T21)
+            points += 1
+    assert points == 3030
 
 
 def test_largest_evaluable_detuning_keeps_its_values(base_params):

@@ -85,20 +85,15 @@ def test_root_consistency_draws_are_pinned(monkeypatch):
         assert ours.bit_generator.state == ref.bit_generator.state
 
 
-def _sequential_accepted(draws, rng, pole_kappa1, aligned):
-    # the one-draw-at-a-time loops of the closed-form, duality and
-    # reciprocity checks, with the pole rule keyed on kappa1
-    accepted = []
-    while len(accepted) < draws:
+def _stream(draws, rng, aligned):
+    # the first ``draws`` draws of the stream taken one at a time: kappa1,
+    # theta (0 and pi by turns of the stream index at aligned phases) and y
+    out = []
+    for i in range(draws):
         p = random_params(rng)
-        if aligned:
-            ang = 0.0 if len(accepted) % 2 == 0 else math.pi
-            p = replace(p, theta=ang, phi=ang)
-        y = float(rng.uniform(-5.0, 5.0))
-        if p.kappa1 in pole_kappa1:
-            continue  # pole; redraw
-        accepted.append((p.kappa1, p.theta, y))
-    return accepted
+        theta = (0.0 if i % 2 == 0 else math.pi) if aligned else p.theta
+        out.append((p.kappa1, theta, float(rng.uniform(-5.0, 5.0))))
+    return out
 
 
 @pytest.mark.parametrize("block", [verify._BLOCK, 7])
@@ -108,22 +103,18 @@ def _sequential_accepted(draws, rng, pole_kappa1, aligned):
     (verify._duality_errors, False),
     (verify._reciprocity_errors, True),
 ])
-def test_batched_redraw_is_the_sequential_redraw(monkeypatch, block, poles,
-                                                 evaluate, aligned):
+def test_a_pole_draw_is_left_out(monkeypatch, block, poles, evaluate,
+                                 aligned):
     draws, seed = 20, 4
-    rng = np.random.default_rng(seed)
-    pole_kappa1 = []
-    for i in range(max(poles) + 1):
-        k1 = random_params(rng).kappa1
-        rng.uniform(-5.0, 5.0)
-        if i in poles:
-            pole_kappa1.append(k1)
+    default_block = verify._BLOCK
+    want = _stream(draws, np.random.default_rng(seed), aligned)
+    pole_kappa1 = [want[i][0] for i in poles]
     real_arrays = verify.transmission_arrays
     real_thresholds = verify.pole_thresholds
-    seen = {}
+    seen_theta = {}
 
     def arrays(v, **kwargs):
-        seen["theta"] = v["theta"]
+        seen_theta["theta"] = v["theta"]
         t12, t21, pole = real_arrays(v, **kwargs)
         return t12, t21, pole | np.isin(v["kappa1"], pole_kappa1)
 
@@ -131,20 +122,35 @@ def test_batched_redraw_is_the_sequential_redraw(monkeypatch, block, poles,
         return np.where(np.isin(v["kappa1"], pole_kappa1), np.inf,
                         real_thresholds(v))
 
-    def tagged(v, done):
-        # the errors replaced by what identifies each draw and its phase
-        _, pole = evaluate(v, done)
-        theta = seen["theta"] if aligned else v["theta"]
-        return list(zip(v["kappa1"].tolist(), theta.tolist(),
-                        v["y"].tolist())), pole
+    seen = []
 
-    monkeypatch.setattr(verify, "_BLOCK", block)
+    def tagged(v, start):
+        # records each draw, its pole flag and its error; a pole draw's
+        # error is made infinite, so that the check fails if it counts
+        err, pole = evaluate(v, start)
+        theta = seen_theta["theta"] if aligned else v["theta"]
+        seen.extend(zip(zip(v["kappa1"].tolist(), theta.tolist(),
+                            v["y"].tolist()), pole.tolist(), err.tolist()))
+        return np.where(pole, np.inf, err), pole
+
+    check = verify._array_check("tagged", tagged, 1.0, "{worst!r} {draws}")
     monkeypatch.setattr(verify, "transmission_arrays", arrays)
     monkeypatch.setattr(verify, "pole_thresholds", thresholds)
-    batched = [t for tags in verify._accepted_errors(
-        draws, np.random.default_rng(seed), tagged) for t in tags]
-    assert batched == _sequential_accepted(
-        draws, np.random.default_rng(seed), pole_kappa1, aligned)
+
+    def run(block_size):
+        seen.clear()
+        monkeypatch.setattr(verify, "_BLOCK", block_size)
+        return check(draws, np.random.default_rng(seed))
+
+    result = run(block)
+    # every draw of the stream is evaluated once, in order: a pole shifts
+    # no draw after it, and only the forced poles are poles
+    assert [tag for tag, _, _ in seen] == want
+    assert [i for i, (_, pole, _) in enumerate(seen) if pole] == list(poles)
+    worst = max(err for _, pole, err in seen if not pole)
+    assert result == verify.CheckResult(
+        "tagged", True, f"{worst!r} {draws - len(poles)}")
+    assert run(default_block) == result
 
 
 def test_block_size_does_not_change_results(monkeypatch):
