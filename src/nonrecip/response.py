@@ -3,22 +3,22 @@
 The positive-frequency fluctuation amplitudes X = (da1, da2, dd, db) at probe
 detuning y obey the 4x4 complex linear system A1(y) X = B with drive vector
 B = (Ep1, Ep2, 0, 0). This module builds A1 and solves the system by LU
-with partial pivoting, and it evaluates the one closed form of the
-response, `transfer_coefficients`: the numerators N12 and N21 of the two
-inter-cavity elements of A1^-1 and their denominator, det A1 = D.
+with partial pivoting, and it holds the one closed form of the response:
+the numerators N12 and N21 of the two inter-cavity elements of A1^-1 and
+their denominator, det A1 = D.
 
 The closed form is the production path for transmission: the kernel in
 `nonrecip.transmission` reads T12 and T21 from `transfer_coefficients` at
 every point, over scalars or arrays, and falls back to LU on
-`system_matrices` only inside a guard band around the poles.
-`transfer_coefficients` writes the numerators and the determinant as
-polynomials in y whose coefficients hold only the parameters, and
-evaluates them by Horner's rule, so an array of detunings costs a few
-operations per point and a phase axis only what depends on it. LU is
-the independent reference the closed form is compared against: the
-scalar solve (`build_system_matrix`, `solve_response`) in the tests, and
-`np.linalg.det` and `np.linalg.inv` on stacks of `system_matrices` in
-`verify`.
+`system_matrices` only inside a guard band around the poles. N12, N21 and
+D are polynomials in y whose coefficients hold only the parameters;
+`transfer_polynomials` is the one place that writes those coefficients,
+and `transfer_coefficients` evaluates them by Horner's rule, so an array
+of detunings costs a few operations per point and a phase axis only what
+depends on it. LU is the independent reference the closed form is
+compared against: the scalar solve (`build_system_matrix`,
+`solve_response`) in the tests, and `np.linalg.det` and `np.linalg.inv`
+on stacks of `system_matrices` in `verify`.
 
 A1 is written out once, in `system_matrices`, for scalars and arrays
 alike. There is one pole rule: |det A1| below `pole_thresholds`, a
@@ -184,33 +184,45 @@ def solve_response(p: ModelParams, y: float, Ep1: float, Ep2: float) -> Response
                             dd=complex(x[2]), db=complex(x[3]), y=y)
 
 
-def transfer_coefficients(v: Mapping[str, object]):
-    """The numerators N12, N21 and the determinant D of the transfer.
+def _numerator_terms(G1G2, G1G2f, const1, G2J2J3, eth, eth_ph):
+    """The phase-dependent coefficients (a1, a0, b0) of one numerator.
 
-    ``v`` maps each ModelParams field name, and ``"y"``, to a scalar or an
-    array, as in :func:`system_matrices`; the three results broadcast the
-    same way and are Python complex numbers when every value is a scalar.
-    They give the inter-cavity elements of the inverse,
-    [A1^-1]_(2,1) = N12 / D and [A1^-1]_(1,2) = N21 / D.
+    With the phase factors (e^{i theta}, e^{i(theta - phi)}) they are those
+    of N12 = i chi1 - chi2, with their conjugates those of N21.
+    """
+    return G1G2 * eth, const1 + G2J2J3 * eth_ph, G1G2f * eth
 
-    N12 = i chi1 - chi2 and N21 = i tau1 - tau2 are formed here, from
-    cofactors that are polynomials in y with coefficients holding only
-    the parameters:
+
+def transfer_polynomials(v: Mapping[str, object]):
+    """The coefficients of N12, N21 and D as polynomials in the detuning y.
+
+    ``v`` maps each ModelParams field name to a scalar or an array, as in
+    :func:`system_matrices`; a ``"y"`` entry is not read. The coefficients
+    hold only the parameters, broadcast as those arrays do, and are Python
+    numbers when every value is a scalar. The four tuples returned are
+
+        (J1, J1 (gamma + f)), (a1, a0, b0) of N12, (a1, a0, b0) of N21,
+        (c3, c2, c1, c0),
+
+    for the numerators N = i ((J1 y + a1) y + a0) - (J1 (gamma + f) y + b0)
+    and the monic quartic D = (((y + c3) y + c2) y + c1) y + c0, which is
+    det(M - i y) with M = A1(0): the characteristic polynomial of M in
+    lambda = i y. N12 = i chi1 - chi2 and N21 = i tau1 - tau2, with the
+    cofactors
 
         tau1 = (J1 y + G1 G2 e^{-i theta}) y
                - J1 J3^2 - J1 gamma f + G2 J2 J3 e^{i(phi - theta)},
         tau2 = J1 (gamma + f) y + G1 G2 f e^{-i theta},
-        D = (((y + c3) y + c2) y + c1) y + c0,
 
-    and chi1, chi2 the same with the signs of both phases flipped. The
-    coefficients c3..c0 are the compact D1..D9 expansion of the
-    determinant collected by powers of y, with the J1 factor in the
-    ``-2 J1 G1 G2 y cos(theta)`` term of c1 (see the README).
+    and chi1, chi2 the same with the signs of both phases flipped, so one
+    expression gives the (a1, a0, b0) of both. c3..c0 are the compact
+    D1..D9 expansion of the determinant collected by powers of y, with the
+    J1 factor in the ``-2 J1 G1 G2 y cos(theta)`` term of c1 (see the
+    README).
     """
     k1, k2, g, f = v["kappa1"], v["kappa2"], v["gamma"], v["f"]
     G1, G2, J1 = v["G1"], v["G2"], v["J1"]
     J2, J3 = v["J2"], v["J3"]
-    y = v["y"]
     eth = _expi(v["theta"])
     eph = _expi(v["phi"])
     # e^{i(theta - phi)}; its real part is cos(theta - phi)
@@ -222,13 +234,11 @@ def transfer_coefficients(v: Mapping[str, object]):
 
     # the phase terms go last, so that the scalar parts are summed first
     # and a term of one phase axis widens to the full grid only once
-    J1y, J1gfy = J1 * y, J1 * (g + f) * y
     const1 = -J1 * J3s - J1 * gf
-    n12 = (1j * ((J1y + G1G2 * eth) * y + (const1 + G2 * J2 * J3 * eth_ph))
-           - (J1gfy + G1G2 * f * eth))
-    n21 = 1j * ((J1y + G1G2 * eth.conjugate()) * y + (
-        const1 + G2 * J2 * J3 * eth_ph.conjugate())) - (
-        J1gfy + G1G2 * f * eth.conjugate())
+    G1G2f, G2J2J3 = G1G2 * f, G2 * J2 * J3
+    n12 = _numerator_terms(G1G2, G1G2f, const1, G2J2J3, eth, eth_ph)
+    n21 = _numerator_terms(G1G2, G1G2f, const1, G2J2J3,
+                           eth.conjugate(), eth_ph.conjugate())
 
     c3 = 1j * (k1 + k2 + g + f)
     c2 = (-(G1s + G2s + J1s + J2s + J3s)
@@ -241,6 +251,26 @@ def transfer_coefficients(v: Mapping[str, object]):
           + J1s * (J3s + gf) + J3s * k1k2 + k1k2 * gf
           - 2j * J2 * J3 * k2 * G1 * cos_ph - 2j * J1 * G1G2 * f * cos_th
           - 2 * J1 * J2 * J3 * G2 * eth_ph.real)
+    return (J1, J1 * (g + f)), n12, n21, (c3, c2, c1, c0)
+
+
+def transfer_coefficients(v: Mapping[str, object]):
+    """The numerators N12, N21 and the determinant D of the transfer.
+
+    ``v`` maps each ModelParams field name, and ``"y"``, to a scalar or an
+    array, as in :func:`system_matrices`; the three results broadcast the
+    same way and are Python complex numbers when every value is a scalar.
+    They give the inter-cavity elements of the inverse,
+    [A1^-1]_(2,1) = N12 / D and [A1^-1]_(1,2) = N21 / D. Each is the
+    polynomial of :func:`transfer_polynomials` evaluated at y by Horner's
+    rule.
+    """
+    ((J1, J1gf), (a1_12, a0_12, b0_12), (a1_21, a0_21, b0_21),
+     (c3, c2, c1, c0)) = transfer_polynomials(v)
+    y = v["y"]
+    J1y, J1gfy = J1 * y, J1gf * y
+    n12 = 1j * ((J1y + a1_12) * y + a0_12) - (J1gfy + b0_12)
+    n21 = 1j * ((J1y + a1_21) * y + a0_21) - (J1gfy + b0_21)
     D = (((y + c3) * y + c2) * y + c1) * y + c0
     return n12, n21, D
 
@@ -248,5 +278,5 @@ def transfer_coefficients(v: Mapping[str, object]):
 __all__ = [
     "ResponseSolution", "SINGULARITY_RTOL", "SingularMatrix",
     "build_system_matrix", "pole_thresholds", "solve_response",
-    "system_matrices", "transfer_coefficients",
+    "system_matrices", "transfer_coefficients", "transfer_polynomials",
 ]

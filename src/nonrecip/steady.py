@@ -386,6 +386,16 @@ def linearized_params(p: BareParams, s: SteadyState) -> ModelParams:
     Delta_en = omega_m; states violating the alignment beyond 1e-6
     relative are rejected with a diagnostic listing each offender. The
     rates keep the bare parameters' scale, so the unit is absolute.
+
+    The phases are those of one gauge: both cavity fluctuations turn by
+    arg(g1 alpha1), which makes G1 real (alpha1 real when g1 > 0), beta
+    keeps its phase, and rho shares beta's, since J3 enters the rho-beta
+    link unconjugated on both sides. The turn carries into the
+    cavity-ensemble entry, so phi = arg J2 - arg(g1 alpha1). Where
+    g1 alpha1 = 0, `effective_couplings` sets theta = 0, which turns the
+    cavities by arg(g2 alpha2) instead; where both vanish, phi lies on no
+    coupling loop and is returned as arg J2. alpha1 = 0 with g1 and
+    g2 alpha2 nonzero raises ZeroAmplitude, from `effective_couplings`.
     """
     ref = p.omega_m
     bad = [
@@ -400,10 +410,12 @@ def linearized_params(p: BareParams, s: SteadyState) -> ModelParams:
             "linearization requires Delta1_eff = Delta2_eff = Delta_en = "
             f"omega_m = {ref:.12g}; got " + ", ".join(bad))
     G1, G2, theta = effective_couplings(p, s)
+    turn = (cmath.phase(p.g1 * s.alpha1) if G1 != 0.0
+            else cmath.phase(p.g2 * s.alpha2) if G2 != 0.0 else 0.0)
     return ModelParams(
         kappa1=p.kappa1, kappa2=p.kappa2, gamma=p.gamma, f=p.f,
-        G1=G1, G2=G2, theta=theta, J1=p.J1,
-        J2=abs(p.J2), phi=wrap_phase(cmath.phase(p.J2)) if p.J2 != 0 else 0.0,
+        G1=G1, G2=G2, theta=theta, J1=p.J1, J2=abs(p.J2),
+        phi=wrap_phase(cmath.phase(p.J2) - turn) if p.J2 != 0 else 0.0,
         J3=p.J3, unit=_ABSOLUTE_UNIT,
     )
 

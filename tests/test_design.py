@@ -26,7 +26,7 @@ from nonrecip import (
     transmission_pair,
 )
 from nonrecip.design import DESIGN_TOL, J2_RESIDUE_TOL, RCoefficients
-from nonrecip.response import transfer_coefficients
+from nonrecip.response import transfer_coefficients, transfer_polynomials
 from nonrecip.sweep import SPECTRUM_POINTS, figure_ids, figure_preset
 
 
@@ -213,6 +213,12 @@ def test_designed_presets_reduce_n21_to_j1_y_squared():
         n21 = transfer_coefficients(dict(vars(p), y=ys))[1]
         gap = np.abs(n21 - 1j * p.J1 * ys ** 2).max()
         assert gap <= 1e-14 * np.abs(n21).max(), fid
+        # and on the coefficients: N21 = i ((J1 y + a1) y + a0)
+        # - (J1 (gamma + f) y + b0) keeps only its y^2 term
+        (J1, J1gf), _, (a1, a0, b0), _ = transfer_polynomials(vars(p))
+        assert J1 == p.J1
+        assert abs(1j * a1 - J1gf) <= 1e-14 * J1, fid
+        assert abs(1j * a0 - b0) <= 1e-14 * J1, fid
 
 
 def test_chosen_candidate_minimizes_j3():

@@ -2,22 +2,32 @@
 
 The closed form is `transfer_coefficients`: the numerators N12 and N21 of
 the two inter-cavity elements of A1^-1 and the determinant D, checked here
-against the LU solve and a term-by-term expansion.
+against the LU solve and a term-by-term expansion. Their coefficients as
+polynomials in y come from `transfer_polynomials`; D's are checked against
+the eigenvalues of A1(0).
 """
 
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from nonrecip import SingularMatrix, build_system_matrix, solve_response
+from nonrecip import (
+    SingularMatrix,
+    build_system_matrix,
+    design_isolator,
+    solve_response,
+)
 from nonrecip.response import (
     SINGULARITY_RTOL,
     pole_thresholds,
     system_matrices,
     transfer_coefficients,
+    transfer_polynomials,
 )
+from nonrecip.sweep import figure_ids, figure_preset
 from nonrecip.verify import random_params
 
 
@@ -249,3 +259,67 @@ def test_transfer_coefficients_match_term_expansion():
             for name, a, b in zip(("N12", "N21", "D"),
                                   got, ref):
                 assert abs(a[k] - b) <= 1e-10 * abs(b), (name, p, y)
+
+
+def test_transfer_polynomials_hold_only_the_parameters():
+    rng = np.random.default_rng(27)
+    p = random_params(rng)
+    # no "y" is read, and scalars give Python numbers
+    scalar = transfer_polynomials(vars(p))
+    assert [len(part) for part in scalar] == [2, 3, 3, 4]
+    assert all(type(c) in (float, complex) for part in scalar for c in part)
+    # a phase array broadcasts, its first value giving the scalar's numbers
+    thetas = np.array([p.theta, 0.3, 4.0])
+    arrays = transfer_polynomials(dict(vars(p), theta=thetas))
+    for s_part, a_part in zip(scalar, arrays):
+        for s, a in zip(s_part, a_part):
+            assert np.broadcast_to(a, thetas.shape)[0] == pytest.approx(
+                s, rel=1e-14)
+    # flipping both phases swaps the coefficients of N12 and N21
+    flipped = transfer_polynomials(
+        dict(vars(p), theta=-p.theta, phi=-p.phi))
+    for a, b in zip(flipped[1] + flipped[2], scalar[2] + scalar[1]):
+        assert a == pytest.approx(b, rel=1e-14, abs=1e-14)
+
+
+def _d_roots(p):
+    """The four roots of D, from the coefficients c3..c0 of the monic quartic."""
+    c3, c2, c1, c0 = transfer_polynomials(vars(p))[3]
+    return np.roots([1.0, c3, c2, c1, c0])
+
+
+def _margin(p):
+    """min Re(lambda) over M's eigenvalues lambda = i y_k: stable when > 0."""
+    return float(-_d_roots(p).imag.max())
+
+
+def test_determinant_is_the_characteristic_polynomial_of_m():
+    # D(y) = det(M - i y) with M = A1(0), so the roots of D are -i times
+    # the eigenvalues of M, as matched sets
+    margins = {}
+    for fid in figure_ids():
+        p = figure_preset(fid).fixed
+        lam = np.linalg.eigvals(build_system_matrix(p, 0.0))
+        roots = _d_roots(p)
+        gap = min(np.abs(roots - (-1j * lam)[list(order)]).max()
+                  for order in itertools.permutations(range(4)))
+        assert gap <= 1e-9 * np.abs(lam).max(), fid
+        margins[fid] = _margin(p)
+    assert len(margins) == 31
+    # only three presets are linearly stable; the presets are not changed
+    # to hide the other 28 (ROADMAP item 1)
+    assert sum(m < 0.0 for m in margins.values()) == 28
+    stable = {fid: m for fid, m in margins.items() if m > 0.0}
+    assert stable == pytest.approx(
+        {"fig4e": 0.9916, "fig4f": 0.9186, "fig4g": 0.7437}, abs=5e-5)
+
+
+def test_criterion_point_candidates_are_unstable():
+    # every candidate at criteria 01/02's designed point has a root of D in
+    # the upper half plane; the criteria keep their point and thresholds
+    d = design_isolator(1.0, 1.0, 1.0, 10.0)
+    assert all(c.valid for c in d.root_candidates)
+    margins = [_margin(d.to_model_params(i))
+               for i in range(len(d.root_candidates))]
+    assert margins == pytest.approx([-1.0195, -1.0195, -2.3223, -2.3223],
+                                    abs=5e-5)

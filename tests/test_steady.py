@@ -22,6 +22,7 @@ from nonrecip import (
     linearized_params,
     solve_steady_state,
     steady_residual,
+    transmission_grid,
 )
 from nonrecip.steady import NonConvergence, SingularJacobian
 
@@ -199,16 +200,39 @@ def test_zero_amplitude_phase_undefined():
         effective_couplings(b, s)
 
 
-def _compensated_solve(drive):
+def _compensated_solve(drive, **overrides):
     # choose laser detunings so the drive-shifted detunings land on the
     # mechanical frequency, which the linearization requires
-    b = _bare()
+    wm = overrides.get("omega_m", 10.0)
+    b = _bare(**{"Delta1": wm, "Delta2": wm, "Delta_en": wm, **overrides})
     s = solve_steady_state(b, drive)
     for _ in range(3):
-        shift = 2.0 * b.g1 * s.beta.real
-        b = _bare(Delta1=10.0 - shift, Delta2=10.0 - shift)
+        b = replace(b, Delta1=wm - 2.0 * b.g1 * s.beta.real,
+                    Delta2=wm - 2.0 * b.g2 * s.beta.real)
         s = solve_steady_state(b, drive)
     return b, s
+
+
+def _full_linearization_T(b, s, ys):
+    """T12 and T21 of the full linearization about ``s``, at detunings ``ys``.
+
+    The fluctuations obey dz/dt = -J z + input, with J the real 8x8
+    `_jacobian`, which keeps both sidebands. In the complex basis
+    (d alpha1, d alpha2, d rho, d beta and their conjugates) a probe at
+    laser-frame frequency nu = omega_m + y gives
+    T = sqrt(kappa1 kappa2) |[(J_c - i nu)^-1]| at (2,1) and (1,2).
+    """
+    jac = steady_mod._jacobian(
+        b, steady_mod._pack(s.alpha1, s.alpha2, s.rho, s.beta))
+    to_complex = np.zeros((8, 8), dtype=complex)
+    for k in range(4):
+        to_complex[k, 2 * k:2 * k + 2] = 1.0, 1j
+        to_complex[k + 4, 2 * k:2 * k + 2] = 1.0, -1j
+    jc = to_complex @ jac @ np.linalg.inv(to_complex)
+    nu = b.omega_m + np.asarray(ys)
+    inv = np.linalg.inv(jc - 1j * nu[:, None, None] * np.eye(8))
+    pref = math.sqrt(b.kappa1 * b.kappa2)
+    return pref * np.abs(inv[:, 1, 0]), pref * np.abs(inv[:, 0, 1])
 
 
 def test_linearized_params_round_trip():
@@ -223,6 +247,22 @@ def test_linearized_params_round_trip():
     assert p.kappa1 == b.kappa1 and p.f == b.f
     assert p.J3 == b.J3
     assert p.J2 == abs(b.J2)
+
+
+@pytest.mark.parametrize("couplings", [{}, {"g1": 0.0}, {"g1": -4e-3}],
+                         ids=["g1-positive", "g1-zero", "g1-negative"])
+def test_linearized_phi_matches_the_full_linearization(couplings):
+    # with J3 != 0, rho's phase is tied to beta's, so phi carries the cavity
+    # turn that makes G1 real (arg(g2 alpha2) where g1 = 0); phi = arg J2
+    # alone misses T21 by 2.0e-2 here. The RWA gap is O(1/omega_m).
+    b, s = _compensated_solve(Drives(E1=1e4, E2=1e4j), J2=1.0, J3=2.225j,
+                              omega_m=1e3, **couplings)
+    ys = np.linspace(-5.0, 5.0, 201)
+    t12, t21, singular = transmission_grid(linearized_params(b, s), ys)
+    full12, full21 = _full_linearization_T(b, s, ys)
+    assert not singular.any()
+    assert np.abs(t12 - full12).max() < 1e-3
+    assert np.abs(t21 - full21).max() < 1e-3
 
 
 def test_linearized_params_rejects_misaligned_detunings():

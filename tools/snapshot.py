@@ -18,12 +18,16 @@ directories is empty. OUT receives:
 - ``verify.stdout``: the ``verify`` lines at the default draws and seed;
 - ``steady_states.txt``: the ``repr`` of `solve_steady_state` at the
   tests' steady points;
-- ``designs.jsonl``: `design_to_dict` over 400 seeded regimes.
+- ``designs.jsonl``: `design_to_dict` over 400 seeded regimes;
+- ``points.txt``: the ``repr`` of `transmission_pair` and
+  `isolation_metrics` at 2000 seeded `random_params` draws, each at a
+  detuning ``uniform(-5, 5)``, so the scalar kernel is gated away from
+  y = 0 and from the designed points.
 
 Each ``.stdout`` file ends with the command's exit code. Commands run in
 this process with OUT as the working directory, so the paths they print
 are relative and OUT's location does not show in any output. Only the
-standard library and the package are used.
+standard library, numpy and the package are used.
 """
 
 from __future__ import annotations
@@ -88,6 +92,9 @@ COMMANDS = (
 DESIGN_REGIMES = 400
 DESIGN_SEED = 0
 
+POINT_DRAWS = 2000
+POINT_SEED = 0
+
 
 def _import_package():
     try:
@@ -136,6 +143,20 @@ def _designs() -> str:
     return "".join(lines)
 
 
+def _points() -> str:
+    import numpy as np
+    from nonrecip import isolation_metrics, transmission_pair
+    from nonrecip.verify import random_params
+
+    rng = np.random.default_rng(POINT_SEED)
+    lines = []
+    for _ in range(POINT_DRAWS):
+        p = random_params(rng)
+        tp = transmission_pair(p, rng.uniform(-5.0, 5.0))
+        lines.append(f"{tp!r} {isolation_metrics(tp)!r}\n")
+    return "".join(lines)
+
+
 def snapshot(out: str) -> None:
     """Write every output listed in the module docstring under ``out``."""
     _import_package()
@@ -155,6 +176,7 @@ def snapshot(out: str) -> None:
             _write(f"{name}.stdout", _run(cli_main, argv))
         _write("steady_states.txt", _steady_states())
         _write("designs.jsonl", _designs())
+        _write("points.txt", _points())
     finally:
         os.chdir(cwd)
 
