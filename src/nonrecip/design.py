@@ -360,14 +360,9 @@ def design_isolator(
             J3=J3, J2=J2, J2_mag=abs(J2), J2_residue=nonreal_residue(J2),
             T12_at_resonance=T12, T21_at_resonance=T21,
             valid=valid, direction=direction))
-    chosen: int | None = None
-    best = None
-    for i, c in enumerate(records):
-        if not c.valid:
-            continue
-        key = (abs(c.J3), c.J2_mag)
-        if best is None or key < best:
-            best, chosen = key, i
+    chosen = min((i for i, c in enumerate(records) if c.valid),
+                 key=lambda i: (abs(records[i].J3), records[i].J2_mag),
+                 default=None)
     design = IsolatorDesign(
         kappa1=kappa1, kappa2=kappa2, gamma=gamma, f=f,
         G1=G1, G2=G2, J1=J1, theta=HALF_PI, phi=HALF_PI,

@@ -76,10 +76,6 @@ class SingularJacobian(ArithmeticError):
     """The Newton step is unsolvable; the operating point is degenerate."""
 
 
-class ZeroAmplitude(ValueError):
-    """The phase reference g1*alpha1 vanishes, leaving theta undefined."""
-
-
 class ResonanceMisaligned(InvalidParams):
     """The steady state violates the aligned-resonance condition."""
 
@@ -357,19 +353,12 @@ def effective_couplings(p: BareParams, s: SteadyState) -> tuple[float, float, fl
     G1 = |g1 alpha1|, G2 = |g2 alpha2|, theta = arg(g2 alpha2) -
     arg(g1 alpha1) wrapped to [0, 2*pi); G1's own phase is gauged to zero.
     When either product vanishes the relative phase is immaterial (it can
-    be absorbed into the decoupled mode) and is returned as 0.0.
-
-    Raises
-    ------
-    ZeroAmplitude
-        alpha1 = 0 while g1 and g2*alpha2 are nonzero: the phase reference
-        is missing but theta would matter.
+    be absorbed into the decoupled mode) and is returned as 0.0, whether
+    g or alpha is the zero factor.
     """
     c1 = p.g1 * s.alpha1
     c2 = p.g2 * s.alpha2
     G1, G2 = abs(c1), abs(c2)
-    if s.alpha1 == 0 and p.g1 != 0.0 and G2 != 0.0:
-        raise ZeroAmplitude("alpha1 = 0 leaves the theta reference undefined")
     if G1 == 0.0 or G2 == 0.0:
         return G1, G2, 0.0
     return G1, G2, wrap_phase(cmath.phase(c2) - cmath.phase(c1))
@@ -394,8 +383,7 @@ def linearized_params(p: BareParams, s: SteadyState) -> ModelParams:
     cavity-ensemble entry, so phi = arg J2 - arg(g1 alpha1). Where
     g1 alpha1 = 0, `effective_couplings` sets theta = 0, which turns the
     cavities by arg(g2 alpha2) instead; where both vanish, phi lies on no
-    coupling loop and is returned as arg J2. alpha1 = 0 with g1 and
-    g2 alpha2 nonzero raises ZeroAmplitude, from `effective_couplings`.
+    coupling loop and is returned as arg J2.
     """
     ref = p.omega_m
     bad = [
@@ -422,7 +410,7 @@ def linearized_params(p: BareParams, s: SteadyState) -> ModelParams:
 
 __all__ = [
     "ALIGNMENT_RTOL", "NonConvergence", "ResonanceMisaligned",
-    "SingularJacobian", "SolverConfig", "ZeroAmplitude",
+    "SingularJacobian", "SolverConfig",
     "effective_couplings", "linearized_params", "solve_steady_state",
     "steady_residual",
 ]

@@ -23,6 +23,7 @@ status=singular and empty observable cells rather than aborting the sweep.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 from functools import partial
@@ -72,6 +73,10 @@ class Axis:
         if self.name not in _REAL_PATHS:
             raise InvalidParameterPath(
                 f"cannot sweep {self.name!r}; choose one of {', '.join(_REAL_PATHS)}")
+        # bool subclasses int, but True is no point count
+        if (isinstance(self.points, bool)
+                or not isinstance(self.points, numbers.Integral)):
+            raise ValueError("axis points must be an integer")
         if self.points < 1:
             raise ValueError("axis needs at least one point")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
@@ -97,6 +102,7 @@ class SweepSpec:
     y: float = 0.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "observables", tuple(self.observables))
         if not self.observables:
             raise ValueError("at least one observable is required")
         bad = [o for o in self.observables if o not in _OBSERVABLES]

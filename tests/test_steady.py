@@ -17,7 +17,6 @@ from nonrecip import (
     ResonanceMisaligned,
     SolverConfig,
     SteadyState,
-    ZeroAmplitude,
     effective_couplings,
     linearized_params,
     solve_steady_state,
@@ -190,14 +189,13 @@ def test_effective_coupling_matches_direct_arithmetic():
     assert theta == pytest.approx(expected % (2 * math.pi), rel=1e-12)
 
 
-def test_zero_amplitude_phase_undefined():
-    # cavity 1 undriven and decoupled: alpha1 = 0 while g1 != 0, so the
-    # relative phase of the couplings has no value
+def test_zero_amplitude_gives_theta_zero():
+    # cavity 1 undriven and decoupled: alpha1 = 0 while g1 != 0, which is
+    # the linear problem of g1 = 0, so theta is 0 as there
     b = _bare(J1=0.0, J2=0.0, J3=0.0)
     s = solve_steady_state(b, Drives(E2=5.0))
     assert s.alpha1 == 0
-    with pytest.raises(ZeroAmplitude):
-        effective_couplings(b, s)
+    assert effective_couplings(b, s) == (0.0, abs(b.g2 * s.alpha2), 0.0)
 
 
 def _compensated_solve(drive, **overrides):
@@ -263,6 +261,97 @@ def test_linearized_phi_matches_the_full_linearization(couplings):
     assert not singular.any()
     assert np.abs(t12 - full12).max() < 1e-3
     assert np.abs(t21 - full21).max() < 1e-3
+
+
+def _alpha1_zero_point(alpha2, **overrides):
+    """Bare point, drives and state with alpha1 = 0 exactly, at alignment.
+
+    The backward map at aligned resonance: row 3 makes rho linear in
+    x = Re beta, row 4 then fixes x by one linear equation, the laser
+    detunings put Delta_j + 2 g_j x on omega_m, and rows 1 and 2 give the
+    drives.
+    """
+    wm = overrides["omega_m"]
+    b = _bare(**{"Delta_en": wm, **overrides})
+    ce = 1j * b.Delta_en + b.f
+    cm = 1j * b.omega_m + b.gamma
+    rho_per_x = -2j * b.J3 / ce
+    drive = -1j * b.g2 * abs(alpha2) ** 2 / cm
+    x = drive.real / (1.0 - (-2j * b.J3 * rho_per_x.real / cm).real)
+    rho = rho_per_x * x
+    beta = drive - 2j * b.J3 * rho.real / cm
+    b = replace(b, Delta1=wm - 2.0 * b.g1 * beta.real,
+                Delta2=wm - 2.0 * b.g2 * beta.real)
+    d = Drives(E1=1j * b.J1 * alpha2 + 1j * b.J2 * rho,
+               E2=(1j * wm + b.kappa2) * alpha2)
+    s = SteadyState(alpha1=0j, alpha2=alpha2, rho=rho, beta=beta,
+                    Delta1_eff=b.Delta1 + 2.0 * b.g1 * beta.real,
+                    Delta2_eff=b.Delta2 + 2.0 * b.g2 * beta.real,
+                    residual_norm=0.0)
+    return b, d, s
+
+
+def test_exact_zero_alpha1_is_linearized():
+    # alpha1 = 0 with g1 != 0 is the linear problem of g1 = 0: theta = 0 and
+    # the cavities turn by arg(g2 alpha2). Newton from zero with the same
+    # drives lands at |alpha1| ~ 6e-18, where theta and phi are rounding
+    # noise but the loop phase phi - theta, and so T, is the same
+    b, d, s = _alpha1_zero_point(10.0 * cmath.exp(0.7j), J2=1.0, J3=2.225j,
+                                 omega_m=1e3)
+    assert np.linalg.norm(steady_residual(b, d, s)) < SolverConfig().tol
+    p = linearized_params(b, s)
+    assert p.G1 == 0.0 and p.theta == 0.0
+    ys = np.linspace(-5.0, 5.0, 201)
+    t12, t21, singular = transmission_grid(p, ys)
+    full12, full21 = _full_linearization_T(b, s, ys)
+    assert not singular.any()
+    assert np.abs(t12 - full12).max() < 1e-3
+    assert np.abs(t21 - full21).max() < 1e-3
+
+    near = solve_steady_state(b, d)
+    assert 0.0 < abs(near.alpha1) < 1e-15
+    q = linearized_params(b, near)
+    assert q.G1 != 0.0
+    loop = math.remainder(q.phi - q.theta - (p.phi - p.theta), 2.0 * math.pi)
+    assert abs(loop) < 1e-12
+    n12, n21, _ = transmission_grid(q, ys)
+    assert np.abs(n12 - t12).max() < 1e-12
+    assert np.abs(n21 - t21).max() < 1e-12
+
+
+def _chain_draws(rng, n):
+    # bare points with real J2 and both signs of g1; the drives, in units
+    # of 10 omega_m, keep the amplitudes, and so G1 and G2, fixed in omega_m
+    for _ in range(n):
+        kappa1, kappa2, gamma = 10.0 ** rng.uniform(-0.5, 0.5, 3)
+        f = 10.0 ** rng.uniform(-0.5, 1.0)
+        J1, J2, J3_mag = rng.uniform(0.1, 2.0, 3)
+        J3 = J3_mag * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        g1 = 4e-3 * rng.choice((-1.0, 1.0))
+        e = rng.normal(size=4)
+        yield (dict(kappa1=kappa1, kappa2=kappa2, gamma=gamma, f=f, J1=J1,
+                    J2=J2, J3=J3, g1=g1, g2=4e-3),
+               (complex(e[0], e[1]), complex(e[2], e[3])))
+
+
+def test_drives_to_t_gap_is_the_rwa_gap():
+    # drives -> Newton -> linearized_params -> kernel against the full 8x8
+    # linearization: the RWA leaves a gap of O(1/omega_m), so it shrinks
+    # tenfold from omega_m = 1e2 to 1e3; a wrong phase would not shrink
+    ys = np.linspace(-5.0, 5.0, 201)
+    for overrides, (n1, n2) in _chain_draws(np.random.default_rng(0), 20):
+        gaps = []
+        for wm in (1e2, 1e3):
+            b, s = _compensated_solve(
+                Drives(E1=10.0 * wm * n1, E2=10.0 * wm * n2),
+                omega_m=wm, **overrides)
+            t12, t21, singular = transmission_grid(linearized_params(b, s),
+                                                   ys)
+            full12, full21 = _full_linearization_T(b, s, ys)
+            assert not singular.any()
+            gaps.append(max(np.abs(t12 - full12).max(),
+                            np.abs(t21 - full21).max()))
+        assert 8.0 <= gaps[0] / gaps[1] <= 12.0, (overrides, gaps)
 
 
 def test_linearized_params_rejects_misaligned_detunings():

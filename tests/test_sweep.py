@@ -59,6 +59,10 @@ def test_axis_validation():
     for start, stop in ((-math.inf, 1.0), (0.0, math.nan)):
         with pytest.raises(ValueError, match="finite"):
             Axis("y", start, stop, 5)
+    for bad in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match="axis points must be an integer"):
+            Axis("y", 0.0, 1.0, bad)
+    assert Axis("y", 0.0, 1.0, np.int64(3)).grid().tolist() == [0.0, 0.5, 1.0]
     assert Axis("y", -1.0, 1.0, 3).grid().tolist() == [-1.0, 0.0, 1.0]
 
 
@@ -74,6 +78,10 @@ def test_spec_validation(base_params):
         SweepSpec(fixed=p, axis1=Axis("theta", 0, 1, 2), observables=())
     with pytest.raises(ValueError, match="y must be finite"):
         SweepSpec(fixed=p, axis1=Axis("theta", 0, 1, 2), y=math.inf)
+    # a list is stored as the tuple the table's columns are built from
+    spec = SweepSpec(fixed=p, axis1=Axis("y", 0, 1, 2), observables=["T12"])
+    assert spec.observables == ("T12",)
+    assert sweep(spec).columns == ("y", "T12", "status")
 
 
 @pytest.mark.parametrize("axis, named", [

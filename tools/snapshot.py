@@ -22,7 +22,10 @@ directories is empty. OUT receives:
 - ``points.txt``: the ``repr`` of `transmission_pair` and
   `isolation_metrics` at 2000 seeded `random_params` draws, each at a
   detuning ``uniform(-5, 5)``, so the scalar kernel is gated away from
-  y = 0 and from the designed points.
+  y = 0 and from the designed points;
+- ``linearized.txt``: the ``repr`` of `linearized_params` at the tests'
+  compensated points, the steady point and the omega_m = 1e3 point at
+  g1 = 4e-3, 0 and -4e-3, so the steady-to-response bridge is gated.
 
 Each ``.stdout`` file ends with the command's exit code. Commands run in
 this process with OUT as the working directory, so the paths they print
@@ -95,6 +98,12 @@ DESIGN_SEED = 0
 POINT_DRAWS = 2000
 POINT_SEED = 0
 
+# (bare overrides, (E1, E2)) of the linearized points; the laser detunings
+# are then compensated onto omega_m
+LINEARIZED = (({}, (100.0, 100.0j)),) + tuple(
+    (dict(J2=1.0, J3=2.225j, omega_m=1e3, g1=g1), (1e4, 1e4j))
+    for g1 in (4e-3, 0.0, -4e-3))
+
 
 def _import_package():
     try:
@@ -157,6 +166,27 @@ def _points() -> str:
     return "".join(lines)
 
 
+def _linearized() -> str:
+    from dataclasses import replace
+
+    from nonrecip import BareParams, Drives, linearized_params, solve_steady_state
+
+    lines = []
+    for overrides, drives in LINEARIZED:
+        wm = overrides.get("omega_m", BARE["omega_m"])
+        b = BareParams(**{**BARE, "J3": 4.476j, "Delta1": wm, "Delta2": wm,
+                          "Delta_en": wm, **overrides})
+        d = Drives(*drives)
+        s = solve_steady_state(b, d)
+        # three rounds put the drive-shifted detunings on omega_m
+        for _ in range(3):
+            b = replace(b, Delta1=wm - 2.0 * b.g1 * s.beta.real,
+                        Delta2=wm - 2.0 * b.g2 * s.beta.real)
+            s = solve_steady_state(b, d)
+        lines.append(repr(linearized_params(b, s)) + "\n")
+    return "".join(lines)
+
+
 def snapshot(out: str) -> None:
     """Write every output listed in the module docstring under ``out``."""
     _import_package()
@@ -177,6 +207,7 @@ def snapshot(out: str) -> None:
         _write("steady_states.txt", _steady_states())
         _write("designs.jsonl", _designs())
         _write("points.txt", _points())
+        _write("linearized.txt", _linearized())
     finally:
         os.chdir(cwd)
 
