@@ -310,7 +310,11 @@ def design_isolator(
     InvalidParams
         When a rate is not finite and positive, or when the rates are
         beyond the range the model evaluates: a product of them overflows
-        or underflows, or a candidate's pole threshold is not finite.
+        or underflows, a candidate's pole threshold is not finite, or no
+        candidate is valid, one has J3 = 0 and R9 is 0. At f > 0
+        R9 = R6 (G1 G2 f^2 / (gamma + f))^2 is positive, so the quartic
+        has no zero root; R9 = 0, and with it the root J3 = 0, comes
+        only from rounding or underflow.
     NoValidDesign
         When every candidate fails; the full report rides on the exception.
     """
@@ -332,6 +336,7 @@ def design_isolator(
         # underflows fails here
         raise _beyond_range(kappa1, kappa2, gamma, f) from None
     records: list[DesignCandidate] = []
+    zero_j3 = False
     for J3 in roots:
         J2 = complex("nan")
         T12 = T21 = math.nan
@@ -341,7 +346,7 @@ def design_isolator(
             tp = transmission_pair(
                 _candidate_params(kappa1, kappa2, gamma, f, J2, J3, unit), 0.0)
         except ZeroJ3:
-            pass
+            zero_j3 = True
         except InvalidParams:
             # beyond the range when the pole threshold is not finite (as at
             # a non-finite J2 or J3); else rejected, as a negative real J2 is
@@ -369,6 +374,8 @@ def design_isolator(
         r=r, root_candidates=tuple(records), chosen=chosen, unit=unit,
     )
     if chosen is None:
+        if zero_j3 and r.R9 == 0.0:
+            raise _beyond_range(kappa1, kappa2, gamma, f)
         raise NoValidDesign(design)
     return design
 

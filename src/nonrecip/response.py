@@ -10,13 +10,22 @@ their denominator, det A1 = D.
 The closed form is the production path for transmission: the kernel in
 `nonrecip.transmission` reads T12 and T21 from `transfer_coefficients` at
 every point, over scalars or arrays, and falls back to LU on
-`system_matrices` only inside a guard band around the poles. N12, N21 and
-D are polynomials in y whose coefficients hold only the parameters;
-`transfer_polynomials` is the one place that writes those coefficients,
-and `transfer_coefficients` evaluates them by Horner's rule, so an array
-of detunings costs a few operations per point and a phase axis only what
-depends on it. LU is the independent reference the closed form is
-compared against: the scalar solve (`build_system_matrix`,
+`system_matrices` only inside a guard band around the poles. Each of
+N12, N21 and D is a phase-free polynomial in y plus one term per
+coupling loop: e^{+-i theta} and e^{+-i(theta - phi)} in the numerators,
+cos(theta), cos(phi) and cos(theta - phi) in D. `_loop_terms` is the one
+place that writes their coefficients, which hold only the parameters,
+and `transfer_coefficients` evaluates them in one of two orders. When y
+is an array, or every value is a scalar, `transfer_polynomials` folds
+the loop terms into the coefficients of y and Horner's rule evaluates
+those, so an array of detunings costs a few operations per point. When
+y is a scalar and another value an array, as on a theta x phi map,
+`_loop_order` evaluates the phase-free parts at y first, joins each
+single-phase loop to them once per theta or phi value, and pays only
+the theta - phi loop per point: about 9 complex operations per map
+point, against about 19 in the folded order. The two orders round
+differently, by a few ulp. LU is the independent reference the closed
+form is compared against: the scalar solve (`build_system_matrix`,
 `solve_response`) in the tests, and `np.linalg.det` and `np.linalg.inv`
 on stacks of `system_matrices` in `verify`.
 
@@ -184,6 +193,65 @@ def solve_response(p: ModelParams, y: float, Ep1: float, Ep2: float) -> Response
                             dd=complex(x[2]), db=complex(x[3]), y=y)
 
 
+def _sum(a, b):
+    """a + b, written into ``a`` when it is an array of the sum's shape.
+
+    ``a`` must be a temporary of the caller.
+    """
+    if isinstance(a, np.ndarray) and a.shape == np.broadcast_shapes(
+            a.shape, np.shape(b)):
+        a += b
+        return a
+    return a + b
+
+
+def _loop_terms(v: Mapping[str, object]):
+    """The coefficients of N12, N21 and D, coupling loop by coupling loop.
+
+    Each of N12, N21 and D is a phase-free polynomial in y plus one term
+    per coupling loop. This is the one place that writes their
+    coefficients; `transfer_polynomials` folds the loop terms into the
+    powers of y, `_loop_order` evaluates each loop at y. The 15 values
+    returned, one flat tuple, are
+
+        J1, J1 (gamma + f), const1        N's phase-free part,
+        G1 G2, G1 G2 f                    N's theta loop,
+        G2 J2 J3                          N's theta - phi loop,
+        c3, c2, c1, c0                    D's phase-free part,
+        2 J2 J3 G1, 2i J2 J3 kappa2 G1    D's phi loop, times -cos(phi),
+        2 J1 G1 G2, 2i J1 G1 G2 f         D's theta loop, times -cos(theta),
+        2 J1 J2 J3 G2                     D's theta - phi loop, times
+                                          -cos(theta - phi),
+
+    so that N12 = i (J1 y^2 + const1) - J1 (gamma + f) y
+    + G1 G2 (i y - f) e^{i theta} + i G2 J2 J3 e^{i(theta - phi)}, N21 the
+    same at the conjugate phase factors, and
+    D = y^4 + c3 y^3 + c2 y^2 + c1 y + c0 - (2 J2 J3 G1 y
+    + 2i J2 J3 kappa2 G1) cos(phi) - (2 J1 G1 G2 y + 2i J1 G1 G2 f)
+    cos(theta) - 2 J1 J2 J3 G2 cos(theta - phi): the compact D1..D9
+    expansion, with the J1 factor in the theta loop's y term (see the
+    README).
+    """
+    k1, k2, g, f = v["kappa1"], v["kappa2"], v["gamma"], v["f"]
+    G1, G2, J1 = v["G1"], v["G2"], v["J1"]
+    J2, J3 = v["J2"], v["J3"]
+    G1G2 = G1 * G2
+    G1s, G2s, J1s, J2s, J3s = G1 * G1, G2 * G2, J1 * J1, J2 * J2, J3 * J3
+    gf, k1k2 = g * f, k1 * k2
+    c3 = 1j * (k1 + k2 + g + f)
+    c2 = (-(G1s + G2s + J1s + J2s + J3s)
+          - (gf + g * k2 + f * k1 + k1k2 + f * k2 + g * k1))
+    c1 = -1j * (G2s * (k1 + f) + G1s * (f + k2) + J2s * (g + k2)
+                + J1s * (g + f) + J3s * (k1 + k2) + k1k2 * (f + g)
+                + gf * (k1 + k2))
+    c0 = (G2s * (J2s + f * k1) + G1s * f * k2 + J2s * g * k2
+          + J1s * (J3s + gf) + J3s * k1k2 + k1k2 * gf)
+    return (J1, J1 * (g + f), -J1 * J3s - J1 * gf, G1G2, G1G2 * f,
+            G2 * J2 * J3, c3, c2, c1, c0,
+            2 * J2 * J3 * G1, 2j * J2 * J3 * k2 * G1,
+            2 * J1 * G1G2, 2j * J1 * G1G2 * f, 2 * J1 * J2 * J3 * G2)
+
+
 def _numerator_terms(G1G2, G1G2f, const1, G2J2J3, eth, eth_ph):
     """The phase-dependent coefficients (a1, a0, b0) of one numerator.
 
@@ -215,43 +283,58 @@ def transfer_polynomials(v: Mapping[str, object]):
         tau2 = J1 (gamma + f) y + G1 G2 f e^{-i theta},
 
     and chi1, chi2 the same with the signs of both phases flipped, so one
-    expression gives the (a1, a0, b0) of both. c3..c0 are the compact
-    D1..D9 expansion of the determinant collected by powers of y, with the
-    J1 factor in the ``-2 J1 G1 G2 y cos(theta)`` term of c1 (see the
-    README).
+    expression gives the (a1, a0, b0) of both. Each coefficient is a
+    phase-free part of :func:`_loop_terms` plus its loop terms at the
+    phases: c1 and c0 take cos(theta) and cos(phi), c0 and a0 also the
+    theta - phi loop.
     """
-    k1, k2, g, f = v["kappa1"], v["kappa2"], v["gamma"], v["f"]
-    G1, G2, J1 = v["G1"], v["G2"], v["J1"]
-    J2, J3 = v["J2"], v["J3"]
-    eth = _expi(v["theta"])
-    eph = _expi(v["phi"])
+    return _folded(_loop_terms(v), _expi(v["theta"]), _expi(v["phi"]))
+
+
+def _folded(terms, eth, eph):
+    """The coefficients of :func:`transfer_polynomials` at the phase
+    factors e^{i theta}, e^{i phi}: each phase-free part of ``terms``, the
+    parts of :func:`_loop_terms`, plus its loop terms."""
+    (J1, J1gf, const1, G1G2, G1G2f, G2J2J3, c3, c2, c1, c0,
+     ph1, ph0, th1, th0, thph) = terms
     # e^{i(theta - phi)}; its real part is cos(theta - phi)
     eth_ph = eth * eph.conjugate()
     cos_th, cos_ph = eth.real, eph.real
-    G1G2 = G1 * G2
-    G1s, G2s, J1s, J2s, J3s = G1 * G1, G2 * G2, J1 * J1, J2 * J2, J3 * J3
-    gf, k1k2 = g * f, k1 * k2
-
     # the phase terms go last, so that the scalar parts are summed first
     # and a term of one phase axis widens to the full grid only once
-    const1 = -J1 * J3s - J1 * gf
-    G1G2f, G2J2J3 = G1G2 * f, G2 * J2 * J3
     n12 = _numerator_terms(G1G2, G1G2f, const1, G2J2J3, eth, eth_ph)
     n21 = _numerator_terms(G1G2, G1G2f, const1, G2J2J3,
                            eth.conjugate(), eth_ph.conjugate())
+    c1 = c1 - ph1 * cos_ph - th1 * cos_th
+    c0 = c0 - ph0 * cos_ph - th0 * cos_th - thph * eth_ph.real
+    return (J1, J1gf), n12, n21, (c3, c2, c1, c0)
 
-    c3 = 1j * (k1 + k2 + g + f)
-    c2 = (-(G1s + G2s + J1s + J2s + J3s)
-          - (gf + g * k2 + f * k1 + k1k2 + f * k2 + g * k1))
-    c1 = (-1j * (G2s * (k1 + f) + G1s * (f + k2) + J2s * (g + k2)
-                 + J1s * (g + f) + J3s * (k1 + k2) + k1k2 * (f + g)
-                 + gf * (k1 + k2))
-          - 2 * J2 * J3 * G1 * cos_ph - 2 * J1 * G1G2 * cos_th)
-    c0 = (G2s * (J2s + f * k1) + G1s * f * k2 + J2s * g * k2
-          + J1s * (J3s + gf) + J3s * k1k2 + k1k2 * gf
-          - 2j * J2 * J3 * k2 * G1 * cos_ph - 2j * J1 * G1G2 * f * cos_th
-          - 2 * J1 * J2 * J3 * G2 * eth_ph.real)
-    return (J1, J1 * (g + f)), n12, n21, (c3, c2, c1, c0)
+
+def _loop_order(terms, y, eth, eph):
+    """N12, N21 and D at a scalar y, loop term by loop term.
+
+    ``terms`` are the parts of :func:`_loop_terms`, and ``eth``, ``eph``
+    the phase factors e^{i theta}, e^{i phi}. The phase-free parts are
+    evaluated at y first, each single-phase loop then joins them once per
+    theta or phi value (a row or a column of a map), and only the
+    theta - phi loop is paid per point: about 9 complex operations per
+    point of a theta x phi map.
+    """
+    (J1, J1gf, const1, G1G2, G1G2f, G2J2J3, c3, c2, c1, c0,
+     ph1, ph0, th1, th0, thph) = terms
+    p = 1j * (J1 * y * y + const1) - J1gf * y
+    s1 = 1j * (G1G2 * y) - G1G2f
+    n12 = p + s1 * eth
+    n21 = p + s1 * eth.conjugate()
+    D = ((((((y + c3) * y + c2) * y + c1) * y + c0)
+          - (ph1 * y + ph0) * eph.real) - (th1 * y + th0) * eth.real)
+    # the theta - phi loop, per point. D holds every parameter and both
+    # phases, so it already has the full shape and takes the loop in
+    # place; each numerator is summed into its own loop product
+    eth_ph = eth * eph.conjugate()
+    D -= thph * eth_ph.real
+    s2 = 1j * G2J2J3
+    return _sum(s2 * eth_ph, n12), _sum(s2 * eth_ph.conjugate(), n21), D
 
 
 def transfer_coefficients(v: Mapping[str, object]):
@@ -261,13 +344,22 @@ def transfer_coefficients(v: Mapping[str, object]):
     array, as in :func:`system_matrices`; the three results broadcast the
     same way and are Python complex numbers when every value is a scalar.
     They give the inter-cavity elements of the inverse,
-    [A1^-1]_(2,1) = N12 / D and [A1^-1]_(1,2) = N21 / D. Each is the
-    polynomial of :func:`transfer_polynomials` evaluated at y by Horner's
-    rule.
+    [A1^-1]_(2,1) = N12 / D and [A1^-1]_(1,2) = N21 / D. When y is an
+    array, or every value is a scalar, each is the polynomial of
+    :func:`transfer_polynomials` evaluated at y by Horner's rule. When y
+    is a scalar and another value an array, they come from
+    :func:`_loop_order`, which rounds differently, by a few ulp.
     """
-    ((J1, J1gf), (a1_12, a0_12, b0_12), (a1_21, a0_21, b0_21),
-     (c3, c2, c1, c0)) = transfer_polynomials(v)
+    terms = _loop_terms(v)
     y = v["y"]
+    eth = _expi(v["theta"])
+    eph = _expi(v["phi"])
+    # c0 holds every parameter, so it is an array when one of them is
+    if (isinstance(terms[9], np.ndarray) or isinstance(eth, np.ndarray)
+            or isinstance(eph, np.ndarray)) and not isinstance(y, np.ndarray):
+        return _loop_order(terms, y, eth, eph)
+    ((J1, J1gf), (a1_12, a0_12, b0_12), (a1_21, a0_21, b0_21),
+     (c3, c2, c1, c0)) = _folded(terms, eth, eph)
     J1y, J1gfy = J1 * y, J1gf * y
     n12 = 1j * ((J1y + a1_12) * y + a0_12) - (J1gfy + b0_12)
     n21 = 1j * ((J1y + a1_21) * y + a0_21) - (J1gfy + b0_21)

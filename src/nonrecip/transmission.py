@@ -178,7 +178,11 @@ def transmission_arrays(v: Mapping[str, object], *,
     array; at least one value is an array of one or more dimensions, and
     the arrays broadcast together. A 2-D grid is best passed as a row
     ``(1, n1)`` and a column ``(n2, 1)``, so that whatever depends on one
-    axis alone is computed once per value. Values are not validated.
+    axis alone is computed once per value. At a scalar y the closed form
+    is evaluated loop term by loop term (`response.transfer_coefficients`),
+    so a theta x phi map pays only the theta - phi loop per point: about
+    9 complex operations, against about 19 with the loop terms folded
+    into the coefficients of y. Values are not validated.
 
     The broadcast shape is cut along its first axis into blocks of
     ``max(1, _CHUNK // points per row)`` rows, whatever the thread count;

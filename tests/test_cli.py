@@ -447,6 +447,8 @@ def test_design_rejects_bad_rates(capsys):
     ("1e200", "1", "1", "10"),
     ("1e200", "1e200", "1", "1"),
     ("1e-200",) * 4,
+    ("10", "1", "1e16", "1"),
+    ("1e-160",) * 4,
 ])
 def test_design_beyond_the_range_is_exit_1(rates, capsys):
     # rates the model cannot evaluate are bad input, not a failed design

@@ -250,12 +250,24 @@ def test_design_rejects_nonpositive_rates():
     (1e200, 1.0, 1.0, 10.0),  # the quartic's discriminant overflows
     (1e200, 1e200, 1.0, 1.0),  # kappa1 kappa2 overflows, so R1 = 0
     (1e-200,) * 4,  # gamma kappa2 underflows, so G2 = 0
-], ids=["pole-threshold", "nan-roots", "zero-r1", "underflow"])
+    (10.0, 1.0, 1e16, 1.0),  # J1 gamma - G1 G2 rounds to 0, so R9 = 0
+    (1e-160,) * 4,  # R9 underflows to 0: the quartic gains the root J3 = 0
+], ids=["pole-threshold", "nan-roots", "zero-r1", "underflow",
+        "zero-r9-rounding", "zero-r9-underflow"])
 def test_rates_beyond_the_range_are_invalid(rates):
     named = re.escape("the rates kappa1={}, kappa2={}, gamma={}, f={} are "
                       "beyond the range the model evaluates".format(*rates))
     with pytest.raises(InvalidParams, match=named):
         design_isolator(*rates)
+
+
+def test_a_zero_j3_candidate_beside_valid_ones_is_rejected():
+    # the J3^2 quadratic loses its small root to cancellation, but the
+    # other two roots are valid designs
+    d = design_isolator(10.0, 1.0, 1e8, 1.0)
+    assert [c.direction for c in d.root_candidates] == [
+        "rejected", "forward_1to2", "forward_1to2"]
+    assert d.root_candidates[0].J3 == 0 and d.chosen == 1
 
 
 @pytest.mark.parametrize("kappa1", [1e20, 1e60, 1e100])

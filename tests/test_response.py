@@ -251,6 +251,8 @@ def _term_expansion(v):
 def test_transfer_coefficients_match_term_expansion():
     rng = np.random.default_rng(5150)
     ys = np.linspace(-5.0, 5.0, 201)
+    thetas = np.linspace(0.0, 2.0 * math.pi, 9)
+    phis = np.linspace(0.3, 6.0, 7)
     for _ in range(20):
         p = random_params(rng)
         got = transfer_coefficients(dict(vars(p), y=ys))
@@ -259,6 +261,16 @@ def test_transfer_coefficients_match_term_expansion():
             for name, a, b in zip(("N12", "N21", "D"),
                                   got, ref):
                 assert abs(a[k] - b) <= 1e-10 * abs(b), (name, p, y)
+        # a scalar y with a theta row and a phi column: the loop order
+        y = float(rng.uniform(-5.0, 5.0))
+        got = transfer_coefficients(dict(vars(p), y=y, theta=thetas[None, :],
+                                         phi=phis[:, None]))
+        for (i, ph), (j, th) in itertools.product(enumerate(phis.tolist()),
+                                                  enumerate(thetas.tolist())):
+            ref = _term_expansion(dict(vars(p), y=y, theta=th, phi=ph))
+            for name, a, b in zip(("N12", "N21", "D"), got, ref):
+                assert a.shape == (len(phis), len(thetas))
+                assert abs(a[i, j] - b) <= 1e-10 * abs(b), (name, p, y, th, ph)
 
 
 def test_transfer_polynomials_hold_only_the_parameters():

@@ -224,6 +224,8 @@ def test_closed_form_grid_and_sweep_match_lu():
     (Axis("theta", 0.0, 6.0, 9), Axis("phi", 0.5, 6.5, 7)),
     (Axis("y", -4.0, 4.0, 9), Axis("J2", 0.01, 3.0, 7)),
     (Axis("J1", 0.1, 5.0, 9), Axis("y", -4.0, 4.0, 7)),
+    (Axis("theta", 0.0, 6.0, 9), Axis("J1", 0.1, 5.0, 7)),
+    (Axis("J2", 0.01, 3.0, 9), Axis("phi", 0.5, 6.5, 7)),
 ])
 def test_two_axis_sweep_rows_match_lu(axes):
     axis1, axis2 = axes
