@@ -15,14 +15,14 @@ N12, N21 and D is a phase-free polynomial in y plus one term per
 coupling loop: e^{+-i theta} and e^{+-i(theta - phi)} in the numerators,
 cos(theta), cos(phi) and cos(theta - phi) in D. `_loop_terms` is the one
 place that writes their coefficients, which hold only the parameters,
-and `transfer_coefficients` evaluates them in one of two orders. When y
-is an array, or every value is a scalar, `transfer_polynomials` folds
-the loop terms into the coefficients of y and Horner's rule evaluates
-those, so an array of detunings costs a few operations per point. When
-y is a scalar and another value an array, as on a theta x phi map,
-`_loop_order` evaluates the phase-free parts at y first, joins each
-single-phase loop to them once per theta or phi value, and pays only
-the theta - phi loop per point: about 9 complex operations per map
+and `transfer_coefficients` evaluates them in one of two orders, chosen
+by the kind of y alone. When y is an array, `transfer_polynomials`
+folds the loop terms into the coefficients of y and Horner's rule
+evaluates those, so an array of detunings costs a few operations per
+point. When y is a scalar, as at a single point or on a theta x phi
+map, `_loop_order` evaluates the phase-free parts at y first, joins
+each single-phase loop to them once per theta or phi value, and pays
+only the theta - phi loop per point: about 9 complex operations per map
 point, against about 19 in the folded order. The two orders round
 differently, by a few ulp. LU is the independent reference the closed
 form is compared against: the scalar solve (`build_system_matrix`,
@@ -288,15 +288,10 @@ def transfer_polynomials(v: Mapping[str, object]):
     phases: c1 and c0 take cos(theta) and cos(phi), c0 and a0 also the
     theta - phi loop.
     """
-    return _folded(_loop_terms(v), _expi(v["theta"]), _expi(v["phi"]))
-
-
-def _folded(terms, eth, eph):
-    """The coefficients of :func:`transfer_polynomials` at the phase
-    factors e^{i theta}, e^{i phi}: each phase-free part of ``terms``, the
-    parts of :func:`_loop_terms`, plus its loop terms."""
     (J1, J1gf, const1, G1G2, G1G2f, G2J2J3, c3, c2, c1, c0,
-     ph1, ph0, th1, th0, thph) = terms
+     ph1, ph0, th1, th0, thph) = _loop_terms(v)
+    eth = _expi(v["theta"])
+    eph = _expi(v["phi"])
     # e^{i(theta - phi)}; its real part is cos(theta - phi)
     eth_ph = eth * eph.conjugate()
     cos_th, cos_ph = eth.real, eph.real
@@ -310,18 +305,20 @@ def _folded(terms, eth, eph):
     return (J1, J1gf), n12, n21, (c3, c2, c1, c0)
 
 
-def _loop_order(terms, y, eth, eph):
+def _loop_order(v: Mapping[str, object]):
     """N12, N21 and D at a scalar y, loop term by loop term.
 
-    ``terms`` are the parts of :func:`_loop_terms`, and ``eth``, ``eph``
-    the phase factors e^{i theta}, e^{i phi}. The phase-free parts are
-    evaluated at y first, each single-phase loop then joins them once per
-    theta or phi value (a row or a column of a map), and only the
-    theta - phi loop is paid per point: about 9 complex operations per
-    point of a theta x phi map.
+    ``v`` is the mapping of :func:`transfer_coefficients`. The phase-free
+    parts of :func:`_loop_terms` are evaluated at y first, each
+    single-phase loop then joins them once per theta or phi value (a row
+    or a column of a map), and only the theta - phi loop is paid per
+    point: about 9 complex operations per point of a theta x phi map.
     """
     (J1, J1gf, const1, G1G2, G1G2f, G2J2J3, c3, c2, c1, c0,
-     ph1, ph0, th1, th0, thph) = terms
+     ph1, ph0, th1, th0, thph) = _loop_terms(v)
+    y = v["y"]
+    eth = _expi(v["theta"])
+    eph = _expi(v["phi"])
     p = 1j * (J1 * y * y + const1) - J1gf * y
     s1 = 1j * (G1G2 * y) - G1G2f
     n12 = p + s1 * eth
@@ -329,8 +326,9 @@ def _loop_order(terms, y, eth, eph):
     D = ((((((y + c3) * y + c2) * y + c1) * y + c0)
           - (ph1 * y + ph0) * eph.real) - (th1 * y + th0) * eth.real)
     # the theta - phi loop, per point. D holds every parameter and both
-    # phases, so it already has the full shape and takes the loop in
-    # place; each numerator is summed into its own loop product
+    # phases, so when any value is an array it already has the full shape
+    # and takes the loop in place; each numerator is summed into its own
+    # loop product
     eth_ph = eth * eph.conjugate()
     D -= thph * eth_ph.real
     s2 = 1j * G2J2J3
@@ -344,22 +342,16 @@ def transfer_coefficients(v: Mapping[str, object]):
     array, as in :func:`system_matrices`; the three results broadcast the
     same way and are Python complex numbers when every value is a scalar.
     They give the inter-cavity elements of the inverse,
-    [A1^-1]_(2,1) = N12 / D and [A1^-1]_(1,2) = N21 / D. When y is an
-    array, or every value is a scalar, each is the polynomial of
-    :func:`transfer_polynomials` evaluated at y by Horner's rule. When y
-    is a scalar and another value an array, they come from
-    :func:`_loop_order`, which rounds differently, by a few ulp.
+    [A1^-1]_(2,1) = N12 / D and [A1^-1]_(1,2) = N21 / D. The kind of y
+    alone sets the order of evaluation: an array y takes Horner's rule on
+    :func:`transfer_polynomials`, a scalar y :func:`_loop_order`. The two
+    orders round differently, by a few ulp.
     """
-    terms = _loop_terms(v)
     y = v["y"]
-    eth = _expi(v["theta"])
-    eph = _expi(v["phi"])
-    # c0 holds every parameter, so it is an array when one of them is
-    if (isinstance(terms[9], np.ndarray) or isinstance(eth, np.ndarray)
-            or isinstance(eph, np.ndarray)) and not isinstance(y, np.ndarray):
-        return _loop_order(terms, y, eth, eph)
+    if not isinstance(y, np.ndarray):
+        return _loop_order(v)
     ((J1, J1gf), (a1_12, a0_12, b0_12), (a1_21, a0_21, b0_21),
-     (c3, c2, c1, c0)) = _folded(terms, eth, eph)
+     (c3, c2, c1, c0)) = transfer_polynomials(v)
     J1y, J1gfy = J1 * y, J1gf * y
     n12 = 1j * ((J1y + a1_12) * y + a0_12) - (J1gfy + b0_12)
     n21 = 1j * ((J1y + a1_21) * y + a0_21) - (J1gfy + b0_21)

@@ -271,6 +271,39 @@ def test_transfer_coefficients_match_term_expansion():
             for name, a, b in zip(("N12", "N21", "D"), got, ref):
                 assert a.shape == (len(phis), len(thetas))
                 assert abs(a[i, j] - b) <= 1e-10 * abs(b), (name, p, y, th, ph)
+        # a scalar y and scalar parameters, as at one point: the loop order
+        got = transfer_coefficients(dict(vars(p), y=y))
+        ref = _term_expansion(dict(vars(p), y=y))
+        for name, a, b in zip(("N12", "N21", "D"), got, ref):
+            assert type(a) is complex
+            assert abs(a - b) <= 1e-10 * abs(b), (name, p, y)
+
+
+def _horner(v):
+    """N12, N21 and D by Horner's rule on `transfer_polynomials`, in the
+    order of operations of `transfer_coefficients` at an array y."""
+    y = v["y"]
+    (J1, J1gf), n12, n21, (c3, c2, c1, c0) = transfer_polynomials(v)
+    J1y, J1gfy = J1 * y, J1gf * y
+    return tuple(1j * ((J1y + a1) * y + a0) - (J1gfy + b0)
+                 for a1, a0, b0 in (n12, n21)) + (
+        (((y + c3) * y + c2) * y + c1) * y + c0,)
+
+
+def test_array_y_takes_horners_rule_bit_for_bit():
+    # spectra, transmission_grid and verify read these bits
+    rng = np.random.default_rng(2930)
+    ys = np.linspace(-5.0, 5.0, 201)
+    thetas = np.linspace(0.0, 2.0 * math.pi, 9)
+    for _ in range(20):
+        p = random_params(rng)
+        for v in (dict(vars(p), y=ys),
+                  dict(vars(p), y=ys[:, None], theta=thetas[None, :]),
+                  dict(vars(p), y=ys, G1=rng.uniform(0.0, 2.0, ys.shape)),
+                  dict(vars(p), y=np.array(float(rng.uniform(-5.0, 5.0))))):
+            for got, ref in zip(transfer_coefficients(v), _horner(v)):
+                assert got.shape == ref.shape
+                assert np.array_equal(got, ref)
 
 
 def test_transfer_polynomials_hold_only_the_parameters():

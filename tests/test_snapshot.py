@@ -85,15 +85,42 @@ def test_snapshot_diff_counts_numeric_cells(tmp_path, capsys):
                 _REPR.replace("0.75", "0.7500000000000001"))
     assert _load(SNAPSHOT_DIFF).main([old, new]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith(
+    assert out == [
         os.path.join("figures", "fig.csv") + ": 1 numeric cells changed, "
-        "largest relative change 2.22e-16 (line 2)")
-    assert out[1].startswith("points.txt: 1 numeric cells changed, "
-                             "largest relative change 1.48e-16 (line 1)")
-    assert out[2] == "largest relative change: 2.22e-16"
-    # identical trees print only the total
+        "largest relative change 2.22e-16 (line 2), "
+        "largest absolute change 5.55e-17 (line 2)",
+        "points.txt: 1 numeric cells changed, "
+        "largest relative change 1.48e-16 (line 1), "
+        "largest absolute change 1.11e-16 (line 1)",
+        "largest relative change: 2.22e-16",
+        "largest absolute change: 1.11e-16",
+    ]
+    # identical trees print only the totals
     assert _load(SNAPSHOT_DIFF).main([old, old]) == 0
-    assert capsys.readouterr().out == "largest relative change: 0\n"
+    assert capsys.readouterr().out == (
+        "largest relative change: 0\nlargest absolute change: 0\n")
+
+
+_COMPLEX = ("SteadyState(alpha1=(0.5111203428396652-10.02379131941032j), "
+            "J2=(0.01+0j), J3=2.225j)\n")
+
+
+def test_snapshot_diff_counts_imaginary_parts(tmp_path, capsys):
+    # a last digit of each imaginary part, and the sign of a zero one
+    new_repr = (_COMPLEX.replace("032j", "0321j").replace("+0j", "-0j")
+                .replace("2.225j", "2.2250000000000005j"))
+    old = _tree(tmp_path / "old", _CSV, _COMPLEX)
+    new = _tree(tmp_path / "new", _CSV, new_repr)
+    assert _load(SNAPSHOT_DIFF).main([old, new]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ("points.txt: 3 numeric cells changed, "
+                      "largest relative change 2e-16 (line 1), "
+                      "largest absolute change 1.78e-15 (line 1)")
+    # the j is text: a complex cell that turns real differs
+    new = _tree(tmp_path / "real", _CSV, _COMPLEX.replace("2.225j", "2.225"))
+    assert _load(SNAPSHOT_DIFF).main([old, new]) == 1
+    assert capsys.readouterr().out.startswith(
+        "points.txt: line 1 differs outside its numbers")
 
 
 @pytest.mark.parametrize("csv", [
