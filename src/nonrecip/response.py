@@ -8,33 +8,34 @@ the numerators N12 and N21 of the two inter-cavity elements of A1^-1 and
 their denominator, det A1 = D.
 
 The closed form is the production path for transmission: the kernel in
-`nonrecip.transmission` reads T12 and T21 from `transfer_coefficients` at
-every point, over scalars or arrays, and falls back to LU on
-`system_matrices` only inside a guard band around the poles. Each of
-N12, N21 and D is a phase-free polynomial in y plus one term per
-coupling loop: e^{+-i theta} and e^{+-i(theta - phi)} in the numerators,
-cos(theta), cos(phi) and cos(theta - phi) in D. `_loop_terms` is the one
-place that writes their coefficients, which hold only the parameters,
-and `transfer_coefficients` evaluates them in one of two orders, chosen
-by the kind of y alone. When y is an array, `transfer_polynomials`
-folds the loop terms into the coefficients of y and Horner's rule
-evaluates those, so an array of detunings costs a few operations per
-point. When y is a scalar, as at a single point or on a theta x phi
-map, `_loop_order` evaluates the phase-free parts at y first, joins
-each single-phase loop to them once per theta or phi value, and pays
-only the theta - phi loop per point: about 9 complex operations per map
-point, against about 19 in the folded order. The two orders round
-differently, by a few ulp. LU is the independent reference the closed
-form is compared against: the scalar solve (`build_system_matrix`,
-`solve_response`) in the tests, and `np.linalg.det` and `np.linalg.inv`
-on stacks of `system_matrices` in `verify`.
+`nonrecip.transmission` reads T12 and T21 and the pole flags from
+`transfer_coefficients` at every point, over scalars or arrays, and
+calls no LU. Each of N12, N21 and D is a phase-free polynomial in y plus
+one term per coupling loop: e^{+-i theta} and e^{+-i(theta - phi)} in
+the numerators, cos(theta), cos(phi) and cos(theta - phi) in D.
+`_loop_terms` is the one place that writes their coefficients, which
+hold only the parameters, and `transfer_coefficients` evaluates them in
+one of two orders, chosen by the kind of y alone. When y is an array,
+`transfer_polynomials` folds the loop terms into the coefficients of y
+and Horner's rule evaluates those, so an array of detunings costs a few
+operations per point. When y is a scalar, as at a single point or on a
+theta x phi map, `_loop_order` evaluates the phase-free parts at y
+first, joins each single-phase loop to them once per theta or phi value,
+and pays only the theta - phi loop per point: about 9 complex operations
+per map point, against about 19 in the folded order. The two orders
+round differently, by a few ulp. LU is the independent reference the
+closed form is compared against: the scalar solve
+(`build_system_matrix`, `solve_response`) in the tests, and
+`np.linalg.det` and `np.linalg.inv` on stacks of `system_matrices` in
+`verify`.
+
 
 A1 is written out once, in `system_matrices`, for scalars and arrays
 alike. There is one pole rule: |det A1| below `pole_thresholds`, a
-relative cutoff computed from the parameters. `solve_response` and the
-LU band of the kernel both apply it, and both reject a point whose
-cutoff is not finite (|y| or a rate above about 1e77) with
-InvalidParams: the model does not evaluate it.
+relative cutoff computed from the parameters. `solve_response` applies
+it to the LU determinant and the kernel to the closed-form D, and both
+reject a point whose cutoff is not finite (|y| or a rate above about
+1e77) with InvalidParams: the model does not evaluate it.
 
 Only the +y (e^{-i y t}) sideband is represented; the -y component vanishes
 identically under the rotating-wave approximation used throughout.

@@ -1,13 +1,13 @@
 """Parameter sweeps, figure-regression presets, and dataset emission.
 
 Grids are evaluated by the transmission kernel that `transmission_pair`
-uses, over broadcast parameter arrays: the closed-form cofactors and
-determinant at every point, LU only inside the guard band around the
-poles, in fixed blocks dispatched to a thread pool with one worker per
-CPU this process may run on (see `nonrecip.transmission`). A 2-axis grid
-reaches the kernel as a row of axis1 values against a column of axis2
-values, so a quantity that depends on one axis alone is computed once
-per axis value, not once per point.
+uses, over broadcast parameter arrays: the closed-form numerators and
+determinant at every point, which also flag the poles, in fixed blocks
+dispatched to a thread pool with one worker per CPU this process may run
+on (see `nonrecip.transmission`). A 2-axis grid reaches the kernel as a
+row of axis1 values against a column of axis2 values, so a quantity that
+depends on one axis alone is computed once per axis value, not once per
+point.
 Row order is always axis2 outer, axis1 inner, CSV cells are printed with
 a fixed 17-significant-digit scientific format, and JSON tables have the
 layout of every JSON file the package writes (`params._json_text`), so

@@ -14,23 +14,23 @@ numerators N12, N21 and determinant D of `response.transfer_coefficients`,
     T12 = sqrt(kappa1 kappa2) |N12| / |D|,
     T21 = sqrt(kappa1 kappa2) |N21| / |D|,
 
-broadcasting over scalars and arrays of any shape. Where |D| lies below
-LU_GUARD_BAND times the pole threshold of `response.pole_thresholds`, it
-builds those points' matrices and decides as the LU solve does: numeric
-det against the same threshold, then the inverse. Pole flags are
-therefore those of the LU rule. On an array block it first takes one
-threshold at the block's largest magnitudes, which bounds every point's
-threshold from above; when the block's smallest |D| clears the band at
-that bound, no point is in the band and the per-point thresholds are
-never computed. A point whose pole threshold is not finite lies beyond
-the range the model evaluates and raises InvalidParams: one comparison
-decides it at a point, and the bound on a block (each point's threshold
-only when the bound is not finite). `transmission_arrays` cuts the
-broadcast shape along its first axis into a fixed partition of about
-_CHUNK points, whatever the thread count, and the blocks go to a thread
-pool with one worker per CPU this process may run on (its affinity, so
-``taskset`` sets it), so results are the same bytes for any number of
-threads.
+broadcasting over scalars and arrays of any shape. There is one pole
+rule: a point whose |D| lies below its pole threshold,
+`response.pole_thresholds`, is a pole, with NaN T12 and T21. Elsewhere
+their relative error is of order eps times the product of A1's row
+norms over |D| (see "Numerical notes" in the README). On an array block
+the kernel first takes one threshold at the block's largest magnitudes,
+which bounds every point's threshold from above; when the block's
+smallest |D| clears that bound, no point is a pole and the per-point
+thresholds are never computed. A point whose pole threshold is not
+finite lies beyond the range the model evaluates and raises
+InvalidParams: one comparison decides it at a point, and the bound on a
+block (each point's threshold only when the bound is not finite).
+`transmission_arrays` cuts the broadcast shape along its first axis into
+a fixed partition of about _CHUNK points, whatever the thread count, and
+the blocks go to a thread pool with one worker per CPU this process may
+run on (its affinity, so ``taskset`` sets it), so results are the same
+bytes for any number of threads.
 """
 
 from __future__ import annotations
@@ -48,16 +48,11 @@ from .response import (
     SingularMatrix,
     _out_of_range,
     pole_thresholds,
-    system_matrices,
     transfer_coefficients,
 )
 
 # transmission ratios above this many dB are reported as the cap itself
 ISOLATION_DB_CAP = 300.0
-
-# LU decides the points where |D| < LU_GUARD_BAND * pole threshold; see
-# "Numerical notes" in the README for why the band is this wide
-LU_GUARD_BAND = 1e6
 
 _CHUNK = 32768
 
@@ -86,26 +81,6 @@ def thread_count() -> int:
     return min(32, os.cpu_count() or 1)
 
 
-def _lu_transmission(v: Mapping[str, object], thresholds):
-    """T12, T21 and pole flags by LU, as 1-D arrays over the points of ``v``.
-
-    ``thresholds`` holds the pole thresholds of those points, as a scalar or
-    a 1-D array.
-    """
-    m = system_matrices(v).reshape(-1, 4, 4)
-    singular = np.abs(np.linalg.det(m)) < thresholds
-    t12 = np.full(len(m), np.nan)
-    t21 = np.full(len(m), np.nan)
-    ok = ~singular
-    if np.any(ok):
-        inv = np.linalg.inv(m[ok])
-        pref = np.broadcast_to(np.sqrt(np.abs(v["kappa1"] * v["kappa2"])),
-                               singular.shape)[ok]
-        t12[ok] = pref * np.abs(inv[:, 1, 0])
-        t21[ok] = pref * np.abs(inv[:, 0, 1])
-    return t12, t21, singular
-
-
 def _threshold_bound(v: Mapping[str, object]) -> float:
     """A pole threshold no smaller than that of any point of ``v``.
 
@@ -128,11 +103,12 @@ def _kernel(v: Mapping[str, object]):
     ``v`` maps each ModelParams field name, and ``"y"``, to a scalar or an
     array, the arrays broadcasting together. All scalars give floats and a
     bool; otherwise the results are arrays in the broadcast shape. A point
-    whose pole threshold is not finite raises InvalidParams. On arrays it
-    expects numpy's divide, overflow and invalid warnings to be off (see
-    `transmission_arrays`): band points may divide by D = 0 (LU overwrites
-    them), and a point beyond the range overflows before the threshold
-    test rejects it.
+    with |D| below its pole threshold is a pole, with NaN T12 and T21. A
+    point whose pole threshold is not finite raises InvalidParams. On
+    arrays it expects numpy's divide, overflow and invalid warnings to be
+    off (see `transmission_arrays`): a pole may divide by D = 0 before it
+    is overwritten with NaN, and a point beyond the range overflows before
+    the threshold test rejects it.
     """
     n12, n21, D = transfer_coefficients(v)
     if isinstance(D, complex):
@@ -140,32 +116,26 @@ def _kernel(v: Mapping[str, object]):
         if not thresholds < math.inf:
             raise _out_of_range(v)
         abs_d = abs(D)
-        if abs_d < LU_GUARD_BAND * thresholds:
-            t12, t21, singular = _lu_transmission(v, thresholds)
-            return float(t12[0]), float(t21[0]), bool(singular[0])
+        if abs_d < thresholds:
+            return math.nan, math.nan, True
         pref = math.sqrt(abs(v["kappa1"] * v["kappa2"]))
         return pref * abs(n12) / abs_d, pref * abs(n21) / abs_d, False
     abs_d = np.abs(D)
     pref = np.sqrt(np.abs(v["kappa1"] * v["kappa2"]))
     t12 = pref * np.abs(n12) / abs_d
     t21 = pref * np.abs(n21) / abs_d
-    singular = np.zeros(abs_d.shape, dtype=bool)
-    # no point is in the band when the smallest |D| clears it at a finite
-    # bound; a NaN |D| or an infinite bound fails this test and leaves the
-    # block to the exact per-point tests below
+    # no point is a pole when the smallest |D| clears a finite bound; a
+    # NaN |D| or an infinite bound fails this test and leaves the block
+    # to the exact per-point tests below
     if abs_d.size:
         bound = _threshold_bound(v)
-        if bound < math.inf and abs_d.min() >= LU_GUARD_BAND * bound:
-            return t12, t21, singular
+        if bound < math.inf and abs_d.min() >= bound:
+            return t12, t21, np.zeros(abs_d.shape, dtype=bool)
     thresholds = pole_thresholds(v)
     if not np.all(thresholds < math.inf):
         raise _out_of_range(v)
-    band = abs_d < LU_GUARD_BAND * thresholds
-    if np.any(band):
-        sub = {k: np.broadcast_to(x, band.shape)[band]
-               if isinstance(x, np.ndarray) else x for k, x in v.items()}
-        t12[band], t21[band], singular[band] = _lu_transmission(
-            sub, np.broadcast_to(thresholds, band.shape)[band])
+    singular = abs_d < thresholds
+    t12[singular] = t21[singular] = np.nan
     return t12, t21, singular
 
 
@@ -323,7 +293,7 @@ def isolation_metrics(tp: TransmissionPoint) -> IsolationMetrics:
 
 
 __all__ = [
-    "Direction", "ISOLATION_DB_CAP", "IsolationMetrics", "LU_GUARD_BAND",
+    "Direction", "ISOLATION_DB_CAP", "IsolationMetrics",
     "isolation_db", "isolation_metrics", "thread_count",
     "transmission_arrays", "transmission_grid", "transmission_pair",
 ]

@@ -1,11 +1,14 @@
 """Public names: every exported name resolves, and none is listed twice.
 
 The package's names are its six library modules' ``__all__`` lists, so a
-name is made public once, in the module that defines it.
+name is made public once, in the module that defines it. The names the
+README gives as `module.name` resolve too.
 """
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -59,3 +62,18 @@ def test_package_exports_are_the_module_lists():
     assert nonrecip.sweep is importlib.import_module("nonrecip.sweep").sweep
     assert len(EARLIER_EXPORTS) == 54
     assert not set(EARLIER_EXPORTS) - set(nonrecip.__all__)
+
+
+# a backticked `module.name` of one of the package's modules
+README_NAME = re.compile(
+    r"`(?:nonrecip\.)?(design|params|response|steady|sweep|transmission"
+    r"|verify|cli)\.([A-Za-z_]\w*)")
+
+
+def test_readme_names_resolve():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    names = README_NAME.findall(text)
+    assert names
+    missing = [f"{m}.{n}" for m, n in names
+               if not hasattr(importlib.import_module(f"nonrecip.{m}"), n)]
+    assert not missing

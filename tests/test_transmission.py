@@ -4,6 +4,7 @@ import importlib
 import math
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from nonrecip import (
     transmission_pair,
 )
 from nonrecip.response import (
+    SINGULARITY_RTOL,
     pole_thresholds,
     system_matrices,
     transfer_coefficients,
@@ -30,7 +32,6 @@ from nonrecip.response import (
 from nonrecip.sweep import figure_ids, figure_preset
 from nonrecip.transmission import (
     ISOLATION_DB_CAP,
-    LU_GUARD_BAND,
     isolation_db,
     transmission_arrays,
 )
@@ -63,6 +64,58 @@ def _assert_matches_lu(p, ys, t12, t21, singular):
         if ref is not None:
             assert t12[k] == pytest.approx(ref[0], rel=LU_RTOL, abs=LU_ATOL)
             assert t21[k] == pytest.approx(ref[1], rel=LU_RTOL, abs=LU_ATOL)
+
+
+def _cmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _exact_pair(p, y):
+    """(T12, T21) from the exact inverse of the float matrix A1 at ``y``.
+
+    Gauss-Jordan elimination on (re, im) pairs of Fractions of the entries
+    of `system_matrices`: only the final square roots round.
+    """
+    m = system_matrices(dict(vars(p), y=y))
+    one, zero = Fraction(1), Fraction(0)
+    rows = [[(Fraction(z.real), Fraction(z.imag)) for z in row]
+            + [(one if i == j else zero, zero) for j in range(4)]
+            for i, row in enumerate(m)]
+    for c in range(4):
+        k = next(r for r in range(c, 4) if rows[r][c] != (0, 0))
+        rows[c], rows[k] = rows[k], rows[c]
+        a, b = rows[c][c]
+        norm = a * a + b * b
+        rows[c] = [_cmul((a / norm, -b / norm), z) for z in rows[c]]
+        for r in range(4):
+            g = rows[r][c]
+            if r != c and g != (0, 0):
+                rows[r] = [(z[0] - gw[0], z[1] - gw[1]) for z, gw in
+                           zip(rows[r], [_cmul(g, w) for w in rows[c]])]
+    pref = math.sqrt(p.kappa1 * p.kappa2)
+
+    def t(z):
+        return pref * math.sqrt(float(z[0] * z[0] + z[1] * z[1]))
+    # [A1^-1]_(2,1) and [A1^-1]_(1,2) in the right half of the rows
+    return t(rows[1][4]), t(rows[0][5])
+
+
+def _contract(p, y):
+    """The kernel's relative error bound, eps (row-norm product) / |D|."""
+    v = dict(vars(p), y=y)
+    return (np.finfo(float).eps / SINGULARITY_RTOL * pole_thresholds(v)
+            / abs(transfer_coefficients(v)[2]))
+
+
+def _decoupled_block(base_params, coupling, delta):
+    """The ensemble/mechanics block tuned ``delta`` off its pole at y = 0.
+
+    |J3|^2 = f gamma there; T does not feel that pole, but N and D both
+    carry its factor. ``coupling`` sets G1, G2 and J2, which join the
+    block to the cavities.
+    """
+    return base_params(0.0, G1=coupling, G2=coupling, J2=coupling, f=1.0,
+                       J3=1j * (1.0 + delta))
 
 
 @pytest.mark.parametrize("closed", ["kappa1", "kappa2"])
@@ -289,21 +342,25 @@ def test_transmission_arrays_block_partition(base_params, monkeypatch, cpus,
     assert sum(math.prod(s) for s in seen) == math.prod(shape)
 
 
-def test_guard_band_point_comes_from_lu(base_params):
-    # an ensemble/mechanics block decoupled from the cavities, tuned 1e-7
-    # off its pole at y = 0 (|J3|^2 = f gamma): |D| is about 1e5 times the
-    # pole threshold, inside the guard band but not singular
-    p = base_params(0.0, G1=0.0, G2=0.0, J2=0.0, f=1.0,
-                    J3=1j * (1.0 + 1e-7))
-    v = dict(vars(p), y=0.0)
-    ratio = abs(transfer_coefficients(v)[2]) / pole_thresholds(v)
-    assert 1.0 < ratio < LU_GUARD_BAND
-    ys = np.array([-0.5, 0.0, 0.5])
-    _assert_matches_lu(p, ys, *transmission_grid(p, ys))
-    tp = transmission_pair(p, 0.0)
-    ref = _lu_pair(p, 0.0)
-    assert tp.T12 == pytest.approx(ref[0], rel=LU_RTOL)
-    assert tp.T21 == pytest.approx(ref[1], rel=LU_RTOL)
+def test_near_pole_points_meet_the_accuracy_contract(base_params):
+    # |D| at 1e5, 1e3 and 2e6 pole thresholds, not poles; the first two
+    # are where LU is more accurate than the closed form
+    for coupling, delta, ratio in ((0.0, 1e-7, 1e5), (1e-6, 1e-9, 998.0),
+                                   (1e-3, 1e-7, 2.06e6)):
+        p = _decoupled_block(base_params, coupling, delta)
+        v = dict(vars(p), y=0.0)
+        assert abs(transfer_coefficients(v)[2]) / pole_thresholds(v) == (
+            pytest.approx(ratio, rel=1e-3))
+        bound = _contract(p, 0.0)
+        ref = _exact_pair(p, 0.0)
+        tp = transmission_pair(p, 0.0)
+        assert tp.T12 == pytest.approx(ref[0], rel=bound, abs=0.0)
+        assert tp.T21 == pytest.approx(ref[1], rel=bound, abs=0.0)
+        ys = np.array([-0.5, 0.0, 0.5])
+        t12, t21, singular = transmission_grid(p, ys)
+        assert t12[1] == pytest.approx(ref[0], rel=bound, abs=0.0)
+        assert t21[1] == pytest.approx(ref[1], rel=bound, abs=0.0)
+        _assert_matches_lu(p, ys[::2], t12[::2], t21[::2], singular[::2])
 
 
 def test_exact_pole_flagged_where_lu_raises(base_params):
@@ -317,66 +374,82 @@ def test_exact_pole_flagged_where_lu_raises(base_params):
         transmission_pair(p, 0.0)
 
 
-def test_guard_band_point_in_a_large_block_comes_from_lu(base_params):
-    # the point of test_guard_band_point_comes_from_lu at y = 0, inside a
-    # block of _CHUNK points whose other points all clear the band
-    p = base_params(0.0, G1=0.0, G2=0.0, J2=0.0, f=1.0,
-                    J3=1j * (1.0 + 1e-7))
+def test_near_pole_point_in_a_large_block_meets_the_contract(base_params):
+    # the first point of test_near_pole_points_meet_the_accuracy_contract
+    # at y = 0, inside a block of _CHUNK points far from its pole
+    p = _decoupled_block(base_params, 0.0, 1e-7)
     ys = np.arange(-20000, 20001) * 5e-5
     v = dict(vars(p), y=ys)
-    band = np.abs(transfer_coefficients(v)[2]) < (LU_GUARD_BAND
-                                                  * pole_thresholds(v))
-    assert np.flatnonzero(band).tolist() == [20000] and ys[20000] == 0.0
+    ratio = np.abs(transfer_coefficients(v)[2]) / pole_thresholds(v)
+    assert np.argmin(ratio) == 20000 and ys[20000] == 0.0
     assert 20000 < transmission_mod._CHUNK < len(ys)
     t12, t21, singular = transmission_grid(p, ys)
     assert not singular.any()
-    # the LU value exactly: the closed form is 2e-10 off it here
+    # y = 0: the closed form is 2.2e-10 off LU there, within the contract
+    bound = _contract(p, 0.0)
+    ref = _exact_pair(p, 0.0)
+    tp = transmission_pair(p, 0.0)
+    assert t12[20000] == pytest.approx(ref[0], rel=bound, abs=0.0)
+    assert t21[20000] == pytest.approx(ref[1], rel=bound, abs=0.0)
+    assert t12[20000] == pytest.approx(tp.T12, rel=bound, abs=0.0)
+    assert t21[20000] == pytest.approx(tp.T21, rel=bound, abs=0.0)
     pref = math.sqrt(p.kappa1 * p.kappa2)
-    assert t12[20000] == pref * abs(solve_response(p, 0.0, 1.0, 0.0).da2)
-    assert t21[20000] == pref * abs(solve_response(p, 0.0, 0.0, 1.0).da1)
     inv = np.linalg.inv(system_matrices(v))
-    np.testing.assert_allclose(t12, pref * np.abs(inv[:, 1, 0]),
+    rest = ys != 0.0
+    np.testing.assert_allclose(t12[rest], pref * np.abs(inv[rest, 1, 0]),
                                rtol=LU_RTOL, atol=LU_ATOL)
-    np.testing.assert_allclose(t21, pref * np.abs(inv[:, 0, 1]),
+    np.testing.assert_allclose(t21[rest], pref * np.abs(inv[rest, 0, 1]),
                                rtol=LU_RTOL, atol=LU_ATOL)
 
 
-def test_block_bound_keeps_every_band_and_pole_decision(base_params,
-                                                         monkeypatch):
+def test_block_bound_keeps_every_pole_decision(base_params, monkeypatch):
     # blocks of two (J1, y) planes; the bound takes magnitudes, so the
     # axes cross zero
     monkeypatch.setattr(transmission_mod, "_CHUNK", 250)
-    lu = transmission_mod._lu_transmission
-
-    def marked(v, thresholds):
-        # T12 = -1 marks the points that went to LU
-        t12, t21, singular = lu(v, thresholds)
-        return np.full_like(t12, -1.0), t21, singular
-
-    monkeypatch.setattr(transmission_mod, "_lu_transmission", marked)
     rng = np.random.default_rng(4099)
     cases = [random_params(rng) for _ in range(20)]
     cases.append(base_params(0.0, G1=0.0, G2=0.0, f=1.0,
-                             J3=1j * (1.0 + 1e-7)))  # band points at y = 0
+                             J3=1j * (1.0 + 1e-7)))  # near poles at y = 0
     cases.append(base_params(0.0, G1=0.0, G2=0.0, J3=0.0,
                              gamma=0.0))  # poles at y = 0
     grid = dict(y=np.linspace(-6.0, 6.0, 25),
                 J1=np.linspace(-3.0, 3.0, 5)[:, np.newaxis],
                 J2=np.linspace(-2.0, 2.0, 5)[:, np.newaxis, np.newaxis])
-    decided = 0
+    poles = 0
     for p in cases:
         v = dict(vars(p), **grid)
         thresholds = pole_thresholds(v)
         assert np.all(thresholds <= transmission_mod._threshold_bound(v))
-        band = np.abs(transfer_coefficients(v)[2]) < (LU_GUARD_BAND
-                                                      * thresholds)
-        pole = band & (np.abs(np.linalg.det(system_matrices(v)))
-                       < thresholds)
-        t12, _, singular = transmission_arrays(v)
-        assert np.array_equal(t12 == -1.0, band)
+        pole = np.abs(transfer_coefficients(v)[2]) < thresholds
+        t12, t21, singular = transmission_arrays(v)
         assert np.array_equal(singular, pole)
-        decided += int(band.sum()) + int(pole.sum())
-    assert decided > 0
+        # the closed-form rule flags the points the LU det rule flags
+        assert np.array_equal(
+            singular, np.abs(np.linalg.det(system_matrices(v))) < thresholds)
+        assert np.all(np.isnan(t12[singular]) & np.isnan(t21[singular]))
+        poles += int(pole.sum())
+    assert poles > 0
+
+
+def test_kernel_calls_no_lapack(base_params, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kernel called LAPACK")
+
+    for name in ("det", "inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    ys = np.array([-1.0, 0.0, 1.0])
+    near = _decoupled_block(base_params, 0.0, 1e-7)
+    pole = base_params(0.0, G1=0.0, G2=0.0, J1=0.0, J2=0.0, J3=0.0,
+                       gamma=0.0)
+    transmission_pair(near, 0.0)
+    assert not transmission_grid(near, ys)[2].any()
+    table = sweep(SweepSpec(fixed=near, axis1=Axis("y", -1.0, 1.0, 3)))
+    assert not (table.status == "singular").any()
+    with pytest.raises(SingularMatrix):
+        transmission_pair(pole, 0.0)
+    assert transmission_grid(pole, ys)[2].tolist() == [False, True, False]
+    table = sweep(SweepSpec(fixed=pole, axis1=Axis("y", -1.0, 1.0, 3)))
+    assert (table.status == "singular").tolist() == [False, True, False]
 
 
 @pytest.mark.parametrize("shape", [(3, 0), (2, 1, 0)])
