@@ -44,8 +44,8 @@ def wrap_phase(x: float) -> float:
     return w + 0.0
 
 
-def _require_finite(obj) -> None:
-    for name, value in vars(obj).items():
+def _require_finite(values: dict) -> None:
+    for name, value in values.items():
         if not cmath.isfinite(value):
             raise ValueError(f"{name} must be finite")
 
@@ -74,7 +74,7 @@ _KAPPA2_UNIT = RateUnit("kappa2", 1.0)
 _ABSOLUTE_UNIT = RateUnit("absolute", 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ModelParams:
     """Linearized-model parameters: the symbols of the 4x4 response matrix.
 
@@ -110,7 +110,8 @@ class ModelParams:
     negative or non-finite rate, a non-finite phase or coupling, or a
     negative real J2. A valid set stores the rates and phases as Python
     floats and J2, J3 as complex, whatever numeric type they came in as
-    (numpy scalars included); a str raises TypeError.
+    (numpy scalars included); a str raises TypeError, and so does a
+    ``unit`` that is not a RateUnit.
     """
 
     kappa1: float
@@ -126,44 +127,52 @@ class ModelParams:
     J3: complex
     unit: RateUnit = _GAMMA_UNIT
 
-    def __post_init__(self) -> None:
-        k1, k2, g, f, G1, G2, J1 = (self.kappa1, self.kappa2, self.gamma,
-                                    self.f, self.G1, self.G2, self.J1)
-        theta, phi = self.theta, self.phi
-        J2, J3 = self.J2, self.J3
+    def __init__(self, kappa1: float, kappa2: float, gamma: float, f: float,
+                 G1: float, G2: float, theta: float, J1: float, J2: complex,
+                 phi: float, J3: complex,
+                 unit: RateUnit = _GAMMA_UNIT) -> None:
         # the valid case in one test: a NaN fails every comparison, and a
         # str raises TypeError in a comparison or in cmath.isfinite, which
         # come before complex(), so it is never parsed
-        if not (0.0 <= k1 < _INF and 0.0 <= k2 < _INF and 0.0 <= g < _INF
-                and 0.0 <= f < _INF and 0.0 <= G1 < _INF
-                and 0.0 <= G2 < _INF and 0.0 <= J1 < _INF
+        if not (0.0 <= kappa1 < _INF and 0.0 <= kappa2 < _INF
+                and 0.0 <= gamma < _INF and 0.0 <= f < _INF
+                and 0.0 <= G1 < _INF and 0.0 <= G2 < _INF
+                and 0.0 <= J1 < _INF
                 and -_INF < theta < _INF and -_INF < phi < _INF
                 and cmath.isfinite(J2) and cmath.isfinite(J3)
                 and (J2.real >= 0.0 or J2.imag != 0.0)):
-            raise InvalidParams("invalid parameters: "
-                                + "; ".join(self._violations(J2, J3)))
+            raise InvalidParams("invalid parameters: " + "; ".join(
+                self._violations((kappa1, kappa2, gamma, f, G1, G2, J1),
+                                 theta, phi, J2, J3)))
+        # the codec can only write a RateUnit back
+        if not isinstance(unit, RateUnit):
+            raise TypeError(
+                f"unit must be a RateUnit, not {type(unit).__name__}")
         # a numpy scalar would keep every later scalar operation at numpy
         # speed: store the rates as Python floats
-        if not (type(k1) is type(k2) is type(g) is type(f) is type(G1)
-                is type(G2) is type(J1) is float):
-            for name in _RATE_FIELDS:
-                object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "theta", wrap_phase(theta))
-        object.__setattr__(self, "phi", wrap_phase(phi))
-        object.__setattr__(self, "J2", complex(J2))
-        object.__setattr__(self, "J3", complex(J3))
+        if not (type(kappa1) is type(kappa2) is type(gamma) is type(f)
+                is type(G1) is type(G2) is type(J1) is float):
+            kappa1, kappa2, gamma, f, G1, G2, J1 = map(
+                float, (kappa1, kappa2, gamma, f, G1, G2, J1))
+        theta = wrap_phase(theta)
+        phi = wrap_phase(phi)
+        self.__dict__.update(
+            kappa1=kappa1, kappa2=kappa2, gamma=gamma, f=f, G1=G1, G2=G2,
+            theta=theta, J1=J1, J2=complex(J2), phi=phi, J3=complex(J3),
+            unit=unit)
 
-    def _violations(self, J2: complex, J3: complex) -> list[str]:
+    @staticmethod
+    def _violations(rates: tuple, theta: float, phi: float, J2: complex,
+                    J3: complex) -> list[str]:
         violations: list[str] = []
-        for name in _RATE_FIELDS:
-            v = getattr(self, name)
+        for name, v in zip(_RATE_FIELDS, rates):
             if not math.isfinite(v):
                 violations.append(f"{name} finite")
             elif v < 0.0:
                 violations.append(f"{name} nonnegative")
         # checked before wrapping, which cannot take a non-finite phase
-        for name in ("theta", "phi"):
-            if not math.isfinite(getattr(self, name)):
+        for name, v in (("theta", theta), ("phi", phi)):
+            if not math.isfinite(v):
                 violations.append(f"{name} finite")
         for name, z in (("J2", J2), ("J3", J3)):
             if not cmath.isfinite(z):
@@ -202,7 +211,7 @@ def convert_unit(p: ModelParams, reference: str) -> ModelParams:
         p.phi, p.J3 / scale, RateUnit(reference, p.unit.value * scale))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BareParams:
     """Pre-linearization quantities entering the steady-state equations."""
 
@@ -220,16 +229,24 @@ class BareParams:
     gamma: float
     f: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, Delta1: float, Delta2: float, Delta_en: float,
+                 omega_m: float, g1: float, g2: float, J1: float,
+                 J2: complex, J3: complex, kappa1: float, kappa2: float,
+                 gamma: float, f: float) -> None:
+        values = {"Delta1": Delta1, "Delta2": Delta2, "Delta_en": Delta_en,
+                  "omega_m": omega_m, "g1": g1, "g2": g2, "J1": J1,
+                  "J2": J2, "J3": J3, "kappa1": kappa1, "kappa2": kappa2,
+                  "gamma": gamma, "f": f}
         # checked before complex(), which would parse a str
-        _require_finite(self)
-        object.__setattr__(self, "J2", complex(self.J2))
-        object.__setattr__(self, "J3", complex(self.J3))
-        if not self.omega_m > 0.0:
+        _require_finite(values)
+        values["J2"] = complex(J2)
+        values["J3"] = complex(J3)
+        if not omega_m > 0.0:
             raise ValueError("omega_m must be positive")
         for name in ("kappa1", "kappa2", "gamma", "f"):
-            if getattr(self, name) < 0.0:
+            if values[name] < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
+        self.__dict__.update(values)
 
 
 @dataclass(frozen=True)
@@ -245,12 +262,12 @@ class Drives:
 
     def __post_init__(self) -> None:
         # checked before complex(), which would parse a str
-        _require_finite(self)
+        _require_finite(vars(self))
         object.__setattr__(self, "E1", complex(self.E1))
         object.__setattr__(self, "E2", complex(self.E2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SteadyState:
     """Converged mean amplitudes and the drive-shifted effective detunings."""
 
@@ -263,8 +280,16 @@ class SteadyState:
     residual_norm: float
     iterations: int = 0
 
+    def __init__(self, alpha1: complex, alpha2: complex, rho: complex,
+                 beta: complex, Delta1_eff: float, Delta2_eff: float,
+                 residual_norm: float, iterations: int = 0) -> None:
+        self.__dict__.update(
+            alpha1=alpha1, alpha2=alpha2, rho=rho, beta=beta,
+            Delta1_eff=Delta1_eff, Delta2_eff=Delta2_eff,
+            residual_norm=residual_norm, iterations=iterations)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class TransmissionPoint:
     """Transmission amplitudes in both directions at one probe detuning."""
 
@@ -272,16 +297,16 @@ class TransmissionPoint:
     T12: float
     T21: float
 
-    def __post_init__(self) -> None:
-        y, T12, T21 = self.y, self.T12, self.T21
+    def __init__(self, y: float, T12: float, T21: float) -> None:
         if not (0.0 <= T12 < _INF and 0.0 <= T21 < _INF):
             if not (math.isfinite(T12) and math.isfinite(T21)):
                 raise ValueError("transmission amplitudes must be finite")
             raise ValueError("transmission amplitudes must be nonnegative")
+        if not -_INF < y < _INF:
+            raise ValueError("detuning y must be finite")
         if not (type(y) is type(T12) is type(T21) is float):
-            object.__setattr__(self, "y", float(y))
-            object.__setattr__(self, "T12", float(T12))
-            object.__setattr__(self, "T21", float(T21))
+            y, T12, T21 = float(y), float(T12), float(T21)
+        self.__dict__.update(y=y, T12=T12, T21=T21)
 
 
 # ---------------------------------------------------------------------------

@@ -53,13 +53,6 @@ class CheckResult:
     detail: str
 
 
-# (low, high - low) of each uniform draw of random_params, in draw order:
-# log10 of kappa1, kappa2, f, G1, G2; theta; log10 of J1, J2; phi;
-# log10 |J3|; arg J3
-_LOG_RATE = (-2.0, 4.0)
-_PHASE = (0.0, 2.0 * math.pi)
-_DRAWS = (_LOG_RATE,) * 5 + (_PHASE, _LOG_RATE, _LOG_RATE, _PHASE,
-                             _LOG_RATE, _PHASE)
 # the detuning drawn after each parameter set: rng.uniform(-5, 5)
 _Y_LOW, _Y_SPAN = -5.0, 10.0
 # the fields of _draw_fields, in ModelParams order
@@ -75,11 +68,15 @@ def _draw_fields(u: list[float]) -> tuple:
     relative to it), phases are uniform, and J3 gets a log-uniform
     magnitude with a uniform complex phase.
     """
-    k1, k2, f, G1, G2, theta, J1, J2, phi, J3, arg = (
-        low + span * x for (low, span), x in zip(_DRAWS, u))
-    return (10.0 ** k1, 10.0 ** k2, 1.0, 10.0 ** f, 10.0 ** G1, 10.0 ** G2,
-            theta, 10.0 ** J1, 10.0 ** J2, phi,
-            10.0 ** J3 * cmath.exp(1j * arg))
+    k1, k2, f, G1, G2, theta, J1, J2, phi, J3, arg = u
+    # low + span * x: log10 of a rate over [-2, 2), a phase over
+    # [0, 2 pi), where 0.0 + TWO_PI * x is TWO_PI * x bit for bit
+    return (10.0 ** (-2.0 + 4.0 * k1), 10.0 ** (-2.0 + 4.0 * k2), 1.0,
+            10.0 ** (-2.0 + 4.0 * f), 10.0 ** (-2.0 + 4.0 * G1),
+            10.0 ** (-2.0 + 4.0 * G2), TWO_PI * theta,
+            10.0 ** (-2.0 + 4.0 * J1), 10.0 ** (-2.0 + 4.0 * J2),
+            TWO_PI * phi,
+            10.0 ** (-2.0 + 4.0 * J3) * cmath.exp(1j * (TWO_PI * arg)))
 
 
 def random_params(rng: np.random.Generator) -> ModelParams:
@@ -248,10 +245,9 @@ def check_root_consistency(draws: int, rng: np.random.Generator) -> CheckResult:
     the generator's state afterwards are those of 4 ``rng.uniform(-2, 2)``
     calls per draw.
     """
-    low, span = _LOG_RATE
     errors = []
     for u in rng.random((draws, 4)).tolist():
-        k1, k2, g, f = [10.0 ** (low + span * x) for x in u]
+        k1, k2, g, f = [10.0 ** (-2.0 + 4.0 * x) for x in u]
         r = r_coefficients(k1, k2, g, f, *_couplings(k1, k2, g, f))
         scale = max(abs(r.R7), abs(r.R8), abs(r.R9), 1e-30)
         for root in j3_roots(r):

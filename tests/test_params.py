@@ -1,7 +1,10 @@
 """Parameter containers: validation, phase canonicalization, serialization."""
 
+import copy
+import inspect
 import math
-from dataclasses import replace
+import pickle
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from nonrecip.params import (
     steady_state_to_dict,
     wrap_phase,
 )
+from nonrecip.sweep import figure_ids, figure_preset
 from nonrecip.transmission import transmission_pair
 from nonrecip.verify import random_params
 
@@ -313,6 +317,27 @@ def test_transmission_point_constraints():
     assert type(tp.y) is type(tp.T12) is type(tp.T21) is float
 
 
+@pytest.mark.parametrize("y", [math.nan, math.inf])
+def test_transmission_point_needs_a_finite_detuning(y):
+    with pytest.raises(ValueError, match="detuning y must be finite"):
+        TransmissionPoint(y=y, T12=0.5, T21=0.25)
+
+
+def test_unit_must_be_a_rate_unit():
+    # a str unit would be written to a file its own decoder rejects
+    with pytest.raises(TypeError, match="unit must be a RateUnit, not str"):
+        ModelParams(1, 1, 1, 1, .5, .5, 0, .5, .01, 0, 1j, unit="gamma")
+
+
+def test_every_draw_and_preset_round_trips_through_json():
+    rng = np.random.default_rng(0)
+    sets = [random_params(rng) for _ in range(2000)]
+    sets += [figure_preset(fid).fixed for fid in figure_ids()]
+    assert len(sets) == 2031
+    for p in sets:
+        assert model_params_from_dict(model_params_to_dict(p)) == p
+
+
 def test_model_params_coerces_complex_slots(base_params):
     p = base_params(0.0, J2=0.01, J3=2)
     assert isinstance(p.J2, complex) and isinstance(p.J3, complex)
@@ -372,3 +397,58 @@ def test_convert_unit_is_the_replace_built_conversion():
                 ref = _replace_built(ref, reference)
                 # repr shows every field's type and bits
                 assert repr(ours) == repr(ref)
+
+
+# per hand-written constructor: valid arguments, and the type each field
+# that the constructor converts is stored as
+_CONSTRUCTED = {
+    ModelParams: (
+        dict(kappa1=1.0, kappa2=2.0, gamma=0.5, f=10.0, G1=0.5, G2=0.25,
+             theta=7.0, J1=0.5, J2=0.01, phi=-0.3, J3=4.476j,
+             unit=RateUnit("kappa2", 2.0)),
+        {**dict.fromkeys(RATES + ("theta", "phi"), float),
+         "J2": complex, "J3": complex}),
+    BareParams: (dict(_BARE, J2=0.01 + 0.5j), {"J2": complex, "J3": complex}),
+    SteadyState: (
+        dict(alpha1=1 - 2j, alpha2=0.5j, rho=3 + 0j, beta=-1.5 + 1j,
+             Delta1_eff=9.5, Delta2_eff=-0.25, residual_norm=1e-12,
+             iterations=7), {}),
+    TransmissionPoint: (dict(y=-0.5, T12=0.2, T21=0.9),
+                        dict.fromkeys(("y", "T12", "T21"), float)),
+}
+
+
+def _numpy_scalar(v):
+    if isinstance(v, complex):
+        return np.complex128(v)
+    return np.float64(v) if isinstance(v, float) else v
+
+
+@pytest.mark.parametrize("cls", list(_CONSTRUCTED),
+                         ids=lambda cls: cls.__name__)
+def test_hand_written_constructor_is_the_dataclass_one(cls):
+    kwargs, converted = _CONSTRUCTED[cls]
+    obj = cls(**kwargs)
+    names = [f.name for f in fields(cls)]
+    assert list(vars(obj)) == names
+    params = inspect.signature(cls).parameters
+    assert list(params) == names
+    assert [p.default for p in params.values()] == [
+        inspect.Parameter.empty if f.default is MISSING else f.default
+        for f in fields(cls)]
+
+    same = replace(obj)
+    assert same == obj
+    assert (hash(same), repr(same)) == (hash(obj), repr(obj))
+    assert copy.deepcopy(obj) == obj
+    assert pickle.loads(pickle.dumps(obj)) == obj
+    for name in names:
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
+        with pytest.raises(FrozenInstanceError):
+            delattr(obj, name)
+
+    # numpy scalars are subclasses of float and complex: test the type
+    stored = vars(cls(**{k: _numpy_scalar(v) for k, v in kwargs.items()}))
+    assert {name: type(stored[name]) for name in converted} == converted
+    assert stored == vars(obj)

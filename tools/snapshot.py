@@ -23,6 +23,9 @@ directories is empty. OUT receives:
   `isolation_metrics` at 2000 seeded `random_params` draws, each at a
   detuning ``uniform(-5, 5)``, so the scalar kernel is gated away from
   y = 0 and from the designed points;
+- ``draws.txt``: the ``repr`` of those 2000 `random_params` draws, in
+  the same order, so the draw mapping and the `ModelParams`
+  normalization are gated directly, not only through T;
 - ``linearized.txt``: the ``repr`` of `linearized_params` at the tests'
   compensated points, the steady point and the omega_m = 1e3 point at
   g1 = 4e-3, 0 and -4e-3, so the steady-to-response bridge is gated.
@@ -152,18 +155,20 @@ def _designs() -> str:
     return "".join(lines)
 
 
-def _points() -> str:
+def _points() -> tuple[str, str]:
+    """The texts of ``points.txt`` and ``draws.txt``."""
     import numpy as np
     from nonrecip import isolation_metrics, transmission_pair
     from nonrecip.verify import random_params
 
     rng = np.random.default_rng(POINT_SEED)
-    lines = []
+    lines, draws = [], []
     for _ in range(POINT_DRAWS):
         p = random_params(rng)
         tp = transmission_pair(p, rng.uniform(-5.0, 5.0))
         lines.append(f"{tp!r} {isolation_metrics(tp)!r}\n")
-    return "".join(lines)
+        draws.append(f"{p!r}\n")
+    return "".join(lines), "".join(draws)
 
 
 def _linearized() -> str:
@@ -206,7 +211,9 @@ def snapshot(out: str) -> None:
             _write(f"{name}.stdout", _run(cli_main, argv))
         _write("steady_states.txt", _steady_states())
         _write("designs.jsonl", _designs())
-        _write("points.txt", _points())
+        points, draws = _points()
+        _write("points.txt", points)
+        _write("draws.txt", draws)
         _write("linearized.txt", _linearized())
     finally:
         os.chdir(cwd)
