@@ -33,6 +33,7 @@ from .params import (
     ModelParams,
     RateUnit,
     _ABSOLUTE_UNIT,
+    _RATE_FIELDS,
     _to_dict,
 )
 from .response import SingularMatrix, pole_thresholds
@@ -118,8 +119,7 @@ def r_coefficients(
     DivisionByZero
         If G2 = 0 (R6 divides by G2^2) or kappa1*kappa2 = 0 (R1 diverges).
     """
-    for name, v in (("kappa1", kappa1), ("kappa2", kappa2), ("gamma", gamma),
-                    ("f", f), ("G1", G1), ("G2", G2), ("J1", J1)):
+    for name, v in zip(_RATE_FIELDS, (kappa1, kappa2, gamma, f, G1, G2, J1)):
         if not math.isfinite(v) or v < 0.0:
             raise InvalidParams(f"{name} must be finite and nonnegative, got {v}")
     if G2 == 0.0 or kappa1 * kappa2 == 0.0:
@@ -147,10 +147,13 @@ def r_coefficients(
 def j3_roots(r: RCoefficients) -> list[complex]:
     """All J3 roots of R7*J3^4 + R8*J3^2 + R9 = 0, principal branch.
 
-    The J3^2 quadratic is solved first; each square then yields a +/- root
-    pair, enumerated in the stable order +sqrt(x+), -sqrt(x+), +sqrt(x-),
-    -sqrt(x-), with exact duplicates removed. Purely imaginary and fully
-    complex roots are retained. When |R7| falls below 1e-14 relative to
+    The J3^2 quadratic is solved first, for the squares
+    x+- = (-R8 +- sqrt(R8^2 - 4 R7 R9))/(2 R7): the one of larger
+    magnitude by that formula and the other from their product R9/R7, so
+    that a small square is not lost to cancellation. Each square then
+    yields a +/- root pair, enumerated in the stable order +sqrt(x+),
+    -sqrt(x+), +sqrt(x-), -sqrt(x-), with exact duplicates removed.
+    Purely imaginary and fully complex roots are retained. When |R7| falls below 1e-14 relative to
     |R8| the quartic degrades gracefully to the linear equation
     R8*J3^2 + R9 = 0; if R8 vanishes as well there is nothing to solve.
 
@@ -169,7 +172,16 @@ def j3_roots(r: RCoefficients) -> list[complex]:
         squares = [complex(-R9 / R8)]
     else:
         disc = cmath.sqrt(complex(R8 * R8 - 4.0 * R7 * R9))
-        squares = [(-R8 + disc) / (2.0 * R7), (-R8 - disc) / (2.0 * R7)]
+        plus, minus = (-R8 + disc) / (2.0 * R7), (-R8 - disc) / (2.0 * R7)
+        # -R8 +- disc cancels in the square of smaller magnitude, so that
+        # one is taken from the product of the two, R9 / R7; + 0j turns a
+        # -0.0 imaginary part into +0.0, the formula's branch of the root.
+        # Both squares are 0 where R8 and R9 are, as when rates underflow
+        if abs(minus) > abs(plus):
+            plus = R9 / (R7 * minus) + 0j
+        elif plus:
+            minus = R9 / (R7 * plus) + 0j
+        squares = [plus, minus]
     roots: list[complex] = []
     for sq in squares:
         root = cmath.sqrt(sq)

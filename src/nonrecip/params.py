@@ -28,6 +28,8 @@ _REFERENCES = ("gamma", "kappa2", "absolute")
 _INF = math.inf
 # the real rate-valued fields of ModelParams
 _RATE_FIELDS = ("kappa1", "kappa2", "gamma", "f", "G1", "G2", "J1")
+# every rate-valued field: the nine that convert_unit scales
+_SCALED_FIELDS = _RATE_FIELDS + ("J2", "J3")
 
 
 class InvalidParams(ValueError):

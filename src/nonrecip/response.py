@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import InvalidParams, ModelParams
+from .params import InvalidParams, ModelParams, _SCALED_FIELDS
 
 # scale-invariant pole detection: |det| below this times the product of row
 # norms is treated as singular
@@ -156,8 +156,7 @@ def _out_of_range(v: Mapping[str, object]) -> InvalidParams:
     y = v["y"]
     at = (f"|y| up to {float(np.abs(y).max())}" if isinstance(y, np.ndarray)
           else f"y={y}")
-    peak = {k: float(np.abs(v[k]).max()) for k in (
-        "kappa1", "kappa2", "gamma", "f", "G1", "G2", "J1", "J2", "J3")}
+    peak = {k: float(np.abs(v[k]).max()) for k in _SCALED_FIELDS}
     name = max(peak, key=peak.get)
     return InvalidParams(
         f"cannot evaluate the response at {at}: the pole threshold is not "
@@ -253,41 +252,27 @@ def _loop_terms(v: Mapping[str, object]):
             2 * J1 * G1G2, 2j * J1 * G1G2 * f, 2 * J1 * J2 * J3 * G2)
 
 
-def _numerator_terms(G1G2, G1G2f, const1, G2J2J3, eth, eth_ph):
-    """The phase-dependent coefficients (a1, a0, b0) of one numerator.
-
-    With the phase factors (e^{i theta}, e^{i(theta - phi)}) they are those
-    of N12 = i chi1 - chi2, with their conjugates those of N21.
-    """
-    return G1G2 * eth, const1 + G2J2J3 * eth_ph, G1G2f * eth
-
-
 def transfer_polynomials(v: Mapping[str, object]):
     """The coefficients of N12, N21 and D as polynomials in the detuning y.
 
     ``v`` maps each ModelParams field name to a scalar or an array, as in
     :func:`system_matrices`; a ``"y"`` entry is not read. The coefficients
     hold only the parameters, broadcast as those arrays do, and are Python
-    numbers when every value is a scalar. The four tuples returned are
+    numbers when every value is a scalar. The three tuples returned are
 
-        (J1, J1 (gamma + f)), (a1, a0, b0) of N12, (a1, a0, b0) of N21,
-        (c3, c2, c1, c0),
+        (n2, n1, n0) of N12, (n2, n1, n0) of N21, (c3, c2, c1, c0) of D,
 
-    for the numerators N = i ((J1 y + a1) y + a0) - (J1 (gamma + f) y + b0)
-    and the monic quartic D = (((y + c3) y + c2) y + c1) y + c0, which is
-    det(M - i y) with M = A1(0): the characteristic polynomial of M in
-    lambda = i y. N12 = i chi1 - chi2 and N21 = i tau1 - tau2, with the
-    cofactors
-
-        tau1 = (J1 y + G1 G2 e^{-i theta}) y
-               - J1 J3^2 - J1 gamma f + G2 J2 J3 e^{i(phi - theta)},
-        tau2 = J1 (gamma + f) y + G1 G2 f e^{-i theta},
-
-    and chi1, chi2 the same with the signs of both phases flipped, so one
-    expression gives the (a1, a0, b0) of both. Each coefficient is a
-    phase-free part of :func:`_loop_terms` plus its loop terms at the
-    phases: c1 and c0 take cos(theta) and cos(phi), c0 and a0 also the
-    theta - phi loop.
+    the plain coefficients of the quadratics N = (n2 y + n1) y + n0, with
+    n2 = i J1 in both, and of the monic quartic
+    D = (((y + c3) y + c2) y + c1) y + c0, which is det(M - i y) with
+    M = A1(0): the characteristic polynomial of M in lambda = i y. Each
+    coefficient is a phase-free part of :func:`_loop_terms` plus its loop
+    terms at the phases. For N12
+    n1 = i G1 G2 e^{i theta} - J1 (gamma + f) and
+    n0 = i (G2 J2 J3 e^{i(theta - phi)} - J1 J3^2 - J1 gamma f)
+    - G1 G2 f e^{i theta}, and the same expression gives N21's at the
+    conjugate phase factors; c1 and c0 take cos(theta) and cos(phi), c0
+    also cos(theta - phi).
     """
     (J1, J1gf, const1, G1G2, G1G2f, G2J2J3, c3, c2, c1, c0,
      ph1, ph0, th1, th0, thph) = _loop_terms(v)
@@ -296,14 +281,16 @@ def transfer_polynomials(v: Mapping[str, object]):
     # e^{i(theta - phi)}; its real part is cos(theta - phi)
     eth_ph = eth * eph.conjugate()
     cos_th, cos_ph = eth.real, eph.real
+    n2 = 1j * J1
+    n12, n21 = ((n2, 1j * G1G2 * e - J1gf,
+                 1j * (const1 + G2J2J3 * e_ph) - G1G2f * e)
+                for e, e_ph in ((eth, eth_ph),
+                                (eth.conjugate(), eth_ph.conjugate())))
     # the phase terms go last, so that the scalar parts are summed first
     # and a term of one phase axis widens to the full grid only once
-    n12 = _numerator_terms(G1G2, G1G2f, const1, G2J2J3, eth, eth_ph)
-    n21 = _numerator_terms(G1G2, G1G2f, const1, G2J2J3,
-                           eth.conjugate(), eth_ph.conjugate())
     c1 = c1 - ph1 * cos_ph - th1 * cos_th
     c0 = c0 - ph0 * cos_ph - th0 * cos_th - thph * eth_ph.real
-    return (J1, J1gf), n12, n21, (c3, c2, c1, c0)
+    return n12, n21, (c3, c2, c1, c0)
 
 
 def _loop_order(v: Mapping[str, object]):
@@ -351,13 +338,11 @@ def transfer_coefficients(v: Mapping[str, object]):
     y = v["y"]
     if not isinstance(y, np.ndarray):
         return _loop_order(v)
-    ((J1, J1gf), (a1_12, a0_12, b0_12), (a1_21, a0_21, b0_21),
-     (c3, c2, c1, c0)) = transfer_polynomials(v)
-    J1y, J1gfy = J1 * y, J1gf * y
-    n12 = 1j * ((J1y + a1_12) * y + a0_12) - (J1gfy + b0_12)
-    n21 = 1j * ((J1y + a1_21) * y + a0_21) - (J1gfy + b0_21)
-    D = (((y + c3) * y + c2) * y + c1) * y + c0
-    return n12, n21, D
+    (n2, n1_12, n0_12), (_, n1_21, n0_21), (c3, c2, c1, c0) = (
+        transfer_polynomials(v))
+    n2y = n2 * y
+    return ((n2y + n1_12) * y + n0_12, (n2y + n1_21) * y + n0_21,
+            (((y + c3) * y + c2) * y + c1) * y + c0)
 
 
 __all__ = [

@@ -35,7 +35,8 @@ from .design import (
     j3_roots,
     r_coefficients,
 )
-from .params import TWO_PI, ModelParams, _GAMMA_UNIT, convert_unit
+from .params import (
+    TWO_PI, ModelParams, _GAMMA_UNIT, _SCALED_FIELDS, convert_unit)
 from .response import pole_thresholds, system_matrices, transfer_coefficients
 from .transmission import transmission_arrays
 
@@ -297,8 +298,7 @@ def check_unit_round_trip(draws: int, rng: np.random.Generator) -> CheckResult:
         p = random_params(rng)
         q = convert_unit(convert_unit(p, "kappa2"), "gamma")
         errors += [_rel(getattr(p, name), getattr(q, name))
-                   for name in ("kappa1", "kappa2", "gamma", "f", "G1", "G2",
-                                "J1", "J2", "J3")]
+                   for name in _SCALED_FIELDS]
     worst = _worst(errors)
     return CheckResult("unit_round_trip", worst < 1e-14,
                        f"worst relative field error {worst:.3e}")

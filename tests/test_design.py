@@ -213,12 +213,12 @@ def test_designed_presets_reduce_n21_to_j1_y_squared():
         n21 = transfer_coefficients(dict(vars(p), y=ys))[1]
         gap = np.abs(n21 - 1j * p.J1 * ys ** 2).max()
         assert gap <= 1e-14 * np.abs(n21).max(), fid
-        # and on the coefficients: N21 = i ((J1 y + a1) y + a0)
-        # - (J1 (gamma + f) y + b0) keeps only its y^2 term
-        (J1, J1gf), _, (a1, a0, b0), _ = transfer_polynomials(vars(p))
-        assert J1 == p.J1
-        assert abs(1j * a1 - J1gf) <= 1e-14 * J1, fid
-        assert abs(1j * a0 - b0) <= 1e-14 * J1, fid
+        # and on the coefficients: N21 = (n2 y + n1) y + n0 keeps only
+        # its y^2 term, n2 = i J1
+        n2, n1, n0 = transfer_polynomials(vars(p))[1]
+        assert n2 == 1j * p.J1
+        assert abs(n1) <= 1e-14 * p.J1, fid
+        assert abs(n0) <= 1e-14 * p.J1, fid
 
 
 def test_chosen_candidate_minimizes_j3():
@@ -261,13 +261,17 @@ def test_rates_beyond_the_range_are_invalid(rates):
         design_isolator(*rates)
 
 
-def test_a_zero_j3_candidate_beside_valid_ones_is_rejected():
-    # the J3^2 quadratic loses its small root to cancellation, but the
-    # other two roots are valid designs
+def test_the_small_j3_root_survives_cancellation():
+    # 4 R7 R9 is below the rounding of R8^2 here, so the quadratic formula
+    # would give J3^2 = 0; the small square comes from the product of the
+    # two instead, and all four roots are valid designs
     d = design_isolator(10.0, 1.0, 1e8, 1.0)
-    assert [c.direction for c in d.root_candidates] == [
-        "rejected", "forward_1to2", "forward_1to2"]
-    assert d.root_candidates[0].J3 == 0 and d.chosen == 1
+    assert [c.direction for c in d.root_candidates] == ["forward_1to2"] * 4
+    assert all(c.valid for c in d.root_candidates)
+    J3 = [c.J3 for c in d.root_candidates]
+    assert J3 == pytest.approx([5.7735e-5j, -5.7735e-5j, 17320.5j,
+                                -17320.5j], rel=1e-5)
+    assert d.chosen == 0
 
 
 @pytest.mark.parametrize("kappa1", [1e20, 1e60, 1e100])

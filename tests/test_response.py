@@ -283,10 +283,9 @@ def _horner(v):
     """N12, N21 and D by Horner's rule on `transfer_polynomials`, in the
     order of operations of `transfer_coefficients` at an array y."""
     y = v["y"]
-    (J1, J1gf), n12, n21, (c3, c2, c1, c0) = transfer_polynomials(v)
-    J1y, J1gfy = J1 * y, J1gf * y
-    return tuple(1j * ((J1y + a1) * y + a0) - (J1gfy + b0)
-                 for a1, a0, b0 in (n12, n21)) + (
+    n12, n21, (c3, c2, c1, c0) = transfer_polynomials(v)
+    n2y = n12[0] * y
+    return tuple((n2y + n1) * y + n0 for _, n1, n0 in (n12, n21)) + (
         (((y + c3) * y + c2) * y + c1) * y + c0,)
 
 
@@ -311,7 +310,7 @@ def test_transfer_polynomials_hold_only_the_parameters():
     p = random_params(rng)
     # no "y" is read, and scalars give Python numbers
     scalar = transfer_polynomials(vars(p))
-    assert [len(part) for part in scalar] == [2, 3, 3, 4]
+    assert [len(part) for part in scalar] == [3, 3, 4]
     assert all(type(c) in (float, complex) for part in scalar for c in part)
     # a phase array broadcasts, its first value giving the scalar's numbers
     thetas = np.array([p.theta, 0.3, 4.0])
@@ -323,13 +322,34 @@ def test_transfer_polynomials_hold_only_the_parameters():
     # flipping both phases swaps the coefficients of N12 and N21
     flipped = transfer_polynomials(
         dict(vars(p), theta=-p.theta, phi=-p.phi))
-    for a, b in zip(flipped[1] + flipped[2], scalar[2] + scalar[1]):
+    for a, b in zip(flipped[0] + flipped[1], scalar[1] + scalar[0]):
         assert a == pytest.approx(b, rel=1e-14, abs=1e-14)
+
+
+def test_phase_presets_have_no_real_transmission_zero():
+    # a real root of N12 or N21 would block that direction completely at a
+    # real detuning; on the fig2-4 couplings every root lies at least 0.1
+    # off the real axis, so no detuning blocks either direction (ROADMAP
+    # item 8)
+    gaps = {}
+    for fid in figure_ids():
+        if fid[3] not in "234":
+            continue
+        n12, n21, _ = transfer_polynomials(vars(figure_preset(fid).fixed))
+        for name, n in (("N12", n12), ("N21", n21)):
+            roots = np.roots(n)
+            assert len(roots) == 2, (fid, name)
+            gaps[fid, name] = float(np.abs(roots.imag).min())
+    assert len(gaps) == 2 * 17
+    assert min(gaps.values()) >= 0.1
+    assert min(gaps, key=gaps.get) == ("fig4g", "N21")
+    assert gaps["fig4g", "N21"] == pytest.approx(0.1066, abs=5e-5)
+    assert gaps["fig4d", "N21"] == pytest.approx(1.2789, abs=5e-5)
 
 
 def _d_roots(p):
     """The four roots of D, from the coefficients c3..c0 of the monic quartic."""
-    c3, c2, c1, c0 = transfer_polynomials(vars(p))[3]
+    c3, c2, c1, c0 = transfer_polynomials(vars(p))[2]
     return np.roots([1.0, c3, c2, c1, c0])
 
 

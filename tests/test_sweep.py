@@ -539,17 +539,21 @@ def test_designed_presets_follow_root_formula():
 
 def _root_formula_params(kappa1, kappa2, gamma, f, branch):
     # the designed point written out from the quartic's root formula:
-    # "plus" J3 = +sqrt((-R8 + sqrt(disc))/(2 R7)),
-    # "minus" J3 = -sqrt((-R8 - sqrt(disc))/(2 R7))
+    # "plus" J3 = +sqrt(x+), "minus" J3 = -sqrt(x-), with
+    # x+- = (-R8 +- sqrt(disc))/(2 R7) where that is the larger in
+    # magnitude and R9 / (R7 x-+) where it is the smaller
     G1 = math.sqrt(gamma * kappa1)
     G2 = math.sqrt(gamma * kappa2)
     J1 = G1 * G2 / (gamma + f)
     r = r_coefficients(kappa1, kappa2, gamma, f, G1, G2, J1)
     disc = cmath.sqrt(complex(r.R8 * r.R8 - 4.0 * r.R7 * r.R9))
-    if branch == "plus":
-        J3 = cmath.sqrt((-r.R8 + disc) / (2.0 * r.R7))
+    xp = (-r.R8 + disc) / (2.0 * r.R7)
+    xm = (-r.R8 - disc) / (2.0 * r.R7)
+    if abs(xm) > abs(xp):
+        xp = r.R9 / (r.R7 * xm) + 0j
     else:
-        J3 = -cmath.sqrt((-r.R8 - disc) / (2.0 * r.R7))
+        xm = r.R9 / (r.R7 * xp) + 0j
+    J3 = cmath.sqrt(xp) if branch == "plus" else -cmath.sqrt(xm)
     return ModelParams(
         kappa1=kappa1, kappa2=kappa2, gamma=gamma, f=f, G1=G1, G2=G2,
         theta=math.pi / 2.0, J1=J1, J2=j2_literal(J1, J3, gamma, f, G1, G2),
