@@ -100,8 +100,6 @@ def system_matrices(v: Mapping[str, object]) -> np.ndarray:
         (1j * J2 / eph, 0.0, v["f"] - 1j * y, 1j * J3),
         (1j * v["G1"], 1j * G2 / eth, 1j * J3, v["gamma"] - 1j * y),
     )
-    if not any(isinstance(x, np.ndarray) for x in v.values()):
-        return np.array(rows, dtype=complex)
     shape = np.broadcast_shapes(*(np.shape(e) for row in rows for e in row))
     m = np.empty(shape + (4, 4), dtype=complex)
     for i, row in enumerate(rows):
@@ -182,7 +180,7 @@ def solve_response(p: ModelParams, y: float, Ep1: float, Ep2: float) -> Response
     threshold = pole_thresholds(v)
     if not threshold < math.inf:
         raise _out_of_range(v)
-    m = build_system_matrix(p, y)
+    m = system_matrices(v)
     det = np.linalg.det(m)
     if abs(det) < threshold:
         raise SingularMatrix(

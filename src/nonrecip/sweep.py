@@ -102,6 +102,10 @@ class SweepSpec:
     y: float = 0.0
 
     def __post_init__(self) -> None:
+        # tuple() would split a lone name into its letters
+        if isinstance(self.observables, str):
+            raise ValueError(
+                "observables must be a tuple or list of names, not a str")
         object.__setattr__(self, "observables", tuple(self.observables))
         if not self.observables:
             raise ValueError("at least one observable is required")

@@ -27,10 +27,11 @@ finite lies beyond the range the model evaluates and raises
 InvalidParams: one comparison decides it at a point, and the bound on a
 block (each point's threshold only when the bound is not finite).
 `transmission_arrays` cuts the broadcast shape along its first axis into
-a fixed partition of about _CHUNK points, whatever the thread count, and
-the blocks go to a thread pool with one worker per CPU this process may
-run on (its affinity, so ``taskset`` sets it), so results are the same
-bytes for any number of threads.
+blocks of whole rows, about _CHUNK points each (a row longer than
+_CHUNK is one block), whatever the thread count, and the blocks go to a
+thread pool with one worker per CPU this process may run on (its
+affinity, so ``taskset`` sets it), so results are the same bytes for any
+number of threads.
 """
 
 from __future__ import annotations
@@ -155,10 +156,10 @@ def transmission_arrays(v: Mapping[str, object], *,
     into the coefficients of y. Values are not validated.
 
     The broadcast shape is cut along its first axis into blocks of
-    ``max(1, _CHUNK // points per row)`` rows, whatever the thread count;
-    a leading axis of length 1 is skipped. With ``with_isolation_db``,
-    each block's `isolation_db` is taken in the same task as its
-    transmissions.
+    ``max(1, _CHUNK // points per row)`` whole rows, whatever the thread
+    count, so a row longer than _CHUNK is one block. With
+    ``with_isolation_db``, each block's `isolation_db` is taken in the
+    same task as its transmissions.
 
     Returns
     -------
@@ -168,12 +169,6 @@ def transmission_arrays(v: Mapping[str, object], *,
     """
     shape = np.broadcast_shapes(*(np.shape(x) for x in v.values()
                                   if isinstance(x, np.ndarray)))
-    if len(shape) > 1 and shape[0] == 1:
-        # a single row would be a single block: cut the row instead
-        row = transmission_arrays({
-            k: x[0] if isinstance(x, np.ndarray) and x.ndim == len(shape)
-            else x for k, x in v.items()}, with_isolation_db=with_isolation_db)
-        return tuple(a[np.newaxis] for a in row)
     out = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
     if with_isolation_db:
         out += (np.empty(shape),)

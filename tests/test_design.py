@@ -221,6 +221,46 @@ def test_designed_presets_reduce_n21_to_j1_y_squared():
         assert abs(n0) <= 1e-14 * p.J1, fid
 
 
+def _optical_paths(p, y, sign):
+    """The direct, mechanical and ensemble paths of N12 (sign +1) or N21
+    (sign -1), written out from the paper's formulas."""
+    direct = (1j * (p.J1 * y * y - p.J1 * p.J3 ** 2 - p.J1 * p.gamma * p.f)
+              - p.J1 * (p.gamma + p.f) * y)
+    mechanics = p.G1 * p.G2 * (1j * y - p.f) * np.exp(sign * 1j * p.theta)
+    ensemble = (1j * p.G2 * p.J2 * p.J3
+                * np.exp(sign * 1j * (p.theta - p.phi)))
+    return direct, mechanics, ensemble
+
+
+def test_designed_isolation_is_three_path_cancellation():
+    # at the designed point the three paths of N21 cancel at resonance,
+    # while those of N12 add up to |N12| = 20 (ROADMAP item 15)
+    d = design_isolator(1.0, 1.0, 1.0, 10.0)
+    assert len(d.root_candidates) == 4
+    ys = figure_preset("fig5a").axis1.grid()
+    for i, (mags, angles) in enumerate(
+            [((0.5729, 10.0, 9.4271), (-90.0, 90.0, -90.0))] * 2
+            + [((3.1214, 10.0, 13.1214), (90.0, 90.0, -90.0))] * 2):
+        p = d.to_model_params(i)
+        n12, n21, _ = transfer_coefficients(dict(vars(p), y=0.0))
+        a12, a21 = _optical_paths(p, 0.0, 1), _optical_paths(p, 0.0, -1)
+        for paths, n in ((a12, n12), (a21, n21)):
+            assert abs(sum(paths) - n) <= 1e-14 * max(map(abs, paths)), i
+        assert [abs(z) for z in a21] == pytest.approx(mags, abs=1e-4)
+        assert [math.degrees(cmath.phase(z)) for z in a21] == (
+            pytest.approx(angles, abs=1e-9))
+        assert abs(n21) == pytest.approx(6.1e-16, abs=5e-17)
+        assert abs(n12) == pytest.approx(20.0, rel=1e-14)
+        # and over the fig5a window, where y is an array
+        n12, n21, _ = transfer_coefficients(dict(vars(p), y=ys))
+        for sign, n in ((1, n12), (-1, n21)):
+            paths = _optical_paths(p, ys, sign)
+            largest = np.max(np.broadcast_arrays(*map(np.abs, paths)), axis=0)
+            assert np.all(np.abs(sum(paths) - n) <= 1e-14 * largest), i
+    assert d.root_candidates[0].J3 == pytest.approx(1.9229j, abs=5e-5)
+    assert d.root_candidates[1].J3 == pytest.approx(-1.9229j, abs=5e-5)
+
+
 def test_chosen_candidate_minimizes_j3():
     d = design_isolator(10.0, 1.0, 0.01, 1.0)
     chosen = d.chosen_candidate

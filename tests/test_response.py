@@ -388,3 +388,25 @@ def test_criterion_point_candidates_are_unstable():
                for i in range(len(d.root_candidates))]
     assert margins == pytest.approx([-1.0195, -1.0195, -2.3223, -2.3223],
                                     abs=5e-5)
+
+
+def test_presets_are_stable_exactly_where_passive():
+    # passive: J2 real and the ensemble's gain (Im J3)^2 within f gamma;
+    # on the 31 presets this is the stability rule (ROADMAP item 1)
+    passive, stable, gain = set(), set(), {}
+    for fid in figure_ids():
+        p = figure_preset(fid).fixed
+        gain[fid] = p.J3.imag ** 2
+        if p.J2.imag == 0.0 and gain[fid] <= p.f * p.gamma:
+            passive.add(fid)
+        if _margin(p) > 0.0:
+            stable.add(fid)
+    assert len(gain) == 31
+    assert stable == passive == {"fig4e", "fig4f", "fig4g"}
+    assert [gain[fid] for fid in ("fig4e", "fig4f", "fig4g")] == (
+        pytest.approx([0.23, 2.18, 6.13], abs=5e-3))
+    for fid in gain:
+        if fid[:4] in ("fig2", "fig3", "fig4") and fid not in passive:
+            assert gain[fid] == pytest.approx(20.0, abs=0.05), fid
+        if fid[:4] in ("fig5", "fig6", "fig7", "fig8"):
+            assert figure_preset(fid).fixed.J2.imag != 0.0, fid

@@ -84,6 +84,14 @@ def test_spec_validation(base_params):
     assert sweep(spec).columns == ("y", "T12", "status")
 
 
+def test_spec_rejects_a_lone_observable_name(base_params):
+    # tuple("T12") would be ('T', '1', '2'), reported as unknown letters
+    p = base_params(HALF_PI)
+    for name in ("T12", "isolation_db"):
+        with pytest.raises(ValueError, match="not a str"):
+            SweepSpec(fixed=p, axis1=Axis("y", 0, 1, 2), observables=name)
+
+
 @pytest.mark.parametrize("axis, named", [
     (Axis("kappa1", -1.0, 1.0, 3), "kappa1 nonnegative"),
     (Axis("kappa1", 0.0, 1.0, 3), "kappa1=0.0"),

@@ -318,7 +318,7 @@ def test_transmission_arrays_broadcast_shape(base_params):
 @pytest.mark.parametrize("shape, block", [
     ((9, 7), (2, 7)),      # 16 // 7 = 2 rows per block
     ((3, 40), (1, 40)),    # a row longer than a block is one block
-    ((1, 40), (16,)),      # a single row is cut into 16-point blocks
+    ((1, 40), (1, 40)),    # a single row is one block too
 ])
 def test_transmission_arrays_block_partition(base_params, monkeypatch, cpus,
                                              shape, block):
