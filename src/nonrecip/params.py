@@ -30,6 +30,9 @@ _INF = math.inf
 _RATE_FIELDS = ("kappa1", "kappa2", "gamma", "f", "G1", "G2", "J1")
 # every rate-valued field: the nine that convert_unit scales
 _SCALED_FIELDS = _RATE_FIELDS + ("J2", "J3")
+# the real fields of BareParams
+_BARE_REAL_FIELDS = ("Delta1", "Delta2", "Delta_en", "omega_m", "g1", "g2",
+                     "J1", "kappa1", "kappa2", "gamma", "f")
 
 
 class InvalidParams(ValueError):
@@ -57,7 +60,8 @@ class RateUnit:
     """Reference rate that all rate-valued fields of a parameter set share.
 
     ``reference`` names the normalization ("gamma", "kappa2", or "absolute");
-    ``value`` is the size of one unit in rad/s when it is known, else 1.0.
+    ``value`` is the size of one unit in rad/s when it is known, else 1.0,
+    stored as a Python float whatever numeric type it came in as.
     """
 
     reference: str = "gamma"
@@ -68,6 +72,9 @@ class RateUnit:
             raise ValueError(f"unknown rate reference {self.reference!r}")
         if not (self.value > 0.0) or not math.isfinite(self.value):
             raise ValueError("rate unit value must be a positive finite number")
+        # a bool would be written as JSON true, which the codec rejects
+        if type(self.value) is not float:
+            object.__setattr__(self, "value", float(self.value))
 
 
 # frozen, so one instance of each unit-valued reference serves every caller
@@ -215,7 +222,12 @@ def convert_unit(p: ModelParams, reference: str) -> ModelParams:
 
 @dataclass(frozen=True, init=False)
 class BareParams:
-    """Pre-linearization quantities entering the steady-state equations."""
+    """Pre-linearization quantities entering the steady-state equations.
+
+    A valid set stores the real fields as Python floats and J2, J3 as
+    complex, whatever numeric type they came in as (numpy scalars and
+    bools included).
+    """
 
     Delta1: float
     Delta2: float
@@ -239,8 +251,16 @@ class BareParams:
                   "omega_m": omega_m, "g1": g1, "g2": g2, "J1": J1,
                   "J2": J2, "J3": J3, "kappa1": kappa1, "kappa2": kappa2,
                   "gamma": gamma, "f": f}
-        # checked before complex(), which would parse a str
+        # checked before float() and complex(), which would parse a str
         _require_finite(values)
+        # a numpy scalar would keep the steady-state solve at numpy speed,
+        # and a bool would be written as JSON true: store Python floats
+        if not (type(Delta1) is type(Delta2) is type(Delta_en)
+                is type(omega_m) is type(g1) is type(g2) is type(J1)
+                is type(kappa1) is type(kappa2) is type(gamma) is type(f)
+                is float):
+            for name in _BARE_REAL_FIELDS:
+                values[name] = float(values[name])
         values["J2"] = complex(J2)
         values["J3"] = complex(J3)
         if not omega_m > 0.0:

@@ -153,33 +153,30 @@ def sweep(spec: SweepSpec) -> SweepTable:
     An axis end that makes an invalid set or closes a port raises
     InvalidParams; each rule is an interval, so the ends vouch for the axis.
     """
+    axes = [a for a in (spec.axis1, spec.axis2) if a is not None]
     _require_open_ports(spec.fixed)
-    for axis in (spec.axis1, spec.axis2):
-        if axis is not None and axis.name != "y":
+    for axis in axes:
+        if axis.name != "y":
             for value in (axis.start, axis.stop):
                 _require_open_ports(replace(spec.fixed, **{axis.name: value}))
-    grid1 = spec.axis1.grid()
+    # outer axis first: the kernel broadcasts a column of axis2 against a
+    # row of axis1, and the C order of that (n2, n1) grid is the row order
+    names = [a.name for a in reversed(axes)]
+    grids = [a.grid() for a in reversed(axes)]
     vals = dict(vars(spec.fixed), y=spec.y)
-    if spec.axis2 is None:
-        axis_cols = [(spec.axis1.name, grid1)]
-        vals[spec.axis1.name] = grid1
-    else:
-        grid2 = spec.axis2.grid()
-        # the kernel broadcasts a row of axis1 against a column of axis2;
-        # the C order of that (n2, n1) grid is axis2 outer, axis1 inner
-        vals[spec.axis1.name] = grid1[np.newaxis, :]
-        vals[spec.axis2.name] = grid2[:, np.newaxis]
-        g2, g1 = np.meshgrid(grid2, grid1, indexing="ij")
-        axis_cols = [(spec.axis1.name, g1.ravel()),
-                     (spec.axis2.name, g2.ravel())]
+    vals.update(zip(names, np.meshgrid(*grids, indexing="ij", sparse=True,
+                                       copy=False)))
+    # the axis columns are built before the kernel runs, which keeps the
+    # allocation order that times fastest on the 1001x1001 map
+    dense = [g.ravel() for g in np.meshgrid(*grids, indexing="ij", copy=False)]
+    data: dict[str, np.ndarray] = dict(zip(reversed(names), reversed(dense)))
     t12, t21, singular, *db = (a.ravel() for a in transmission_arrays(
         vals, with_isolation_db="isolation_db" in spec.observables))
 
     observed = dict(zip(("T12", "T21", "isolation_db"), (t12, t21, *db)))
-    data: dict[str, np.ndarray] = {name: arr for name, arr in axis_cols}
     for obs in spec.observables:
         data[obs] = observed[obs]
-    columns = tuple(name for name, _ in axis_cols) + spec.observables + ("status",)
+    columns = tuple(data) + ("status",)
     return SweepTable(columns=columns, data=data, singular=singular)
 
 
@@ -413,10 +410,11 @@ def _spectrum_landmarks(table: SweepTable) -> dict:
     }
 
 
-def _phasemap_landmarks(table: SweepTable, points: int) -> dict:
-    t12 = table.data["T12"].reshape(points, points)  # [phi, theta]
-    t21 = table.data["T21"].reshape(points, points)
-    thetas = table.data["theta"].reshape(points, points)[0]
+def _phasemap_landmarks(table: SweepTable, spec: SweepSpec) -> dict:
+    shape = (spec.axis2.points, spec.axis1.points)
+    t12 = table.data["T12"].reshape(shape)  # [phi, theta]
+    t21 = table.data["T21"].reshape(shape)
+    thetas = spec.axis1.grid()
     # duality: swapping both phase signs transposes the directions
     residual = float(np.nanmax(np.abs(t12 - t21[::-1, ::-1])))
     i_half = int(np.argmin(np.abs(thetas - math.pi / 2.0)))
@@ -441,10 +439,10 @@ def reproduce_figure(fid: str, out_dir: str = ".") -> dict:
     os.makedirs(out_dir, exist_ok=True)
     csv_name = f"{fid}.csv"
     write_csv(table, os.path.join(out_dir, csv_name))
-    if fid == "fig2":
-        landmarks = _phasemap_landmarks(table, PHASEMAP_POINTS)
-    else:
+    if spec.axis2 is None:
         landmarks = _spectrum_landmarks(table)
+    else:
+        landmarks = _phasemap_landmarks(table, spec)
     summary = {
         "schema_version": SCHEMA_VERSION,
         "figure": fid,

@@ -27,6 +27,7 @@ from nonrecip.params import (
     steady_state_to_dict,
     wrap_phase,
 )
+from nonrecip.steady import solve_steady_state
 from nonrecip.sweep import figure_ids, figure_preset
 from nonrecip.transmission import transmission_pair
 from nonrecip.verify import random_params
@@ -206,6 +207,7 @@ def test_non_finite_field_rejected(cls, base, field, value):
 
 
 _BARE_FIELDS = tuple(_BARE)
+_BARE_REALS = tuple(n for n in _BARE_FIELDS if n not in ("J2", "J3"))
 _DRIVE_FIELDS = ("E1", "E2")
 
 
@@ -408,7 +410,9 @@ _CONSTRUCTED = {
              unit=RateUnit("kappa2", 2.0)),
         {**dict.fromkeys(RATES + ("theta", "phi"), float),
          "J2": complex, "J3": complex}),
-    BareParams: (dict(_BARE, J2=0.01 + 0.5j), {"J2": complex, "J3": complex}),
+    BareParams: (dict(_BARE, J2=0.01 + 0.5j),
+                 {**dict.fromkeys(_BARE_REALS, float),
+                  "J2": complex, "J3": complex}),
     SteadyState: (
         dict(alpha1=1 - 2j, alpha2=0.5j, rho=3 + 0j, beta=-1.5 + 1j,
              Delta1_eff=9.5, Delta2_eff=-0.25, residual_norm=1e-12,
@@ -452,3 +456,36 @@ def test_hand_written_constructor_is_the_dataclass_one(cls):
     stored = vars(cls(**{k: _numpy_scalar(v) for k, v in kwargs.items()}))
     assert {name: type(stored[name]) for name in converted} == converted
     assert stored == vars(obj)
+
+
+def _as_int(v):
+    return int(v) if isinstance(v, float) and v.is_integer() else v
+
+
+def _as_bool(v):
+    return {1.0: True, 0.0: False}.get(v, v) if isinstance(v, float) else v
+
+
+@pytest.mark.parametrize("convert", [_numpy_scalar, _as_int, _as_bool],
+                         ids=["numpy", "int", "bool"])
+def test_bare_params_store_floats_whatever_they_are_given(convert):
+    # J1 = kappa = gamma = 1 and Delta_en = 0, so the bool set has bools
+    floats = dict(_BARE, J1=1.0, Delta_en=0.0)
+    given = BareParams(**{k: convert(v) for k, v in floats.items()})
+    ref = BareParams(**floats)
+    assert {n: type(v) for n, v in vars(given).items()} == \
+        {n: type(v) for n, v in vars(ref).items()}
+    assert bare_params_from_dict(bare_params_to_dict(given)) == given == ref
+    drives = Drives(E1=1.5 + 0.5j)
+    ours, theirs = solve_steady_state(given, drives), solve_steady_state(ref, drives)
+    assert ours == theirs
+    assert repr(ours) == repr(theirs)
+
+
+@pytest.mark.parametrize("value", [True, 2, np.float64(2.0)],
+                         ids=["bool", "int", "numpy"])
+def test_rate_unit_stores_a_float(base_params, value):
+    unit = RateUnit("gamma", value)
+    assert type(unit.value) is float and unit.value == value
+    p = base_params(0.3, unit=unit)
+    assert model_params_from_dict(model_params_to_dict(p)) == p

@@ -279,6 +279,41 @@ def test_transfer_coefficients_match_term_expansion():
             assert abs(a - b) <= 1e-10 * abs(b), (name, p, y)
 
 
+def test_j3_zero_bound_on_the_n21_zero():
+    # N21 = e^{-i theta} A + B: B and e^{-i theta} A are the half sum and
+    # half difference of N21 at theta and theta + pi. At J3 = 0,
+    # |B|^2 - |A|^2 = (y^2 + f^2)(J1^2 (y^2 + gamma^2) - G1^2 G2^2), so a
+    # real-y zero of T21 needs J1 <= G1 G2 / gamma
+    rng = np.random.default_rng(1313)
+    for _ in range(200):
+        p = random_params(rng)
+        y = float(rng.uniform(-5.0, 5.0))
+        v = dict(vars(p), y=y, J3=0j)
+        at_theta = transfer_coefficients(v)[1]
+        at_flip = transfer_coefficients(dict(v, theta=p.theta + math.pi))[1]
+        b, za = (at_theta + at_flip) / 2, (at_theta - at_flip) / 2
+        lhs = abs(b) ** 2 - abs(za) ** 2
+        rhs = (y * y + p.f ** 2) * (p.J1 ** 2 * (y * y + p.gamma ** 2)
+                                    - (p.G1 * p.G2) ** 2)
+        # relative to |B|^2 + |A|^2, the size of the difference's terms
+        assert abs(lhs - rhs) <= 1e-12 * (abs(b) ** 2 + abs(za) ** 2), p
+
+
+def test_numerators_do_not_depend_on_the_cavity_decays():
+    # so the isolation ratio T12 / T21 = |N12 / N21| is free of kappa
+    rng = np.random.default_rng(1919)
+    ys = np.linspace(-5.0, 5.0, 101)
+    for _ in range(200):
+        p = random_params(rng)
+        for y in (float(rng.uniform(-5.0, 5.0)), ys):
+            ref = transfer_coefficients(dict(vars(p), y=y))
+            got = transfer_coefficients(dict(vars(p), y=y,
+                                             kappa1=p.kappa1 * 3.7,
+                                             kappa2=p.kappa2 / 2.3))
+            for a, b in zip(got[:2], ref[:2]):
+                assert np.array_equal(a, b) and repr(a) == repr(b), p
+
+
 def _horner(v):
     """N12, N21 and D by Horner's rule on `transfer_polynomials`, in the
     order of operations of `transfer_coefficients` at an array y."""

@@ -167,6 +167,30 @@ def test_two_axis_row_order(base_params):
     assert table.data["y"].tolist() == [-1.0, 0.0, 1.0, -1.0, 0.0, 1.0]
 
 
+@pytest.mark.parametrize("n2", [None, 1, 4])
+def test_sweep_hands_the_kernel_a_row_and_a_column(base_params, monkeypatch,
+                                                   n2):
+    # a dense (n2, n1) hand-off would give the same bytes, but would pay
+    # each axis's own terms once per point of the map
+    seen = {}
+    kernel = sweep_mod.transmission_arrays
+
+    def recording_kernel(v, **kwargs):
+        seen.update((k, np.shape(v[k])) for k in ("theta", "phi"))
+        return kernel(v, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "transmission_arrays", recording_kernel)
+    theta = Axis("theta", 0.0, 3.0, 5)
+    phi = None if n2 is None else Axis("phi", 0.5, 2.0, n2)
+    table = sweep(SweepSpec(fixed=base_params(HALF_PI), axis1=theta,
+                            axis2=phi))
+    if phi is None:
+        assert seen == {"theta": (5,), "phi": ()}
+    else:
+        assert seen == {"theta": (1, 5), "phi": (n2, 1)}
+    assert len(table) == 5 * (n2 or 1)
+
+
 def test_sweep_keeps_singular_rows(base_params, tmp_path):
     p = base_params(0.0, G1=0.0, G2=0.0, J1=0.0, J2=0.0, J3=0.0, gamma=0.0)
     table = sweep(SweepSpec(fixed=p, axis1=Axis("y", -1.0, 1.0, 3)))
