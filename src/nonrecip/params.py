@@ -73,8 +73,7 @@ class RateUnit:
         if not (self.value > 0.0) or not math.isfinite(self.value):
             raise ValueError("rate unit value must be a positive finite number")
         # a bool would be written as JSON true, which the codec rejects
-        if type(self.value) is not float:
-            object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "value", float(self.value))
 
 
 # frozen, so one instance of each unit-valued reference serves every caller
@@ -255,12 +254,8 @@ class BareParams:
         _require_finite(values)
         # a numpy scalar would keep the steady-state solve at numpy speed,
         # and a bool would be written as JSON true: store Python floats
-        if not (type(Delta1) is type(Delta2) is type(Delta_en)
-                is type(omega_m) is type(g1) is type(g2) is type(J1)
-                is type(kappa1) is type(kappa2) is type(gamma) is type(f)
-                is float):
-            for name in _BARE_REAL_FIELDS:
-                values[name] = float(values[name])
+        for name in _BARE_REAL_FIELDS:
+            values[name] = float(values[name])
         values["J2"] = complex(J2)
         values["J3"] = complex(J3)
         if not omega_m > 0.0:

@@ -159,17 +159,15 @@ def sweep(spec: SweepSpec) -> SweepTable:
         if axis.name != "y":
             for value in (axis.start, axis.stop):
                 _require_open_ports(replace(spec.fixed, **{axis.name: value}))
-    # outer axis first: the kernel broadcasts a column of axis2 against a
-    # row of axis1, and the C order of that (n2, n1) grid is the row order
-    names = [a.name for a in reversed(axes)]
-    grids = [a.grid() for a in reversed(axes)]
+    names = [a.name for a in axes]
+    grids = [a.grid() for a in axes]
     vals = dict(vars(spec.fixed), y=spec.y)
-    vals.update(zip(names, np.meshgrid(*grids, indexing="ij", sparse=True,
-                                       copy=False)))
-    # the axis columns are built before the kernel runs, which keeps the
-    # allocation order that times fastest on the 1001x1001 map
-    dense = [g.ravel() for g in np.meshgrid(*grids, indexing="ij", copy=False)]
-    data: dict[str, np.ndarray] = dict(zip(reversed(names), reversed(dense)))
+    # meshgrid's "xy" indexing: axis1 a (1, n1) row and axis2 an (n2, 1)
+    # column, broadcast to an (n2, n1) grid whose C order is the row order
+    vals.update(zip(names, np.meshgrid(*grids, sparse=True, copy=False)))
+    # the axis columns are built before the kernel runs, as they always were
+    data: dict[str, np.ndarray] = dict(zip(
+        names, (g.ravel() for g in np.meshgrid(*grids, copy=False))))
     t12, t21, singular, *db = (a.ravel() for a in transmission_arrays(
         vals, with_isolation_db="isolation_db" in spec.observables))
 
@@ -411,9 +409,12 @@ def _spectrum_landmarks(table: SweepTable) -> dict:
 
 
 def _phasemap_landmarks(table: SweepTable, spec: SweepSpec) -> dict:
-    shape = (spec.axis2.points, spec.axis1.points)
-    t12 = table.data["T12"].reshape(shape)  # [phi, theta]
-    t21 = table.data["T21"].reshape(shape)
+    # a square theta x phi map, one grid on both axes: the duality reverses
+    # both axes and the diagonal reads theta's index on phi; reshape(n, n)
+    # raises when the two axes differ in point count
+    n = spec.axis1.points
+    t12 = table.data["T12"].reshape(n, n)  # [phi, theta]
+    t21 = table.data["T21"].reshape(n, n)
     thetas = spec.axis1.grid()
     # duality: swapping both phase signs transposes the directions
     residual = float(np.nanmax(np.abs(t12 - t21[::-1, ::-1])))

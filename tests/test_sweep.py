@@ -651,6 +651,16 @@ def test_reproduce_figure_phase_map_duality(tmp_path):
     assert a["T21"] == pytest.approx(b["T12"], rel=1e-10)
 
 
+def test_phase_map_landmarks_need_a_square_map(base_params):
+    # the duality and the diagonal landmarks hold only on one grid for
+    # theta and phi, so any other map raises instead of reading nonsense
+    spec = SweepSpec(fixed=base_params(HALF_PI),
+                     axis1=Axis("theta", 0.0, 2 * math.pi, 5),
+                     axis2=Axis("phi", 0.0, 2 * math.pi, 4))
+    with pytest.raises(ValueError):
+        sweep_mod._phasemap_landmarks(sweep(spec), spec)
+
+
 def test_reproduce_figure_unknown(tmp_path):
     with pytest.raises(UnknownFigure):
         reproduce_figure("fig12", out_dir=str(tmp_path))
