@@ -331,16 +331,33 @@ def transfer_coefficients(v: Mapping[str, object]):
     [A1^-1]_(2,1) = N12 / D and [A1^-1]_(1,2) = N21 / D. The kind of y
     alone sets the order of evaluation: an array y takes Horner's rule on
     :func:`transfer_polynomials`, a scalar y :func:`_loop_order`. The two
-    orders round differently, by a few ulp.
+    orders round differently, by a few ulp. At an array y each result is
+    allocated once, in the broadcast shape of y and its own coefficients,
+    and Horner's rule runs in place in it, on y cast to complex once.
     """
     y = v["y"]
     if not isinstance(y, np.ndarray):
         return _loop_order(v)
-    (n2, n1_12, n0_12), (_, n1_21, n0_21), (c3, c2, c1, c0) = (
-        transfer_polynomials(v))
-    n2y = n2 * y
-    return ((n2y + n1_12) * y + n0_12, (n2y + n1_21) * y + n0_21,
-            (((y + c3) * y + c2) * y + c1) * y + c0)
+    n12, n21, d = transfer_polynomials(v)
+    # every step with y is complex and would cast a float y to complex
+    # again; cast it once, to the same values
+    y = y.astype(complex)
+    shape = np.broadcast_shapes(y.shape, *map(np.shape, n12 + n21))
+    N12, N21 = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    D = np.empty(np.broadcast_shapes(y.shape, *map(np.shape, d)),
+                 dtype=complex)
+    # n2 y is shared: both numerators have n2 = i J1
+    np.multiply(n12[0], y, out=N12)
+    np.add(N12, n21[1], out=N21)
+    N12 += n12[1]
+    for N, (_, _, n0) in ((N12, n12), (N21, n21)):
+        N *= y
+        N += n0
+    np.add(y, d[0], out=D)
+    for c in d[1:]:
+        D *= y
+        D += c
+    return N12, N21, D
 
 
 __all__ = [

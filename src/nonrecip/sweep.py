@@ -122,12 +122,13 @@ class SweepSpec:
             raise ValueError("y must be finite")
 
 
-@dataclass
+@dataclass(eq=False)
 class SweepTable:
     """Columnar sweep result: per-column float arrays plus the pole mask.
 
     ``singular`` is a bool array, true at the rows whose response matrix
     is singular; the "status" column of ``columns`` is written from it.
+    Tables compare by identity, as numpy arrays do not compare to a bool.
     """
 
     columns: tuple[str, ...]

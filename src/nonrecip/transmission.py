@@ -31,7 +31,10 @@ blocks of whole rows, about _CHUNK points each (a row longer than
 _CHUNK is one block), whatever the thread count, and the blocks go to a
 thread pool with one worker per CPU this process may run on (its
 affinity, so ``taskset`` sets it), so results are the same bytes for any
-number of threads.
+number of threads. Each block is written into its slices of the
+outputs, in place: the closed form, |N| / |D| and the isolation in dB
+each allocate their arrays once per block, and every later step writes
+into them.
 """
 
 from __future__ import annotations
@@ -98,18 +101,19 @@ def _threshold_bound(v: Mapping[str, object]) -> float:
     return float(np.max(pole_thresholds(peak)))
 
 
-def _kernel(v: Mapping[str, object]):
+def _kernel(v: Mapping[str, object], out=None):
     """T12, T21 and pole flags at the points of ``v``.
 
     ``v`` maps each ModelParams field name, and ``"y"``, to a scalar or an
     array, the arrays broadcasting together. All scalars give floats and a
-    bool; otherwise the results are arrays in the broadcast shape. A point
-    with |D| below its pole threshold is a pole, with NaN T12 and T21. A
-    point whose pole threshold is not finite raises InvalidParams. On
-    arrays it expects numpy's divide, overflow and invalid warnings to be
-    off (see `transmission_arrays`): a pole may divide by D = 0 before it
-    is overwritten with NaN, and a point beyond the range overflows before
-    the threshold test rejects it.
+    bool; otherwise the results are written into ``out``, the caller's
+    T12, T21 and bool pole-mask arrays in the broadcast shape, and ``out``
+    is returned. A point with |D| below its pole threshold is a pole, with
+    NaN T12 and T21. A point whose pole threshold is not finite raises
+    InvalidParams. On arrays it expects numpy's divide, overflow and
+    invalid warnings to be off (see `transmission_arrays`): a pole may
+    divide by D = 0 before it is overwritten with NaN, and a point beyond
+    the range overflows before the threshold test rejects it.
     """
     n12, n21, D = transfer_coefficients(v)
     if isinstance(D, complex):
@@ -121,23 +125,28 @@ def _kernel(v: Mapping[str, object]):
             return math.nan, math.nan, True
         pref = math.sqrt(abs(v["kappa1"] * v["kappa2"]))
         return pref * abs(n12) / abs_d, pref * abs(n21) / abs_d, False
+    t12, t21, singular = out
     abs_d = np.abs(D)
     pref = np.sqrt(np.abs(v["kappa1"] * v["kappa2"]))
-    t12 = pref * np.abs(n12) / abs_d
-    t21 = pref * np.abs(n21) / abs_d
+    # pref |N| / |D|, in place
+    for t, n in ((t12, n12), (t21, n21)):
+        np.abs(n, out=t)
+        t *= pref
+        t /= abs_d
     # no point is a pole when the smallest |D| clears a finite bound; a
     # NaN |D| or an infinite bound fails this test and leaves the block
     # to the exact per-point tests below
     if abs_d.size:
         bound = _threshold_bound(v)
         if bound < math.inf and abs_d.min() >= bound:
-            return t12, t21, np.zeros(abs_d.shape, dtype=bool)
+            singular.fill(False)
+            return out
     thresholds = pole_thresholds(v)
     if not np.all(thresholds < math.inf):
         raise _out_of_range(v)
-    singular = abs_d < thresholds
+    np.less(abs_d, thresholds, out=singular)
     t12[singular] = t21[singular] = np.nan
-    return t12, t21, singular
+    return out
 
 
 def transmission_arrays(v: Mapping[str, object], *,
@@ -157,7 +166,8 @@ def transmission_arrays(v: Mapping[str, object], *,
 
     The broadcast shape is cut along its first axis into blocks of
     ``max(1, _CHUNK // points per row)`` whole rows, whatever the thread
-    count, so a row longer than _CHUNK is one block. With
+    count, so a row longer than _CHUNK is one block. Each block is
+    written into its slices of the outputs, in place. With
     ``with_isolation_db``, each block's `isolation_db` is taken in the
     same task as its transmissions.
 
@@ -178,12 +188,12 @@ def transmission_arrays(v: Mapping[str, object], *,
         # broadcast along it
         sub = {k: x[s] if isinstance(x, np.ndarray) and x.ndim == len(shape)
                and x.shape[0] > 1 else x for k, x in v.items()}
+        block = tuple(o[s] for o in out)
         # the kernel's array branch relies on these warnings being off
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            t12, t21, singular = _kernel(sub)
-        out[0][s], out[1][s], out[2][s] = t12, t21, singular
+            _kernel(sub, out=block[:3])
         if with_isolation_db:
-            out[3][s] = isolation_db(t12, t21)
+            _isolation_db_into(block[0], block[1], block[3])
 
     rows = max(1, _CHUNK // max(1, math.prod(shape[1:])))
     chunks = [slice(i, i + rows) for i in range(0, shape[0], rows)]
@@ -264,12 +274,37 @@ def isolation_db(t12, t21):
             with np.errstate(all="ignore"):
                 db = np.log10(np.float64(hi) / lo)
         return min(20.0 * float(db), ISOLATION_DB_CAP)
-    hi = np.maximum(t12, t21)
+    out = np.empty(np.broadcast_shapes(np.shape(t12), np.shape(t21)))
+    _isolation_db_into(t12, t21, out)
+    return out
+
+
+def _isolation_db_into(t12, t21, out: np.ndarray) -> None:
+    """The array rule of `isolation_db`, written into ``out`` in place.
+
+    ``out`` is a float array in the broadcast shape of ``t12`` and
+    ``t21``, and shares no memory with either. The rule is
+    0 where |T12 - T21| <= 1e-9 max(T12, T21, 1e-30), else
+    min(20 log10(max(T12, T21) / min(T12, T21)), ISOLATION_DB_CAP).
+    """
+    scratch = np.empty_like(out)
     with np.errstate(all="ignore"):
-        db = np.minimum(20.0 * np.log10(hi / np.minimum(t12, t21)),
-                        ISOLATION_DB_CAP)
-        return np.where(np.abs(t12 - t21) <= 1e-9 * np.maximum(hi, 1e-30),
-                        0.0, db)
+        # the reciprocal points first, with the 1e-9 relative threshold
+        # in out and |T12 - T21| in scratch
+        np.maximum(t12, t21, out=out)
+        np.maximum(out, 1e-30, out=out)
+        out *= 1e-9
+        np.subtract(t12, t21, out=scratch)
+        np.abs(scratch, out=scratch)
+        reciprocal = scratch <= out
+        # then the capped dB of max / min
+        np.maximum(t12, t21, out=scratch)
+        np.minimum(t12, t21, out=out)
+        np.divide(scratch, out, out=out)
+        np.log10(out, out=out)
+        out *= 20.0
+        np.minimum(out, ISOLATION_DB_CAP, out=out)
+    np.copyto(out, 0.0, where=reciprocal)
 
 
 def isolation_metrics(tp: TransmissionPoint) -> IsolationMetrics:

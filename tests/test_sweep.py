@@ -288,6 +288,15 @@ def test_sweep_singular_mask_and_status_view(base_params):
         table.status = status
 
 
+def test_tables_compare_by_identity():
+    # a field-by-field comparison would ask a dict of arrays for one bool
+    # and raise ValueError
+    a = sweep(figure_preset("fig3c"))
+    b = sweep(figure_preset("fig3c"))
+    assert a == a
+    assert a != b
+
+
 def test_isolation_db_in_blocks_matches_whole_table(base_params,
                                                     monkeypatch, cpus):
     # 16-point blocks on two threads; the middle row of the first

@@ -28,6 +28,7 @@ from nonrecip.response import (
     pole_thresholds,
     system_matrices,
     transfer_coefficients,
+    transfer_polynomials,
 )
 from nonrecip.sweep import figure_ids, figure_preset
 from nonrecip.transmission import (
@@ -326,8 +327,8 @@ def test_transmission_arrays_block_partition(base_params, monkeypatch, cpus,
     seen = []
     kernel = transmission_mod._kernel
 
-    def recording(v):
-        out = kernel(v)
+    def recording(v, out=None):
+        out = kernel(v, out=out)
         seen.append(out[0].shape)
         return out
 
@@ -500,3 +501,84 @@ def test_isolation_db_scalar_matches_array():
     m = isolation_metrics(TransmissionPoint(y=0.0, T12=0.25, T21=0.5))
     assert type(m.isolation_db) is float
     assert m.isolation_db == float(isolation_db(np.array(0.25), np.array(0.5)))
+
+
+def _out_of_place_isolation_db(t12, t21):
+    """The array rule of `isolation_db`, one new array per operation."""
+    hi = np.maximum(t12, t21)
+    with np.errstate(all="ignore"):
+        db = np.minimum(20.0 * np.log10(hi / np.minimum(t12, t21)),
+                        ISOLATION_DB_CAP)
+        return np.where(np.abs(t12 - t21) <= 1e-9 * np.maximum(hi, 1e-30),
+                        0.0, db)
+
+
+def _out_of_place(v):
+    """T12, T21, the pole mask and the isolation in dB over the whole of
+    ``v``, each operation of the kernel writing a new array."""
+    y = v["y"]
+    if isinstance(y, np.ndarray):
+        (n2, n1_12, n0_12), (_, n1_21, n0_21), (c3, c2, c1, c0) = (
+            transfer_polynomials(v))
+        n2y = n2 * y
+        n12, n21, D = ((n2y + n1_12) * y + n0_12, (n2y + n1_21) * y + n0_21,
+                       (((y + c3) * y + c2) * y + c1) * y + c0)
+    else:
+        # a scalar y takes the loop order, which writes no output slice
+        n12, n21, D = transfer_coefficients(v)
+    abs_d = np.abs(D)
+    pref = np.sqrt(np.abs(v["kappa1"] * v["kappa2"]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t12 = pref * np.abs(n12) / abs_d
+        t21 = pref * np.abs(n21) / abs_d
+    singular = abs_d < pole_thresholds(v)
+    t12[singular] = t21[singular] = np.nan
+    return t12, t21, singular, _out_of_place_isolation_db(t12, t21)
+
+
+@pytest.mark.parametrize("case", ["spectrum", "map", "kappa1_by_y", "pole"])
+def test_in_place_blocks_match_out_of_place_bit_for_bit(
+        base_params, monkeypatch, cpus, case):
+    # blocks of 250 points or fewer, on two threads
+    monkeypatch.setattr(transmission_mod, "_CHUNK", 250)
+    cpus(2)
+    fig4d = figure_preset("fig4d").fixed
+    phases = np.linspace(0.0, 2.0 * math.pi, 41)
+    ys = np.arange(-1000, 1001) * 5e-3
+    v = {
+        "spectrum": dict(vars(fig4d), y=np.linspace(4.5, 5.5, 2001)),
+        "map": dict(vars(fig4d), y=0.4, theta=phases[np.newaxis, :],
+                    phi=phases[:, np.newaxis]),
+        "kappa1_by_y": dict(vars(base_params(HALF_PI)),
+                            y=ys[np.newaxis, ::10],
+                            kappa1=np.linspace(0.2, 3.0, 30)[:, np.newaxis]),
+        # mechanics decoupled and undamped: one pole, at y = 0
+        "pole": dict(vars(base_params(0.0, G1=0.0, G2=0.0, J3=0.0,
+                                      gamma=0.0)), y=ys),
+    }[case]
+    got = transmission_arrays(v, with_isolation_db=True)
+    want = _out_of_place(v)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+    if case == "kappa1_by_y":
+        # N12 holds no kappa, so it broadcasts into each output slice
+        assert transfer_coefficients(v)[0].shape == (1, 201)
+    if case == "pole":
+        assert np.flatnonzero(got[2]).tolist() == [1000]
+        assert np.isnan(got[3][1000])
+
+
+def test_isolation_db_in_place_matches_out_of_place():
+    values = [0.0, 1e-300, 0.25, 0.5, 1.0, 1.0 + 0.9e-9, 1.0 + 1.1e-9,
+              math.inf, math.nan]
+    for a in values:
+        for b in values:
+            want = _out_of_place_isolation_db(np.float64(a), np.float64(b))
+            for kind in (np.float64, np.array):
+                got = isolation_db(kind(a), kind(b))
+                assert type(got) is np.ndarray and got.shape == ()
+                assert got.tobytes() == want.tobytes(), (a, b, kind)
+            # two Python floats take the scalar rule, to the same value
+            got = isolation_db(a, b)
+            assert type(got) is float and _same(got, float(want)), (a, b)
